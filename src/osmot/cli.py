@@ -81,7 +81,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     mesh = read_mesh(args.input)
-    rep = quality_report(mesh, QualityConfig(), 0)
+    rep = quality_report(mesh, QualityConfig(), ObjectiveParams().r_ref, 0)
     print(f"nodes {len(mesh.nodes)} triangles {len(mesh.triangles)} "
           f"chains {len(mesh.chains)}")
     print(f"minQ2 {rep.min_q2:.6g} meanQ2 {rep.mean_q2:.6g} "
@@ -95,7 +95,7 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
     mesh = read_mesh(args.input)
     cfg = SmootherConfig(
         i_max=args.max_loops,
-        quality=QualityConfig(r_ref_default=args.rref, q_min=args.qmin),
+        quality=QualityConfig(q_min=args.qmin),
         objective=ObjectiveParams(beta=args.beta, gamma=args.gamma,
                                   r_ref=args.rref),
         newton=NewtonConfig(eps=args.eps, delta=args.delta, eta=args.eta),

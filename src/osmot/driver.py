@@ -83,7 +83,7 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     (loop 0) and after every completed loop; useful for periodic snapshots.
     """
     t0 = time.perf_counter()
-    reports = [quality_report(mesh, cfg.quality, 0)]
+    reports = [quality_report(mesh, cfg.quality, cfg.objective.r_ref, 0)]
     if on_loop is not None:
         on_loop(0, mesh)
 
@@ -140,7 +140,7 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
                     relocations += 1
 
         loops_run = loop
-        reports.append(quality_report(mesh, cfg.quality, loop))
+        reports.append(quality_report(mesh, cfg.quality, cfg.objective.r_ref, loop))
         if on_loop is not None:
             on_loop(loop, mesh)
         if not moved and early_exit_loop is None:

@@ -1,15 +1,20 @@
 """Element and ball objective with exact gradient and Hessian.
 
 The per-element objective combines the size measure and the shape measure
-as w = (R/R_ref)^beta * (R/r)^gamma. For the implemented exponent pair
-(beta, gamma) = (1, 3) this collapses to the closed form
+as
 
-    w = (abc)^4 * s^3 / (4^4 * R_ref * A^7)
+    w = (R/r_ref)^beta * (R/r)^gamma,   R = abc/(4A),   R/r = abc*s/(4A^2),
 
-whose first and second derivatives with respect to the vertex at local
-slot 0 are available in closed form (the opposite edge b is constant, so
-its derivatives vanish). Other exponent pairs are supported for the value
-and fall back to central finite differences for derivatives.
+with edge lengths a (vertices 0-1), b (1-2), c (2-0), semiperimeter s and
+signed area A. Only the vertex at local slot 0 moves, so b is constant
+and the logarithm
+
+    L = ln w = (beta+gamma)(ln a + ln c) + gamma ln s - (beta+2 gamma) ln A + const
+
+has closed-form first and second derivatives for every beta, gamma > 0.
+The signed area is linear in the vertex, so its Hessian vanishes and
+grad^2 ln A = -grad ln A grad ln A^T. The derivatives of w follow as
+grad w = w grad L and grad^2 w = w (grad^2 L + grad L grad L^T).
 
 A trial position that inverts the element (signed area at or below the
 degeneracy threshold) scores +inf. This acts as a barrier: the line
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Point2, degenerate_area_eps, triangle_geometry
+from .geometry import Point2, degenerate_area_eps
 from .mesh import Ball, Mesh
 
 
@@ -43,12 +48,8 @@ class ObjectiveParams:
     r_ref: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.beta > 0.0 and self.gamma > 0.0 and self.r_ref > 0.0):
-            raise ValueError("beta, gamma and r_ref must be positive")
-
-    @property
-    def exact_derivatives(self) -> bool:
-        return self.beta == 1.0 and self.gamma == 3.0
+        if not all(0.0 < v < math.inf for v in (self.beta, self.gamma, self.r_ref)):
+            raise ValueError("beta, gamma and r_ref must be finite and positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,222 +80,83 @@ class GradHess:
         return math.hypot(self.gx, self.gy)
 
 
-def _objective_13(x0: float, y0: float, x1: float, y1: float,
-                  x2: float, y2: float, r_ref: float) -> float:
-    """Closed-form value for (beta, gamma) = (1, 3); +inf past the barrier."""
+def _value(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float,
+           beta: float, gamma: float, r_ref: float) -> float:
+    """Element objective with the vertex at (x0, y0); +inf past the barrier.
+
+    The only place w is formed, so ball sums from the value path and the
+    derivative path agree bit for bit (Armijo compares them).
+    """
     a = math.hypot(x1 - x0, y1 - y0)
     b = math.hypot(x2 - x1, y2 - y1)
     c = math.hypot(x0 - x2, y0 - y2)
     area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
     if area <= degenerate_area_eps(a, b, c):
         return math.inf
-    s = 0.5 * (a + b + c)
-    abc = a * b * c
-    abc2 = abc * abc
-    abc4 = abc2 * abc2
-    s3 = s * s * s
-    a2 = area * area
-    a4 = a2 * a2
-    a7 = a4 * a2 * area
-    return abc4 * s3 / (256.0 * r_ref * a7)
+    big_r = a * b * c / (4.0 * area)
+    return (big_r / r_ref) ** beta * (big_r * (0.5 * (a + b + c)) / area) ** gamma
 
 
-def _objective_general(p0: Point2, p1: Point2, p2: Point2,
-                       beta: float, gamma: float, r_ref: float) -> float:
-    geom = triangle_geometry(p0, p1, p2)
-    if geom.area_signed <= degenerate_area_eps(geom.a, geom.b, geom.c):
-        return math.inf
-    return (geom.R / r_ref) ** beta * (geom.R / geom.r) ** gamma
+def _grad_hess(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float,
+               beta: float, gamma: float, r_ref: float
+               ) -> tuple[float, float, float, float, float, float]:
+    """Exact (w, wx, wy, wxx, wxy, wyy) with respect to (x0, y0)."""
+    w = _value(x0, y0, x1, y1, x2, y2, beta, gamma, r_ref)
+    if w == math.inf:
+        raise DegenerateElementError("element too distorted for derivatives")
+    ux = x0 - x1
+    uy = y0 - y1
+    vx = x0 - x2
+    vy = y0 - y2
+    a = math.hypot(ux, uy)
+    c = math.hypot(vx, vy)
+    s = 0.5 * (a + math.hypot(x2 - x1, y2 - y1) + c)
+    area = 0.5 * (ux * vy - vx * uy)
+    ka = beta + gamma
+    kA = beta + 2.0 * gamma
+
+    # grad ln a = u/a^2, grad^2 ln a = I/a^2 - 2 grad ln a grad ln a^T; same for c
+    ia2 = 1.0 / (a * a)
+    ic2 = 1.0 / (c * c)
+    lax = ux * ia2
+    lay = uy * ia2
+    lcx = vx * ic2
+    lcy = vy * ic2
+    # grad ln s = grad s/s and sxx, sxy, syy = grad^2 s/s, where
+    # grad s = (u/a + v/c)/2 and grad^2 s = ((I - u u^T/a^2)/a + (I - v v^T/c^2)/c)/2
+    lsx = 0.5 * (ux / a + vx / c) / s
+    lsy = 0.5 * (uy / a + vy / c) / s
+    sxx = 0.5 * (uy * uy * ia2 / a + vy * vy * ic2 / c) / s
+    syy = 0.5 * (ux * ux * ia2 / a + vx * vx * ic2 / c) / s
+    sxy = -0.5 * (ux * uy * ia2 / a + vx * vy * ic2 / c) / s
+    # grad A = (y1 - y2, x2 - x1)/2
+    lAx = 0.5 * (y1 - y2) / area
+    lAy = 0.5 * (x2 - x1) / area
+
+    # grad L, then grad^2 w / w = grad^2 L + grad L grad L^T
+    gx = ka * (lax + lcx) + gamma * lsx - kA * lAx
+    gy = ka * (lay + lcy) + gamma * lsy - kA * lAy
+    hxx = (ka * (ia2 + ic2 - 2.0 * (lax * lax + lcx * lcx))
+           + gamma * (sxx - lsx * lsx) + kA * lAx * lAx + gx * gx)
+    hyy = (ka * (ia2 + ic2 - 2.0 * (lay * lay + lcy * lcy))
+           + gamma * (syy - lsy * lsy) + kA * lAy * lAy + gy * gy)
+    hxy = (-2.0 * ka * (lax * lay + lcx * lcy)
+           + gamma * (sxy - lsx * lsy) + kA * lAx * lAy + gx * gy)
+    return w, w * gx, w * gy, w * hxx, w * hxy, w * hyy
 
 
 def element_objective(p0: Point2, p1: Point2, p2: Point2,
                       params: ObjectiveParams) -> float:
     """Objective of one element with the movable vertex at p0."""
-    if params.exact_derivatives:
-        return _objective_13(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, params.r_ref)
-    return _objective_general(p0, p1, p2, params.beta, params.gamma, params.r_ref)
-
-
-def _grad_hess_13(x0: float, y0: float, x1: float, y1: float,
-                  x2: float, y2: float, r_ref: float
-                  ) -> tuple[float, float, float, float, float, float]:
-    """Exact (w, wx, wy, wxx, wxy, wyy) for (beta, gamma) = (1, 3).
-
-    Shared subexpressions (edge lengths, semiperimeter, area, the edge
-    derivative terms and the area-power derivatives) are formed exactly
-    once. Powers are built by repeated multiplication so that value and
-    derivatives stay mutually consistent to the last bit.
-    """
-    dx1 = x1 - x0
-    dy1 = y1 - y0
-    dx2 = x0 - x2
-    dy2 = y0 - y2
-    a = math.hypot(dx1, dy1)
-    b = math.hypot(x2 - x1, y2 - y1)
-    c = math.hypot(dx2, dy2)
-    area = 0.5 * (dx1 * (y2 - y0) - (x2 - x0) * dy1)
-    if area <= degenerate_area_eps(a, b, c) or a <= 0.0 or c <= 0.0:
-        raise DegenerateElementError(
-            f"element too distorted for derivatives (area {area:g})"
-        )
-    s = 0.5 * (a + b + c)
-
-    # first derivatives of the edge lengths and the semiperimeter
-    c1x = -dx1 / a
-    c1y = -dy1 / a
-    c2x = dx2 / c
-    c2y = dy2 / c
-    c3x = 0.5 * (c1x + c2x)
-    c3y = 0.5 * (c1y + c2y)
-    c4x = c3x - c1x
-    c4y = c3y - c1y
-    c5x = c3x - c2x
-    c5y = c3y - c2y
-
-    # second derivatives of the edge lengths
-    d1x = dx1 / (a * a) * c1x + 1.0 / a
-    d1y = dy1 / (a * a) * c1y + 1.0 / a
-    d2x = -dx2 / (c * c) * c2x + 1.0 / c
-    d2y = -dy2 / (c * c) * c2y + 1.0 / c
-    d3x = 0.5 * (d1x + d2x)
-    d3y = 0.5 * (d1y + d2y)
-    d4x = d3x - d1x
-    d4y = d3y - d1y
-    d5x = d3x - d2x
-    d5y = d3y - d2y
-
-    # mixed second derivatives
-    e1 = -dx1 * dy1 / (a * a * a)
-    e2 = -dx2 * dy2 / (c * c * c)
-    e3 = 0.5 * (e1 + e2)
-    e4 = e3 - e1
-    e5 = e3 - e2
-
-    abc = a * b * c
-    abc2 = abc * abc
-    abc3 = abc2 * abc
-    abc4 = abc2 * abc2
-    s2 = s * s
-    s3 = s2 * s
-    a2 = area * area
-    a4 = a2 * a2
-    a7 = a4 * a2 * area
-    a8 = a7 * area
-    a9 = a8 * area
-
-    sa = s - a
-    sb = s - b
-    sc = s - c
-
-    u = abc4                  # (abc)^4
-    v = s3                    # s^3
-    z = 1.0 / a7              # A^-7
-
-    # d(abc)/dx0 = b*px, d(abc)/dy0 = b*py
-    px = c * c1x + a * c2x
-    py = c * c1y + a * c2y
-    ux = 4.0 * b * abc3 * px
-    uy = 4.0 * b * abc3 * py
-    vx = 3.0 * s2 * c3x
-    vy = 3.0 * s2 * c3y
-    zx = -3.5 / a9 * ((2.0 * s - b) * sa * sc * c3x
-                      + s * sb * sc * c4x + s * sa * sb * c5x)
-    zy = -3.5 / a9 * ((2.0 * s - b) * sa * sc * c3y
-                      + s * sb * sc * c4y + s * sa * sb * c5y)
-    area_x = -(a8 / 7.0) * zx
-    area_y = -(a8 / 7.0) * zy
-
-    uxx = 12.0 * b * b * abc2 * px * px \
-        + 4.0 * b * abc3 * (c * d1x + a * d2x + 2.0 * c1x * c2x)
-    uyy = 12.0 * b * b * abc2 * py * py \
-        + 4.0 * b * abc3 * (c * d1y + a * d2y + 2.0 * c1y * c2y)
-    uxy = 12.0 * b * b * abc2 * px * py \
-        + 4.0 * b * abc3 * (c * e1 + c1x * c2y + c1y * c2x + a * e2)
-
-    vxx = 6.0 * s * c3x * c3x + 3.0 * s2 * d3x
-    vyy = 6.0 * s * c3y * c3y + 3.0 * s2 * d3y
-    vxy = 6.0 * s * c3x * c3y + 3.0 * s2 * e3
-
-    zxx = 63.0 / a9 * area_x * area_x - 3.5 / a9 * (
-        sa * (sb * (s * d5x + sc * d3x + 2.0 * c3x * c5x)
-              + sc * (s * d3x + 2.0 * c3x * c3x) + 2.0 * s * c3x * c5x)
-        + sb * (sc * (s * d4x + 2.0 * c3x * c4x) + 2.0 * s * c4x * c5x)
-        + 2.0 * s * sc * c3x * c4x)
-    zyy = 63.0 / a9 * area_y * area_y - 3.5 / a9 * (
-        sa * (sb * (s * d5y + sc * d3y + 2.0 * c3y * c5y)
-              + sc * (s * d3y + 2.0 * c3y * c3y) + 2.0 * s * c3y * c5y)
-        + sb * (sc * (s * d4y + 2.0 * c3y * c4y) + 2.0 * s * c4y * c5y)
-        + 2.0 * s * sc * c3y * c4y)
-    zxy = 63.0 / a9 * area_y * area_x - 3.5 / a9 * (
-        sa * (sb * (c3x * c5y + sc * e3 + c5x * c3y + s * e5)
-              + sc * (2.0 * c3x * c3y + s * e3) + s * (c5x * c3y + c3x * c5y))
-        + s * sc * (c3x * c4y + c4x * c3y)
-        + sb * (s * (c4x * c5y + c5x * c4y)
-                + sc * (c3x * c4y + c4x * c3y + s * e4)))
-
-    # identical expression tree to _objective_13 so that accumulated ball
-    # values from the two paths agree bit-for-bit (Armijo compares them)
-    w = abc4 * s3 / (256.0 * r_ref * a7)
-    k = 1.0 / (256.0 * r_ref)
-    wx = k * (ux * v * z + u * vx * z + u * v * zx)
-    wy = k * (uy * v * z + u * vy * z + u * v * zy)
-    wxx = k * (uxx * v * z + u * vxx * z + u * v * zxx
-               + 2.0 * ux * vx * z + 2.0 * ux * v * zx + 2.0 * u * vx * zx)
-    wyy = k * (uyy * v * z + u * vyy * z + u * v * zyy
-               + 2.0 * uy * vy * z + 2.0 * uy * v * zy + 2.0 * u * vy * zy)
-    wxy = k * (uxy * v * z + ux * vy * z + ux * v * zy + uy * vx * z
-               + u * vxy * z + u * vx * zy + uy * v * zx + u * vy * zx
-               + u * v * zxy)
-    return w, wx, wy, wxx, wxy, wyy
-
-
-def _grad_hess_fd(p0: Point2, p1: Point2, p2: Point2,
-                  params: ObjectiveParams) -> GradHess:
-    """Central-difference fallback for exponent pairs other than (1, 3).
-
-    Accuracy is limited to roughly sqrt(machine eps) relative; callers
-    needing exact derivatives must use the default exponents.
-    """
-    a, b, c = (math.hypot(p1.x - p0.x, p1.y - p0.y),
-               math.hypot(p2.x - p1.x, p2.y - p1.y),
-               math.hypot(p0.x - p2.x, p0.y - p2.y))
-    w0 = element_objective(p0, p1, p2, params)
-    if not math.isfinite(w0):
-        raise DegenerateElementError("element at the barrier")
-    h = 1e-6 * max(a, b, c)
-
-    def f(x: float, y: float) -> float:
-        return element_objective(Point2(x, y), p1, p2, params)
-
-    x, y = p0.x, p0.y
-    fpx = f(x + h, y)
-    fmx = f(x - h, y)
-    fpy = f(x, y + h)
-    fmy = f(x, y - h)
-    fpp = f(x + h, y + h)
-    fpm = f(x + h, y - h)
-    fmp = f(x - h, y + h)
-    fmm = f(x - h, y - h)
-    gx = (fpx - fmx) / (2.0 * h)
-    gy = (fpy - fmy) / (2.0 * h)
-    hxx = (fpx - 2.0 * w0 + fmx) / (h * h)
-    hyy = (fpy - 2.0 * w0 + fmy) / (h * h)
-    hxy = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return GradHess(w0, gx, gy, hxx, hxy, hyy)
+    return _value(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y,
+                  params.beta, params.gamma, params.r_ref)
 
 
 def element_grad_hess(p0: Point2, p1: Point2, p2: Point2,
                       params: ObjectiveParams) -> GradHess:
     """Objective value, gradient and Hessian with respect to p0."""
-    if not params.exact_derivatives:
-        return _grad_hess_fd(p0, p1, p2, params)
-    w, wx, wy, wxx, wxy, wyy = _grad_hess_13(
-        p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, params.r_ref)
-    return GradHess(w, wx, wy, wxx, wxy, wyy)
-
-
-def _element_r_ref(mesh: Mesh, triangle_id: int, params: ObjectiveParams) -> float:
-    return mesh.rref.get(triangle_id, params.r_ref)
+    return GradHess(*_grad_hess(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y,
+                                params.beta, params.gamma, params.r_ref))
 
 
 def ball_objective(mesh: Mesh, ball: Ball, x0: Point2,
@@ -302,16 +164,13 @@ def ball_objective(mesh: Mesh, ball: Ball, x0: Point2,
     """Sum of element objectives over a ball with the vertex at x0."""
     total = 0.0
     nodes = mesh.nodes
-    exact = params.exact_derivatives
+    rref = mesh.rref
+    beta, gamma, r_ref = params.beta, params.gamma, params.r_ref
     for (tid, _rot), (n1, n2) in zip(ball.elements, ball.rests):
         p1 = nodes[n1].position
         p2 = nodes[n2].position
-        if exact:
-            w = _objective_13(x0.x, x0.y, p1.x, p1.y, p2.x, p2.y,
-                              _element_r_ref(mesh, tid, params))
-        else:
-            w = _objective_general(x0, p1, p2, params.beta, params.gamma,
-                                   _element_r_ref(mesh, tid, params))
+        w = _value(x0.x, x0.y, p1.x, p1.y, p2.x, p2.y,
+                   beta, gamma, rref.get(tid, r_ref))
         if w == math.inf:
             return math.inf
         total += w
@@ -323,21 +182,15 @@ def ball_grad_hess(mesh: Mesh, ball: Ball, x0: Point2,
     """Component-wise sums of element value/gradient/Hessian over a ball."""
     tw = tgx = tgy = thxx = thxy = thyy = 0.0
     nodes = mesh.nodes
-    exact = params.exact_derivatives
+    rref = mesh.rref
+    beta, gamma, r_ref = params.beta, params.gamma, params.r_ref
     for (tid, _rot), (n1, n2) in zip(ball.elements, ball.rests):
         p1 = nodes[n1].position
         p2 = nodes[n2].position
         try:
-            if exact:
-                w, wx, wy, wxx, wxy, wyy = _grad_hess_13(
-                    x0.x, x0.y, p1.x, p1.y, p2.x, p2.y,
-                    _element_r_ref(mesh, tid, params))
-            else:
-                gh = _grad_hess_fd(x0, p1, p2, ObjectiveParams(
-                    params.beta, params.gamma,
-                    _element_r_ref(mesh, tid, params)))
-                w, wx, wy = gh.value, gh.gx, gh.gy
-                wxx, wxy, wyy = gh.hxx, gh.hxy, gh.hyy
+            w, wx, wy, wxx, wxy, wyy = _grad_hess(
+                x0.x, x0.y, p1.x, p1.y, p2.x, p2.y,
+                beta, gamma, rref.get(tid, r_ref))
         except DegenerateElementError as err:
             raise DegenerateElementError(str(err), triangle_id=tid) from None
         tw += w

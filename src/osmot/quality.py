@@ -13,24 +13,16 @@ from dataclasses import dataclass
 
 from .geometry import TriangleGeometry
 
-SIMPLEX_DIM = 2  # normalization factor for the radius ratio of a triangle
-
 
 @dataclass(frozen=True, slots=True)
 class QualityConfig:
-    """Quality thresholds: reference radius and minimum acceptable ratio."""
+    """Flagging threshold: the minimum acceptable radius ratio."""
 
-    r_ref_default: float = 1.0
     q_min: float = 0.6
-    simplex_dim: int = SIMPLEX_DIM
 
     def __post_init__(self) -> None:
-        if not self.r_ref_default > 0.0:
-            raise ValueError("r_ref_default must be positive")
         if not 0.0 < self.q_min <= 1.0:
             raise ValueError("q_min must be in (0, 1]")
-        if self.simplex_dim != SIMPLEX_DIM:
-            raise ValueError("only triangles are supported")
 
 
 def q1_size(geom: TriangleGeometry, r_ref: float) -> float:
@@ -43,9 +35,4 @@ def q2_shape(geom: TriangleGeometry) -> float:
     """Normalized radius ratio 2r/R in [0, 1]; 0 for degenerate elements."""
     if geom.degenerate or geom.R == 0.0:
         return 0.0
-    return SIMPLEX_DIM * geom.r / geom.R
-
-
-def element_passes(geom: TriangleGeometry, cfg: QualityConfig) -> bool:
-    """Quality check used for flagging: radius ratio meets the minimum."""
-    return q2_shape(geom) >= cfg.q_min
+    return 2.0 * geom.r / geom.R

@@ -32,7 +32,9 @@ class QualityReport:
 CSV_HEADER = "loop,minQ2,meanQ2,minQ1,flagged,inverted"
 
 
-def quality_report(mesh: Mesh, cfg: QualityConfig, loop: int) -> QualityReport:
+def quality_report(mesh: Mesh, cfg: QualityConfig, r_ref: float,
+                   loop: int) -> QualityReport:
+    """Quality after ``loop``; q1 uses each element's rref, else ``r_ref``."""
     min_q2 = min_q1 = float("inf")
     sum_q2 = 0.0
     flagged = inverted = 0
@@ -40,7 +42,7 @@ def quality_report(mesh: Mesh, cfg: QualityConfig, loop: int) -> QualityReport:
     for tri in mesh.triangles:
         geom = triangle_geometry(*mesh.triangle_points(tri))
         q2 = q2_shape(geom)
-        q1 = q1_size(geom, mesh.rref.get(tri.id, cfg.r_ref_default))
+        q1 = q1_size(geom, mesh.rref.get(tri.id, r_ref))
         sum_q2 += q2
         min_q2 = min(min_q2, q2)
         min_q1 = min(min_q1, q1)

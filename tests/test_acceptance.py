@@ -88,7 +88,7 @@ def test_criterion_2_patch_test():
         mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
         cfg = SmootherConfig(
             i_max=10,
-            quality=QualityConfig(r_ref_default=1.0, q_min=0.6),
+            quality=QualityConfig(q_min=0.6),
             objective=ObjectiveParams(beta=1.0, gamma=3.0, r_ref=1.0),
             newton=NewtonConfig(eps=1e-8, delta=1e-6, eta=0.05),
         )

@@ -1,3 +1,5 @@
+import pytest
+
 from osmot.cli import main
 
 
@@ -94,3 +96,29 @@ def test_gen_all_kinds(tmp_path):
         assert run(["gen", "--kind", kind, "--distortion", "0.5",
                     "--output", str(out)]) == 0
         assert out.exists()
+
+
+def test_rref_reaches_the_report(tmp_path):
+    mesh = tmp_path / "patch.mesh"
+    run(["gen", "--kind", "patch32", "--seed", "1", "--distortion", "0.45",
+         "--output", str(mesh)])
+    min_q1 = {}
+    for rref in ("1", "2"):
+        csv = tmp_path / f"rref{rref}.csv"
+        assert run(["smooth", "--input", str(mesh),
+                    "--output", str(tmp_path / "out.mesh"), "--max-loops", "0",
+                    "--rref", rref, "--report", str(csv)]) == 0
+        min_q1[rref] = float(csv.read_text().splitlines()[1].split(",")[3])
+    assert min_q1["2"] == pytest.approx(2.0 * min_q1["1"], rel=1e-11)
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--rref"])
+def test_non_finite_objective_parameter_exit_1(tmp_path, capsys, flag):
+    mesh = tmp_path / "patch.mesh"
+    out = tmp_path / "out.mesh"
+    run(["gen", "--kind", "patch32", "--seed", "1", "--distortion", "0.45",
+         "--output", str(mesh)])
+    assert run(["smooth", "--input", str(mesh), "--output", str(out),
+                flag, "inf"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()

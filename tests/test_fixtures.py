@@ -53,7 +53,7 @@ def test_patch32_flat_is_uniformly_optimal():
 
 def test_patch32_distorted_flags_something():
     mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
-    rep = quality_report(mesh, QualityConfig(), 0)
+    rep = quality_report(mesh, QualityConfig(), 1.0, 0)
     assert rep.min_q2 == pytest.approx(0.21219014856401022, rel=1e-12)
     assert rep.min_q2 < 0.6
     assert rep.inverted_elements == 0
@@ -134,13 +134,13 @@ def test_indented_box_structure():
     # valid (positively oriented) despite the deep notch
     assert all(
         signed_area(*mesh.triangle_points(t)) > 0.0 for t in mesh.triangles)
-    rep = quality_report(mesh, QualityConfig(), 0)
+    rep = quality_report(mesh, QualityConfig(), 1.0, 0)
     assert rep.min_q2 < 0.6
 
 
 def test_indented_box_zero_distortion_is_flat():
     mesh = generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.0)
-    rep = quality_report(mesh, QualityConfig(), 0)
+    rep = quality_report(mesh, QualityConfig(), 1.0, 0)
     assert rep.min_q2 == pytest.approx(0.8284271247461901, rel=1e-12)
 
 

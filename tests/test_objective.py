@@ -120,7 +120,7 @@ def test_translation_invariance():
     assert rel_err(w1, w0) < 1e-10
 
 
-@given(st.floats(min_value=1e-2, max_value=1e2, allow_nan=False))
+@given(st.floats(min_value=1e-60, max_value=1e60, allow_nan=False))
 def test_value_scales_linearly_with_size(k):
     # the shape factor is scale-free, so with beta=1 the value picks up
     # exactly one factor of k from the size term
@@ -129,7 +129,15 @@ def test_value_scales_linearly_with_size(k):
     wk = element_objective(Point2(k * p0.x, k * p0.y),
                            Point2(k * p1.x, k * p1.y),
                            Point2(k * p2.x, k * p2.y), PARAMS)
-    assert rel_err(wk, k * w0, floor=1e-6) < 1e-9
+    assert rel_err(wk, k * w0, floor=0.0) < 1e-9
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"r_ref": -1.0}, {"beta": 0.0}, {"gamma": math.inf}, {"r_ref": math.nan},
+], ids=["negative-rref", "zero-beta", "inf-gamma", "nan-rref"])
+def test_params_must_be_finite_and_positive(kwargs):
+    with pytest.raises(ValueError):
+        ObjectiveParams(**kwargs)
 
 
 def test_degenerate_derivative_call_raises():
@@ -282,15 +290,50 @@ def test_per_element_rref_override():
     assert w_half == pytest.approx(w_base - w_elem / 2.0, rel=1e-12)
 
 
-def test_fd_fallback_for_general_exponents():
-    params = ObjectiveParams(beta=2.0, gamma=2.0)
-    p0, p1, p2 = random_triangle(random.Random(31), min_q2=0.3)
-    gh = element_grad_hess(p0, p1, p2, params)
-    h = 1e-5 * max(edge_lengths(p0, p1, p2))
+EXPONENT_PAIRS = pytest.mark.parametrize(
+    "beta,gamma", [(1.0, 3.0), (2.0, 2.0), (2.0, 1.0), (0.5, 1.5)],
+    ids=["1-3", "2-2", "2-1", "0.5-1.5"])
 
-    def f(x, y):
-        return element_objective(Point2(x, y), p1, p2, params)
 
-    gx, gy = fd_gradient(f, p0.x, p0.y, h)
-    assert gh.gx == pytest.approx(gx, rel=1e-3, abs=1e-6)
-    assert gh.gy == pytest.approx(gy, rel=1e-3, abs=1e-6)
+@EXPONENT_PAIRS
+def test_exact_derivatives_for_every_exponent_pair(beta, gamma):
+    # the bounds of acceptance criterion 1, for every exponent pair
+    params = ObjectiveParams(beta=beta, gamma=gamma, r_ref=0.7)
+    rng = random.Random(31)
+    for _ in range(200):
+        p0, p1, p2 = random_triangle(rng)
+        gh = element_grad_hess(p0, p1, p2, params)
+        assert gh.value == element_objective(p0, p1, p2, params)
+        h = 1e-6 * max(edge_lengths(p0, p1, p2))
+
+        def f(x, y):
+            return element_objective(Point2(x, y), p1, p2, params)
+
+        gx, gy = fd_gradient(f, p0.x, p0.y, h)
+        scale = max(abs(gx), abs(gy), 1.0)
+        assert abs(gh.gx - gx) / scale <= 1e-5
+        assert abs(gh.gy - gy) / scale <= 1e-5
+
+        def grad(x, y):
+            g = element_grad_hess(Point2(x, y), p1, p2, params)
+            return g.gx, g.gy
+
+        jac = fd_jacobian(grad, p0.x, p0.y, h)
+        hscale = max(abs(jac[0][0]), abs(jac[0][1]), abs(jac[1][1]), 1.0)
+        assert abs(gh.hxx - jac[0][0]) / hscale <= 1e-4
+        assert abs(gh.hxy - jac[0][1]) / hscale <= 1e-4
+        assert abs(gh.hyy - jac[1][1]) / hscale <= 1e-4
+
+
+@EXPONENT_PAIRS
+def test_ball_value_paths_agree_bitwise(beta, gamma):
+    # Armijo compares the value of ball_grad_hess with ball_objective
+    params = ObjectiveParams(beta=beta, gamma=gamma)
+    rng = random.Random(47)
+    for _ in range(20):
+        mesh = random_ball_mesh(rng)
+        ball = mesh.balls[0]
+        mesh.rref[ball.elements[0][0]] = 0.3
+        x0 = mesh.position(0)
+        assert ball_grad_hess(mesh, ball, x0, params).value == ball_objective(
+            mesh, ball, x0, params)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from osmot.geometry import Point2, TriangleGeometry, signed_area, triangle_geometry
-from osmot.quality import QualityConfig, element_passes, q1_size, q2_shape
+from osmot.quality import QualityConfig, q1_size, q2_shape
 
 SQRT3 = math.sqrt(3.0)
 
@@ -48,20 +48,9 @@ def test_q2_345():
     assert q2_shape(triangle_geometry(*T345)) == pytest.approx(0.8)
 
 
-def test_element_passes():
-    cfg = QualityConfig(q_min=0.5)
-    assert element_passes(triangle_geometry(*EQUILATERAL), cfg)
-    assert not element_passes(triangle_geometry(*COLLINEAR), cfg)
-    assert not element_passes(triangle_geometry(*T345), QualityConfig(q_min=0.85))
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         QualityConfig(q_min=0.0)
-    with pytest.raises(ValueError):
-        QualityConfig(r_ref_default=-1.0)
-    with pytest.raises(ValueError):
-        QualityConfig(simplex_dim=3)
 
 
 @given(triangles)
