@@ -27,7 +27,6 @@ from .report import QualityReport, quality_report
 class SmootherKind(enum.Enum):
     OSMOT = "osmot"
     LAPLACIAN = "laplacian"
-    NONE = "none"
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +63,7 @@ def laplacian_baseline_step(mesh: Mesh, node_id: int) -> Point2:
     """
     ball = mesh.balls[node_id]
     neighbor_ids: set[int] = set()
-    for n1, n2 in ball.rests:
+    for _tid, n1, n2 in ball.elements:
         neighbor_ids.add(n1)
         neighbor_ids.add(n2)
     sx = sy = 0.0
@@ -104,40 +103,39 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
             targets = internal_targets()
         moved = False
 
-        if cfg.smoother_kind is not SmootherKind.NONE:
-            for chain in mesh.chains:
-                for nid in chain.node_ids:
-                    if mesh.nodes[nid].mobility is not Mobility.BOUNDARY:
-                        continue
-                    prev_id, next_id = boundary_neighbors(mesh, nid)
-                    triple = BoundaryTriple(
-                        mesh.position(prev_id), mesh.position(nid),
-                        mesh.position(next_id))
-                    try:
-                        new_pos = smooth_boundary_node(triple)
-                    except CoincidentNeighborsError:
-                        skipped.append((nid, "coincident-neighbors"))
-                        continue
-                    if new_pos != mesh.position(nid):
-                        mesh.set_position(nid, new_pos)
-                        moved = True
-                        relocations += 1
-
-            for nid in targets:
-                old = mesh.position(nid)
-                if cfg.smoother_kind is SmootherKind.OSMOT:
-                    try:
-                        new_pos, _trace = optimize_ball(
-                            mesh, mesh.balls[nid], cfg.objective, cfg.newton)
-                    except DegenerateStartError:
-                        skipped.append((nid, "degenerate-start"))
-                        continue
-                else:
-                    new_pos = laplacian_baseline_step(mesh, nid)
-                if new_pos != old:
+        for chain in mesh.chains:
+            for nid in chain.node_ids:
+                if mesh.nodes[nid].mobility is not Mobility.BOUNDARY:
+                    continue
+                prev_id, next_id = boundary_neighbors(mesh, nid)
+                triple = BoundaryTriple(
+                    mesh.position(prev_id), mesh.position(nid),
+                    mesh.position(next_id))
+                try:
+                    new_pos = smooth_boundary_node(triple)
+                except CoincidentNeighborsError:
+                    skipped.append((nid, "coincident-neighbors"))
+                    continue
+                if new_pos != mesh.position(nid):
                     mesh.set_position(nid, new_pos)
                     moved = True
                     relocations += 1
+
+        for nid in targets:
+            old = mesh.position(nid)
+            if cfg.smoother_kind is SmootherKind.OSMOT:
+                try:
+                    new_pos, _trace = optimize_ball(
+                        mesh, mesh.balls[nid], cfg.objective, cfg.newton)
+                except DegenerateStartError:
+                    skipped.append((nid, "degenerate-start"))
+                    continue
+            else:
+                new_pos = laplacian_baseline_step(mesh, nid)
+            if new_pos != old:
+                mesh.set_position(nid, new_pos)
+                moved = True
+                relocations += 1
 
         loops_run = loop
         reports.append(quality_report(mesh, cfg.quality, cfg.objective.r_ref, loop))

@@ -72,15 +72,13 @@ class Triangle:
 class Ball:
     """All triangles sharing a vertex node.
 
-    ``elements`` holds (triangle id, rotation) pairs where rotating the
-    triangle's node triple left by ``rotation`` puts the ball vertex in
-    slot 0 without changing orientation. ``rests`` holds, per element, the
-    ids of the other two nodes in that rotated order.
+    ``elements`` holds one (triangle id, n1, n2) triple per triangle, in
+    ascending triangle id, where (vertex, n1, n2) is a cyclic rotation of
+    the triangle's node triple and so keeps its orientation.
     """
 
     vertex: int
-    elements: tuple[tuple[int, int], ...]
-    rests: tuple[tuple[int, int], ...]
+    elements: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,9 +114,6 @@ class Mesh:
         nodes = self.nodes
         return nodes[n0].position, nodes[n1].position, nodes[n2].position
 
-    def internal_node_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if n.mobility is Mobility.INTERNAL]
-
     def connectivity_key(self) -> tuple:
         """Hashable snapshot of everything smoothing must not change."""
         return (
@@ -127,10 +122,6 @@ class Mesh:
             tuple((c.chain_id, c.node_ids, c.closed) for c in self.chains),
             tuple((n.mobility, n.chain_id) for n in self.nodes),
         )
-
-
-def _rotate(nodes: tuple[int, int, int], rot: int) -> tuple[int, int, int]:
-    return nodes[rot % 3], nodes[(rot + 1) % 3], nodes[(rot + 2) % 3]
 
 
 def build_topology(
@@ -221,19 +212,15 @@ def build_topology(
             if nodes[nid].mobility is Mobility.BOUNDARY:
                 nodes[nid].chain_id = chain.chain_id
 
-    balls: dict[int, Ball] = {}
-    incidence: dict[int, list[tuple[int, int]]] = {}
+    # triangles are visited in id order, so every ball comes out sorted
+    incidence: dict[int, list[tuple[int, int, int]]] = {}
     for tri in triangles:
-        for slot, nid in enumerate(tri.nodes):
+        a, b, c = tri.nodes
+        for nid, n1, n2 in ((a, b, c), (b, c, a), (c, a, b)):
             if nodes[nid].mobility is Mobility.INTERNAL:
-                incidence.setdefault(nid, []).append((tri.id, slot))
-    for nid, elems in incidence.items():
-        elems.sort()
-        rests = tuple(
-            (_rotate(triangles[tid].nodes, rot)[1], _rotate(triangles[tid].nodes, rot)[2])
-            for tid, rot in elems
-        )
-        balls[nid] = Ball(vertex=nid, elements=tuple(elems), rests=rests)
+                incidence.setdefault(nid, []).append((tri.id, n1, n2))
+    balls = {nid: Ball(vertex=nid, elements=tuple(elems))
+             for nid, elems in incidence.items()}
 
     return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=chains,
                 rref=dict(rref) if rref else {})

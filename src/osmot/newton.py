@@ -1,11 +1,13 @@
 """Damped Newton optimization of one internal node's ball.
 
-Each iteration accumulates the ball objective, gradient and Hessian,
-checks the gradient-norm termination test, picks a descent direction
-(Newton, or steepest descent when the Hessian determinant or the angle
-criterion disqualifies it), and runs one Armijo test: accept the trial
-point and keep the step size, or keep the point and bisect the step size.
-The step size persists across iterations; it is never reset or enlarged.
+The ball gradient and Hessian belong to the iterate: they are evaluated
+at the start and after each accepted step, and nowhere else. Each
+iteration checks the gradient-norm termination test, picks a descent
+direction (Newton, or steepest descent when the Hessian determinant or
+the angle criterion disqualifies it), and runs one Armijo test on the
+objective value at the trial point: accept the trial point and keep the
+step size, or keep the point and bisect the step size. The step size
+persists across iterations; it is never reset or enlarged.
 """
 
 from __future__ import annotations
@@ -73,16 +75,28 @@ class IterationRecord:
 
 @dataclass(frozen=True, slots=True)
 class LocalStepTrace:
-    iterations: int
-    final_grad_norm: float
-    used_steepest_count: int
-    armijo_rejections: int
     converged: bool
+    final_grad_norm: float
     steps: tuple[IterationRecord, ...]
 
+    @property
+    def iterations(self) -> int:
+        return len(self.steps)
 
-def _direction(gh: GradHess, cfg: NewtonConfig) -> tuple[float, float, bool]:
-    """Descent direction and whether steepest descent was substituted."""
+    @property
+    def used_steepest_count(self) -> int:
+        return sum(s.steepest for s in self.steps)
+
+    @property
+    def armijo_rejections(self) -> int:
+        return sum(not s.accepted for s in self.steps)
+
+
+def descent_direction(gh: GradHess, cfg: NewtonConfig
+                      ) -> tuple[float, float, bool]:
+    """Newton direction, or steepest descent when the determinant guard or
+    the angle criterion rejects it, and whether steepest descent was
+    substituted. Always satisfies grad . d < 0 for a nonzero gradient."""
     det = gh.hxx * gh.hyy - gh.hxy * gh.hxy
     if det < cfg.delta:
         return -gh.gx, -gh.gy, True
@@ -95,14 +109,6 @@ def _direction(gh: GradHess, cfg: NewtonConfig) -> tuple[float, float, bool]:
     if cos_theta < cfg.eta:
         return -gh.gx, -gh.gy, True
     return dx, dy, False
-
-
-def descent_direction(gh: GradHess, cfg: NewtonConfig) -> tuple[float, float]:
-    """Newton direction, or steepest descent when the determinant guard or
-    the angle criterion rejects it. Always satisfies grad . d < 0 for a
-    nonzero gradient."""
-    dx, dy, _ = _direction(gh, cfg)
-    return dx, dy
 
 
 def armijo_accept(w_old: float, w_new: float, step_size: float,
@@ -127,46 +133,28 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
         raise DegenerateStartError(ball.vertex, err.triangle_id) from None
 
     lam = 1.0
-    j = 0
     steps: list[IterationRecord] = []
-    steepest_count = 0
-    rejections = 0
     converged = False
-    grad_norm = gh.grad_norm
 
-    while j <= cfg.j_max:
-        if j > 0:
-            gh = ball_grad_hess(mesh, ball, x, params)
-        grad_norm = gh.grad_norm
-        if grad_norm < cfg.eps:
+    while len(steps) <= cfg.j_max:
+        if gh.grad_norm < cfg.eps:
             converged = True
             break
-        dx, dy, steepest = _direction(gh, cfg)
-        if steepest:
-            steepest_count += 1
+        dx, dy, steepest = descent_direction(gh, cfg)
         grad_dot_d = gh.gx * dx + gh.gy * dy
         trial = Point2(x.x + lam * dx, x.y + lam * dy)
         w_new = ball_objective(mesh, ball, trial, params)
         accepted = armijo_accept(gh.value, w_new, lam, grad_dot_d)
-        steps.append(IterationRecord(gh.value, grad_norm, grad_dot_d,
+        steps.append(IterationRecord(gh.value, gh.grad_norm, grad_dot_d,
                                      lam, accepted, steepest))
         if accepted:
             x = trial
+            gh = ball_grad_hess(mesh, ball, x, params)
         else:
             lam *= 0.5
-            rejections += 1
-        j += 1
-        if lam < cfg.lambda_min:
-            break
+            if lam < cfg.lambda_min:
+                break
 
-    if not converged:
-        grad_norm = ball_grad_hess(mesh, ball, x, params).grad_norm
-    trace = LocalStepTrace(
-        iterations=j,
-        final_grad_norm=grad_norm,
-        used_steepest_count=steepest_count,
-        armijo_rejections=rejections,
-        converged=converged,
-        steps=tuple(steps),
-    )
-    return x, trace
+    return x, LocalStepTrace(converged=converged,
+                             final_grad_norm=gh.grad_norm,
+                             steps=tuple(steps))

@@ -68,10 +68,6 @@ class GradHess:
     hyy: float
 
     @property
-    def grad(self) -> tuple[float, float]:
-        return (self.gx, self.gy)
-
-    @property
     def hess(self) -> tuple[tuple[float, float], tuple[float, float]]:
         return ((self.hxx, self.hxy), (self.hxy, self.hyy))
 
@@ -166,7 +162,7 @@ def ball_objective(mesh: Mesh, ball: Ball, x0: Point2,
     nodes = mesh.nodes
     rref = mesh.rref
     beta, gamma, r_ref = params.beta, params.gamma, params.r_ref
-    for (tid, _rot), (n1, n2) in zip(ball.elements, ball.rests):
+    for tid, n1, n2 in ball.elements:
         p1 = nodes[n1].position
         p2 = nodes[n2].position
         w = _value(x0.x, x0.y, p1.x, p1.y, p2.x, p2.y,
@@ -184,7 +180,7 @@ def ball_grad_hess(mesh: Mesh, ball: Ball, x0: Point2,
     nodes = mesh.nodes
     rref = mesh.rref
     beta, gamma, r_ref = params.beta, params.gamma, params.r_ref
-    for (tid, _rot), (n1, n2) in zip(ball.elements, ball.rests):
+    for tid, n1, n2 in ball.elements:
         p1 = nodes[n1].position
         p2 = nodes[n2].position
         try:

@@ -63,9 +63,8 @@ def synthetic_single_ball(vertex_pos: Point2, neighbors: list[Point2]) -> Mesh:
     k = len(neighbors)
     triangles = [Triangle(t, (0, 1 + t, 1 + (t + 1) % k))
                  for t in range(max(k - 1, 1))]
-    elements = tuple((t.id, 0) for t in triangles)
-    rests = tuple((t.nodes[1], t.nodes[2]) for t in triangles)
-    balls = {0: Ball(vertex=0, elements=elements, rests=rests)}
+    elements = tuple((t.id, t.nodes[1], t.nodes[2]) for t in triangles)
+    balls = {0: Ball(vertex=0, elements=elements)}
     return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=[])
 
 

@@ -44,17 +44,22 @@ def test_missing_file_exit_1(tmp_path):
 def test_bad_arguments_exit_2(tmp_path, capsys):
     assert run(["smooth", "--input", "x"]) == 2  # missing --output
     assert run(["gen", "--kind", "nonsense", "--output", "x"]) == 2
+    assert run(["smooth", "--input", "x", "--output", "y",
+                "--smoother", "none"]) == 2
     capsys.readouterr()
 
 
-def test_smoother_none_identity(tmp_path):
+def test_zero_loops_identity(tmp_path):
     mesh = tmp_path / "patch.mesh"
     out = tmp_path / "copy.mesh"
+    csv = tmp_path / "report.csv"
     run(["gen", "--kind", "patch32", "--seed", "1", "--distortion", "0.45",
          "--output", str(mesh)])
     assert run(["smooth", "--input", str(mesh), "--output", str(out),
-                "--smoother", "none"]) == 0
+                "--max-loops", "0", "--report", str(csv)]) == 0
     assert out.read_bytes() == mesh.read_bytes()
+    assert [line.split(",")[0] for line in csv.read_text().splitlines()] == [
+        "loop", "0"]
 
 
 def test_laplacian_smoother_runs(tmp_path):

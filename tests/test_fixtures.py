@@ -116,7 +116,7 @@ def test_horseshoe_centroid_outside_kernel():
     mesh = generate_fixture(FixtureKind.HORSESHOE)
     assert len(mesh.balls) == 1
     ball = mesh.balls[0]
-    ring = sorted({n for pair in ball.rests for n in pair})
+    ring = sorted({n for _tid, n1, n2 in ball.elements for n in (n1, n2)})
     cx = sum(mesh.position(n).x for n in ring) / len(ring)
     cy = sum(mesh.position(n).y for n in ring) / len(ring)
     # placing the vertex at the ring centroid inverts at least one element

@@ -59,7 +59,7 @@ def test_ball_coverage():
     # every triangle appears once per internal vertex it owns
     counts = {}
     for ball in mesh.balls.values():
-        for tid, _rot in ball.elements:
+        for tid, _n1, _n2 in ball.elements:
             counts[tid] = counts.get(tid, 0) + 1
     for tri in mesh.triangles:
         internal = sum(
@@ -69,14 +69,19 @@ def test_ball_coverage():
         assert counts.get(tri.id, 0) == internal
 
 
+def cyclic_rotations(tri):
+    return tri, tri[1:] + tri[:1], tri[2:] + tri[:2]
+
+
 def test_ball_rotation_puts_vertex_first():
     mesh = generate_fixture(FixtureKind.PATCH32)
     for ball in mesh.balls.values():
-        for (tid, rot), rest in zip(ball.elements, ball.rests):
+        tids = [tid for tid, _n1, _n2 in ball.elements]
+        assert tids == sorted(tids)
+        for tid, n1, n2 in ball.elements:
             tri = mesh.triangles[tid].nodes
-            rotated = (tri[rot % 3], tri[(rot + 1) % 3], tri[(rot + 2) % 3])
-            assert rotated[0] == ball.vertex
-            assert rotated[1:] == rest
+            rotated = (ball.vertex, n1, n2)
+            assert rotated in cyclic_rotations(tri)
             # cyclic rotation preserves the signed area; on the dyadic
             # lattice coordinates this is bit-exact
             pts = [mesh.nodes[n].position for n in tri]
@@ -87,9 +92,10 @@ def test_ball_rotation_puts_vertex_first():
 def test_ball_rotation_sign_on_distorted_mesh():
     mesh = generate_fixture(FixtureKind.PATCH32, seed=3, distortion=0.4)
     for ball in mesh.balls.values():
-        for tid, rot in ball.elements:
+        for tid, n1, n2 in ball.elements:
             tri = mesh.triangles[tid].nodes
-            rotated = (tri[rot % 3], tri[(rot + 1) % 3], tri[(rot + 2) % 3])
+            rotated = (ball.vertex, n1, n2)
+            assert rotated in cyclic_rotations(tri)
             pts = [mesh.nodes[n].position for n in tri]
             rpts = [mesh.nodes[n].position for n in rotated]
             a0 = signed_area(*pts)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import osmot.newton
 from conftest import random_ball_mesh, regular_hexagon_mesh
 from osmot.geometry import Point2, signed_area
 from osmot.newton import (
@@ -30,18 +31,18 @@ def test_config_defaults_match_published_tolerances():
 
 def test_direction_identity_hessian_keeps_newton():
     d = descent_direction(gh(2.0, 0.0, 1.0, 0.0, 1.0), CFG)
-    assert d == (-2.0, 0.0)
+    assert d == (-2.0, 0.0, False)
 
 
 def test_direction_negative_definite_falls_back():
     # det(-I) = 1 >= delta but the Newton direction is an ascent direction
     d = descent_direction(gh(1.0, 0.0, -1.0, 0.0, -1.0), CFG)
-    assert d == (-1.0, 0.0)
+    assert d == (-1.0, 0.0, True)
 
 
 def test_direction_tiny_determinant_steepest():
     d = descent_direction(gh(0.0, 1.0, 1e-9, 0.0, 1e-9), CFG)
-    assert d == (0.0, -1.0)
+    assert d == (0.0, -1.0, True)
 
 
 def test_direction_always_descends():
@@ -51,8 +52,9 @@ def test_direction_always_descends():
                rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
         if math.hypot(g.gx, g.gy) < 1e-12:
             continue
-        dx, dy = descent_direction(g, CFG)
+        dx, dy, steepest = descent_direction(g, CFG)
         assert g.gx * dx + g.gy * dy < 0.0
+        assert not steepest or (dx, dy) == (-g.gx, -g.gy)
 
 
 def test_armijo_accepts_sufficient_decrease():
@@ -131,14 +133,42 @@ def test_optimizer_contract_on_random_balls():
         print(f"newton quadratic-phase ratios: max {max(quadratic_ratios):.3g}")
 
 
+def test_derivatives_once_per_iterate(monkeypatch):
+    # the gradient and Hessian belong to the iterate: one evaluation at the
+    # start and one per accepted step, none after a rejected trial
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return ball_grad_hess(*args)
+
+    monkeypatch.setattr(osmot.newton, "ball_grad_hess", counted)
+    rng = random.Random(99)
+    rejections = 0
+    for _ in range(60):
+        mesh = random_ball_mesh(rng)
+        ball = mesh.balls[0]
+        calls.clear()
+        pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+        accepted = sum(s.accepted for s in trace.steps)
+        assert len(calls) == 1 + accepted
+        assert calls[-1] == pos
+        assert trace.final_grad_norm == ball_grad_hess(
+            mesh, ball, pos, PARAMS).grad_norm
+        rejections += trace.armijo_rejections
+    assert rejections > 0
+
+
 def test_rejected_trials_do_not_move_the_iterate():
     rng = random.Random(5)
     mesh = random_ball_mesh(rng)
     ball = mesh.balls[0]
     pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
-    assert trace.armijo_rejections == sum(
-        1 for s in trace.steps if not s.accepted)
-    assert trace.iterations == len(trace.steps) or trace.converged
+    assert trace.armijo_rejections > 0
+    for prev, nxt in zip(trace.steps, trace.steps[1:]):
+        if not prev.accepted:
+            assert (nxt.value, nxt.grad_norm) == (prev.value, prev.grad_norm)
+            assert nxt.step_size == 0.5 * prev.step_size
 
 
 def test_degenerate_start_raises():

@@ -214,7 +214,7 @@ def test_ball_objective_single_element():
     x0 = mesh.position(0)
     total = sum(
         element_objective(x0, mesh.position(n1), mesh.position(n2), PARAMS)
-        for n1, n2 in ball.rests
+        for _tid, n1, n2 in ball.elements
     )
     assert ball_objective(mesh, ball, x0, PARAMS) == pytest.approx(total, rel=1e-14)
 
@@ -270,7 +270,7 @@ def test_ball_degenerate_propagates_triangle_id():
     mesh = random_ball_mesh(random.Random(4))
     ball = mesh.balls[0]
     # move the vertex onto a ring node: some element degenerates
-    target = mesh.position(ball.rests[0][0])
+    target = mesh.position(ball.elements[0][1])
     with pytest.raises(DegenerateElementError) as err:
         ball_grad_hess(mesh, ball, target, PARAMS)
     assert err.value.triangle_id is not None
@@ -281,12 +281,10 @@ def test_per_element_rref_override():
     ball = mesh.balls[0]
     x0 = mesh.position(0)
     w_base = ball_objective(mesh, ball, x0, PARAMS)
-    tid = ball.elements[0][0]
+    tid, n1, n2 = ball.elements[0]
     mesh.rref[tid] = 2.0
     w_half = ball_objective(mesh, ball, x0, PARAMS)
-    w_elem = element_objective(
-        x0, mesh.position(ball.rests[0][0]), mesh.position(ball.rests[0][1]),
-        PARAMS)
+    w_elem = element_objective(x0, mesh.position(n1), mesh.position(n2), PARAMS)
     assert w_half == pytest.approx(w_base - w_elem / 2.0, rel=1e-12)
 
 
