@@ -27,6 +27,18 @@ from .report import quality_report, write_report_csv
 from .svgout import ColorBy, render_svg
 
 
+def _loop_count(text: str) -> int:
+    """argparse type of a loop count: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="osmot",
@@ -37,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_smooth = sub.add_parser("smooth", help="smooth a mesh file")
     p_smooth.add_argument("--input", required=True)
     p_smooth.add_argument("--output", required=True)
-    p_smooth.add_argument("--max-loops", type=int, default=10)
+    p_smooth.add_argument("--max-loops", type=_loop_count, default=10)
     p_smooth.add_argument("--qmin", type=float, default=0.6)
     p_smooth.add_argument("--beta", type=float, default=1.0)
     p_smooth.add_argument("--gamma", type=float, default=3.0)
@@ -49,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=[k.value for k in SmootherKind])
     p_smooth.add_argument("--report", metavar="CSV",
                           help="write per-loop quality CSV")
-    p_smooth.add_argument("--svg-every", type=int, metavar="K", default=0,
+    p_smooth.add_argument("--svg-every", type=_loop_count, metavar="K", default=0,
                           help="render an SVG snapshot every K loops")
     p_smooth.add_argument("--svg-dir", metavar="DIR",
                           help="directory for SVG snapshots")

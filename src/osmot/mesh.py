@@ -5,15 +5,21 @@ positively oriented triangles, and topology derived once at build time:
 the ball of elements around every internal node, and the movable boundary
 chains obtained by splitting the boundary at fixed nodes. Connectivity is
 immutable during smoothing; node positions are the only mutable state.
+
+Per-triangle quality lives in one ``QualityTable`` per mesh, built on
+first use and kept current by re-evaluating only the triangles around
+nodes moved through ``Mesh.set_position`` since the last read.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from array import array
 from dataclasses import dataclass, field
 
 from .geometry import Point2, signed_area, triangle_geometry
-from .quality import QualityConfig, q2_shape
+from .quality import QualityConfig, q2_bucket, q2_shape
 
 
 class MeshError(Exception):
@@ -94,20 +100,90 @@ class BoundaryChain:
     closed: bool
 
 
+class QualityTable:
+    """Flat per-triangle quality values, indexed by triangle id.
+
+    ``q2`` is the radius ratio (``q2_shape``) and ``bucket`` its histogram
+    bucket (``q2_bucket``); ``circumradius`` is R, or +inf where
+    ``q1_size`` scores the triangle 0, so that r_ref / R is its size
+    quality for any positive r_ref; ``inverted`` is 1 where the signed
+    area is not positive. ``incident`` lists the triangles of every node.
+    """
+
+    __slots__ = ("q2", "bucket", "circumradius", "inverted", "incident")
+
+    def __init__(self, mesh: Mesh) -> None:
+        n = len(mesh.triangles)
+        self.q2 = array("d", [0.0]) * n
+        self.bucket = bytearray(n)
+        self.circumradius = array("d", [0.0]) * n
+        self.inverted = bytearray(n)
+        incident: list[list[int]] = [[] for _ in mesh.nodes]
+        for tid, tri in enumerate(mesh.triangles):
+            for nid in tri.nodes:
+                incident[nid].append(tid)
+            self._evaluate(mesh, tid, tri)
+        self.incident = incident
+
+    def refresh(self, mesh: Mesh, moved: set[int]) -> None:
+        """Re-evaluate every triangle with a vertex in ``moved``."""
+        incident = self.incident
+        dirty: set[int] = set()
+        for nid in moved:
+            dirty.update(incident[nid])
+        triangles = mesh.triangles
+        for tid in dirty:
+            self._evaluate(mesh, tid, triangles[tid])
+
+    def _evaluate(self, mesh: Mesh, tid: int, tri: Triangle) -> None:
+        geom = triangle_geometry(*mesh.triangle_points(tri))
+        q2 = self.q2[tid] = q2_shape(geom)
+        self.bucket[tid] = q2_bucket(q2)
+        self.circumradius[tid] = (
+            math.inf if geom.degenerate or geom.R == 0.0 else geom.R)
+        self.inverted[tid] = geom.area_signed <= 0.0
+
+
 @dataclass(slots=True)
 class Mesh:
+    """Nodes, triangles and the topology derived from them.
+
+    After ``build_topology`` node positions change only through
+    ``set_position``: it records the moved node so that the quality table
+    re-evaluates the triangles around it. A direct write to
+    ``Node.position`` would leave the table stale.
+    """
+
     nodes: list[Node]
     triangles: list[Triangle]
     balls: dict[int, Ball] = field(default_factory=dict)
     chains: list[BoundaryChain] = field(default_factory=list)
     # optional per-triangle reference radius overrides (triangle id -> value)
     rref: dict[int, float] = field(default_factory=dict)
+    _quality: QualityTable | None = field(
+        default=None, init=False, compare=False, repr=False)
+    _moved: set[int] = field(
+        default_factory=set, init=False, compare=False, repr=False)
 
     def position(self, node_id: int) -> Point2:
         return self.nodes[node_id].position
 
     def set_position(self, node_id: int, p: Point2) -> None:
         self.nodes[node_id].position = p
+        self._moved.add(node_id)
+
+    def quality_table(self) -> QualityTable:
+        """The per-triangle quality at the current positions.
+
+        Built on the first call; later calls re-evaluate only the
+        triangles around nodes moved since the previous call.
+        """
+        if self._quality is None:
+            self._quality = QualityTable(self)
+        elif self._moved:
+            self._quality.refresh(self, self._moved)
+        self._moved.clear()
+        return self._quality
 
     def triangle_points(self, tri: Triangle) -> tuple[Point2, Point2, Point2]:
         n0, n1, n2 = tri.nodes
@@ -277,11 +353,12 @@ def flag_nodes(mesh: Mesh, cfg: QualityConfig) -> set[int]:
     The result includes nodes of any mobility; callers intersect with the
     internal node set before optimizing.
     """
+    q_min = cfg.q_min
+    triangles = mesh.triangles
     flagged: set[int] = set()
-    for tri in mesh.triangles:
-        p0, p1, p2 = mesh.triangle_points(tri)
-        if q2_shape(triangle_geometry(p0, p1, p2)) < cfg.q_min:
-            flagged.update(tri.nodes)
+    for tid, q2 in enumerate(mesh.quality_table().q2):
+        if q2 < q_min:
+            flagged.update(triangles[tid].nodes)
     return flagged
 
 

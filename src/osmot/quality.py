@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from .geometry import TriangleGeometry
 
+HISTOGRAM_BUCKETS = 10
+
 
 @dataclass(frozen=True, slots=True)
 class QualityConfig:
@@ -36,3 +38,8 @@ def q2_shape(geom: TriangleGeometry) -> float:
     if geom.degenerate or geom.R == 0.0:
         return 0.0
     return 2.0 * geom.r / geom.R
+
+
+def q2_bucket(q2: float) -> int:
+    """Index of q2 among HISTOGRAM_BUCKETS uniform buckets over [0, 1]."""
+    return min(int(q2 * HISTOGRAM_BUCKETS), HISTOGRAM_BUCKETS - 1)

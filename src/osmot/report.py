@@ -1,14 +1,21 @@
-"""Per-loop mesh quality reporting."""
+"""Per-loop mesh quality reporting.
+
+A report reads the mesh's per-triangle quality table (``Mesh.quality_table``),
+which re-evaluates only the triangles whose nodes moved since its last
+read, and folds the stored values in triangle order: q1 is formed here
+from each element's rref (else ``r_ref``) and the stored circumradius,
+so an edited ``mesh.rref`` or another ``r_ref`` never reads a stale value.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, gt, truediv
 
-from .geometry import triangle_geometry
 from .mesh import Mesh
-from .quality import QualityConfig, q1_size, q2_shape
-
-HISTOGRAM_BUCKETS = 10
+from .quality import HISTOGRAM_BUCKETS, QualityConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,32 +42,22 @@ CSV_HEADER = "loop,minQ2,meanQ2,minQ1,flagged,inverted"
 def quality_report(mesh: Mesh, cfg: QualityConfig, r_ref: float,
                    loop: int) -> QualityReport:
     """Quality after ``loop``; q1 uses each element's rref, else ``r_ref``."""
-    min_q2 = min_q1 = float("inf")
-    sum_q2 = 0.0
-    flagged = inverted = 0
-    buckets = [0] * HISTOGRAM_BUCKETS
-    for tri in mesh.triangles:
-        geom = triangle_geometry(*mesh.triangle_points(tri))
-        q2 = q2_shape(geom)
-        q1 = q1_size(geom, mesh.rref.get(tri.id, r_ref))
-        sum_q2 += q2
-        min_q2 = min(min_q2, q2)
-        min_q1 = min(min_q1, q1)
-        if q2 < cfg.q_min:
-            flagged += 1
-        if geom.area_signed <= 0.0:
-            inverted += 1
-        idx = min(int(q2 * HISTOGRAM_BUCKETS), HISTOGRAM_BUCKETS - 1)
-        buckets[idx] += 1
-    n = len(mesh.triangles)
+    table = mesh.quality_table()
+    q2s = table.q2
+    n = len(q2s)
+    if not n:
+        return QualityReport(loop, 0.0, 0.0, 0.0, 0, 0, (0,) * HISTOGRAM_BUCKETS)
+    rrefs = map(mesh.rref.get, range(n), repeat(r_ref))
+    q1s = map(truediv, rrefs, table.circumradius)
     return QualityReport(
         loop=loop,
-        min_q2=min_q2 if n else 0.0,
-        mean_q2=sum_q2 / n if n else 0.0,
-        min_q1=min_q1 if n else 0.0,
-        flagged_elements=flagged,
-        inverted_elements=inverted,
-        histogram=tuple(buckets),
+        min_q2=min(q2s),
+        # a left-to-right float sum, as sum() compensates from Python 3.12
+        mean_q2=reduce(add, q2s, 0.0) / n,
+        min_q1=min(q1s),
+        flagged_elements=sum(map(partial(gt, cfg.q_min), q2s)),
+        inverted_elements=table.inverted.count(1),
+        histogram=tuple(map(table.bucket.count, range(HISTOGRAM_BUCKETS))),
     )
 
 

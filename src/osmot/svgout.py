@@ -1,12 +1,16 @@
-"""Standalone SVG rendering of a mesh, optionally colored by shape quality."""
+"""Standalone SVG rendering of a mesh, optionally colored by shape quality.
+
+The Q2 colouring reads each triangle's radius ratio from the mesh's
+per-triangle quality table (``Mesh.quality_table``), which re-evaluates
+only the triangles whose nodes moved since its last read. Each node's
+coordinates and the common stroke attributes are formatted once.
+"""
 
 from __future__ import annotations
 
 import enum
 
-from .geometry import triangle_geometry
 from .mesh import Mesh
-from .quality import q2_shape
 
 
 class ColorBy(enum.Enum):
@@ -40,17 +44,14 @@ def mesh_to_svg(mesh: Mesh, color_by: ColorBy = ColorBy.Q2) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" '
         f'width="800" height="{800 * (height + 2 * margin) / max(width + 2 * margin, 1e-30):.6g}">',
     ]
-    for tri in mesh.triangles:
-        p0, p1, p2 = mesh.triangle_points(tri)
-        if color_by is ColorBy.Q2:
-            fill = _fill(q2_shape(triangle_geometry(p0, p1, p2)))
-        else:
-            fill = "white"
-        points = " ".join(f"{p.x:.6g},{-p.y:.6g}" for p in (p0, p1, p2))
-        out.append(
-            f'<polygon points="{points}" fill="{fill}" '
-            f'stroke="black" stroke-width="{stroke:.6g}"/>'
-        )
+    coords = [f"{n.position.x:.6g},{-n.position.y:.6g}" for n in mesh.nodes]
+    q2s = mesh.quality_table().q2 if color_by is ColorBy.Q2 else None
+    stroke_attrs = f'stroke="black" stroke-width="{stroke:.6g}"'
+    for tid, tri in enumerate(mesh.triangles):
+        fill = "white" if q2s is None else _fill(q2s[tid])
+        n0, n1, n2 = tri.nodes
+        out.append(f'<polygon points="{coords[n0]} {coords[n1]} {coords[n2]}" '
+                   f'fill="{fill}" {stroke_attrs}/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

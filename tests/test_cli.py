@@ -46,7 +46,11 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert run(["gen", "--kind", "nonsense", "--output", "x"]) == 2
     assert run(["smooth", "--input", "x", "--output", "y",
                 "--smoother", "none"]) == 2
-    capsys.readouterr()
+    for option in ("--max-loops", "--svg-every"):
+        for value in ("-1", "-2", "1.5", "x"):
+            assert run(["smooth", "--input", "x", "--output", "y",
+                        option, value, "--svg-dir", str(tmp_path)]) == 2
+    assert "expected a non-negative integer, got '-2'" in capsys.readouterr().err
 
 
 def test_zero_loops_identity(tmp_path):

@@ -48,3 +48,38 @@ def test_smooth_output_bytes(tmp_path, case):
     assert main(["smooth", "--input", str(src), "--output", str(out),
                  "--report", str(csv), *smooth_args]) == 0
     assert (sha256(out), sha256(csv)) == (mesh_sha, csv_sha)
+
+
+# indentedbox with its movable chain, reflagged every loop, with an SVG
+# snapshot after every loop: the report, flagging and SVG colouring all
+# read per-triangle quality after the nodes of a few triangles moved.
+REFLAG_SVG_MESH_SHA = "ed636a6d4eea4cdd02521f569d3100c04fcae9cb2a4fb576cdcd624a6f287911"
+REFLAG_SVG_CSV_SHA = "fc6aec6153c18844ca8a67a8ecd3173fcbfa83ac7e42d1b59470d55b2e094f93"
+REFLAG_SVG_SNAPSHOT_SHA = {
+    "loop0000.svg": "4e58b7c9f7903f87d4ce44d7c5f90854056021426c33c98e1e99a3147ed01e77",
+    "loop0001.svg": "d632ee71957d772f165791beee9d80ac17c8d725b6c0a841596ec63801d556b2",
+    "loop0002.svg": "f8275d9012feb506a2a8046ab0a6ba5faddde573c0134fa070aff1c28bcfc547",
+    "loop0003.svg": "5da3f48e75299d901ef74707f2dce50a73f5778c265a8fe97637ed6db80145ec",
+    "loop0004.svg": "d3cd7da9353cbb3b47bd454282a6f66bbf6fb625a644611b9c2bec1a16796150",
+    "loop0005.svg": "2bda014e38477e170e8bb4eedab470dbbf0518ab11f73a3b26825a1ccef6d10a",
+    "loop0006.svg": "3a4dd025d5ad5cd9dd1d9dba1cfd449ea92c2de2c937571229a1bdcfadb73465",
+    "loop0007.svg": "a1dce8b6b1befdab949600ad2f9da2969a6622d860f423056367cc6e5dad14db",
+    "loop0008.svg": "8fda6aab9d34bba638c85acf4cd810dea78625c610893add58be1b7be5b66e60",
+    "loop0009.svg": "161c95e45b169e8da6f6d7b8d506a8a08955532894e0b323f010174db8577c00",
+    "loop0010.svg": "4476cfbaf033bdc3a7d09949c0821ed0cfbc44bad12c7ded9b286970e7fb35fa",
+}
+
+
+def test_reflag_svg_every_loop_bytes(tmp_path):
+    src = tmp_path / "in.mesh"
+    out = tmp_path / "out.mesh"
+    csv = tmp_path / "report.csv"
+    svg_dir = tmp_path / "svg"
+    assert main(["gen", "--kind", "indentedbox", "--distortion", "0.6",
+                 "--output", str(src)]) == 0
+    assert main(["smooth", "--input", str(src), "--output", str(out),
+                 "--report", str(csv), "--reflag", "--svg-every", "1",
+                 "--svg-dir", str(svg_dir)]) == 0
+    assert (sha256(out), sha256(csv)) == (REFLAG_SVG_MESH_SHA, REFLAG_SVG_CSV_SHA)
+    snapshots = {p.name: sha256(p) for p in sorted(svg_dir.iterdir())}
+    assert snapshots == REFLAG_SVG_SNAPSHOT_SHA

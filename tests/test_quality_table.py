@@ -1,0 +1,171 @@
+"""The per-triangle quality table never goes stale.
+
+Random sequences of node moves (jitters, inverting jumps, moves onto
+another node or onto the midpoint of two nodes, of internal, boundary and
+fixed nodes alike) and rref edits are interleaved with reads through
+``quality_report``, ``flag_nodes`` and ``mesh_to_svg``. Every read must
+give the same bits as the same read on a fresh copy of the mesh, which
+builds its table from scratch.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+from hypothesis import given, settings, strategies as st
+
+from osmot.fixtures import FixtureKind, generate_fixture
+from osmot.geometry import Point2
+from osmot.mesh import Mesh, Node, flag_nodes
+from osmot.meshio import ValidationError, mesh_to_text, parse_mesh_text, read_mesh, write_mesh
+from osmot.quality import QualityConfig
+from osmot.report import quality_report
+from osmot.svgout import ColorBy, mesh_to_svg
+
+MESHES = {
+    "patch32": lambda: generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45),
+    "indentedbox": lambda: generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.6),
+}
+R_REFS = (0.5, 1.0, 2.5)
+Q_MINS = (0.3, 0.6, 1.0)
+
+index = st.integers(min_value=0, max_value=10**6)
+offset = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+moves = st.one_of(
+    st.tuples(st.just("jitter"), index, offset, offset),
+    st.tuples(st.just("jump"), index, offset, offset),  # often inverts
+    st.tuples(st.just("onto"), index, index),  # coincident nodes
+    st.tuples(st.just("midpoint"), index, index, index),  # collinear nodes
+)
+edits = st.one_of(
+    st.tuples(st.just("rref"), index, st.floats(min_value=0.1, max_value=4.0)),
+    st.tuples(st.just("unrref"), index),
+)
+reads = st.one_of(
+    st.tuples(st.just("report"), st.sampled_from(R_REFS)),
+    st.tuples(st.just("flag"), st.sampled_from(Q_MINS)),
+    st.tuples(st.just("svg"), st.sampled_from(list(ColorBy))),
+)
+steps = st.lists(st.one_of(moves, moves, edits, reads), max_size=40)
+
+
+def fresh_copy(mesh: Mesh) -> Mesh:
+    """The mesh rebuilt from its text, with no quality table yet.
+
+    A mesh with an inverted element fails validation on parse; it is
+    rebuilt from new nodes and the same topology instead.
+    """
+    try:
+        return parse_mesh_text(mesh_to_text(mesh))
+    except ValidationError:
+        nodes = [Node(n.id, n.position, n.mobility, n.chain_id)
+                 for n in mesh.nodes]
+        return Mesh(nodes=nodes, triangles=list(mesh.triangles),
+                    balls=dict(mesh.balls), chains=list(mesh.chains),
+                    rref=dict(mesh.rref))
+
+
+def bits(value):
+    """A comparable form in which two floats are equal only bit for bit."""
+    if dataclasses.is_dataclass(value):
+        return bits(dataclasses.astuple(value))
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def read(mesh: Mesh, step) -> object:
+    kind, arg = step
+    if kind == "report":
+        return bits(quality_report(mesh, QualityConfig(), arg, 7))
+    if kind == "flag":
+        return flag_nodes(mesh, QualityConfig(q_min=arg))
+    return mesh_to_svg(mesh, arg)
+
+
+def apply(mesh: Mesh, step) -> None:
+    kind, *args = step
+    n_nodes = len(mesh.nodes)
+    if kind == "jitter" or kind == "jump":
+        i, dx, dy = args
+        scale = 0.05 if kind == "jitter" else 1.5
+        p = mesh.position(i % n_nodes)
+        mesh.set_position(i % n_nodes, Point2(p.x + scale * dx, p.y + scale * dy))
+    elif kind == "onto":
+        i, j = args
+        mesh.set_position(i % n_nodes, mesh.position(j % n_nodes))
+    elif kind == "midpoint":
+        i, j, k = args
+        p, q = mesh.position(j % n_nodes), mesh.position(k % n_nodes)
+        mesh.set_position(i % n_nodes, Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y)))
+    elif kind == "rref":
+        i, value = args
+        mesh.rref[i % len(mesh.triangles)] = value
+    else:
+        mesh.rref.pop(args[0] % len(mesh.triangles), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(list(MESHES)), steps=steps,
+       triangle_nodes=st.booleans())
+def test_table_reads_match_a_fresh_mesh(name, steps, triangle_nodes):
+    mesh = MESHES[name]()
+    if triangle_nodes:
+        # move the three nodes of one triangle, so that all three coincide
+        a, b, c = mesh.triangles[0].nodes
+        steps = [("onto", a, b), ("onto", c, b), *steps]
+    for step in steps:
+        if step[0] in ("report", "flag", "svg"):
+            assert read(mesh, step) == read(fresh_copy(mesh), step)
+        else:
+            apply(mesh, step)
+    final = fresh_copy(mesh)
+    for r_ref in R_REFS:
+        assert read(mesh, ("report", r_ref)) == read(final, ("report", r_ref))
+    for q_min in Q_MINS:
+        assert read(mesh, ("flag", q_min)) == read(final, ("flag", q_min))
+    assert read(mesh, ("svg", ColorBy.Q2)) == read(final, ("svg", ColorBy.Q2))
+
+
+def test_report_after_each_loop_sees_the_moves_of_that_loop():
+    mesh = MESHES["patch32"]()
+    before = quality_report(mesh, QualityConfig(), 1.0, 0)
+    nid = next(n.id for n in mesh.nodes if n.id in mesh.balls)
+    a = mesh.balls[nid].elements[0][1]
+    mesh.set_position(nid, mesh.position(a))
+    after = quality_report(mesh, QualityConfig(), 1.0, 1)
+    assert after.min_q2 == 0.0 < before.min_q2
+    assert bits(after) == bits(
+        quality_report(fresh_copy(mesh), QualityConfig(), 1.0, 1))
+
+
+def test_read_mesh_builds_no_table(tmp_path):
+    path = tmp_path / "patch.mesh"
+    write_mesh(MESHES["patch32"](), str(path))
+    mesh = read_mesh(str(path))
+    assert mesh._quality is None
+    quality_report(mesh, QualityConfig(), 1.0, 0)
+    assert mesh._quality is not None
+
+
+def test_table_is_not_part_of_equality_or_repr():
+    mesh, other = MESHES["patch32"](), MESHES["patch32"]()
+    text = repr(mesh)
+    flag_nodes(mesh, QualityConfig())
+    assert mesh == other
+    assert repr(mesh) == text == repr(other)
+
+
+def test_rref_edit_reaches_the_next_report():
+    mesh = MESHES["indentedbox"]()
+    mesh.rref[0] = 2.0
+    cfg = QualityConfig()
+    first = quality_report(mesh, cfg, 1.0, 0)
+    mesh.rref[5] = 1e-3
+    edited = quality_report(mesh, cfg, 1.0, 0)
+    assert edited.min_q1 < first.min_q1
+    assert bits(edited) == bits(quality_report(fresh_copy(mesh), cfg, 1.0, 0))
+    del mesh.rref[5]
+    assert bits(quality_report(mesh, cfg, 1.0, 0)) == bits(first)
