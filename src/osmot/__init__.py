@@ -34,6 +34,7 @@ from .mesh import (
     NonManifoldError,
     NotBoundaryError,
     OrphanNodeError,
+    TangledBallError,
     Triangle,
     boundary_neighbors,
     build_topology,

@@ -46,18 +46,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = SmootherConfig()
     p_smooth = sub.add_parser("smooth", help="smooth a mesh file")
     p_smooth.add_argument("--input", required=True)
     p_smooth.add_argument("--output", required=True)
-    p_smooth.add_argument("--max-loops", type=_loop_count, default=10)
-    p_smooth.add_argument("--qmin", type=float, default=0.6)
-    p_smooth.add_argument("--beta", type=float, default=1.0)
-    p_smooth.add_argument("--gamma", type=float, default=3.0)
-    p_smooth.add_argument("--rref", type=float, default=1.0)
-    p_smooth.add_argument("--eps", type=float, default=1e-8)
-    p_smooth.add_argument("--delta", type=float, default=1e-6)
-    p_smooth.add_argument("--eta", type=float, default=0.05)
-    p_smooth.add_argument("--smoother", default="osmot",
+    p_smooth.add_argument("--max-loops", type=_loop_count, default=defaults.i_max)
+    p_smooth.add_argument("--qmin", type=float, default=defaults.quality.q_min)
+    p_smooth.add_argument("--beta", type=float, default=defaults.objective.beta)
+    p_smooth.add_argument("--gamma", type=float, default=defaults.objective.gamma)
+    p_smooth.add_argument("--rref", type=float, default=defaults.objective.r_ref)
+    p_smooth.add_argument("--eps", type=float, default=defaults.newton.eps)
+    p_smooth.add_argument("--delta", type=float, default=defaults.newton.delta)
+    p_smooth.add_argument("--eta", type=float, default=defaults.newton.eta)
+    p_smooth.add_argument("--smoother", default=defaults.smoother_kind.value,
                           choices=[k.value for k in SmootherKind])
     p_smooth.add_argument("--report", metavar="CSV",
                           help="write per-loop quality CSV")

@@ -50,6 +50,15 @@ class InconsistentMobilityError(MeshError):
         super().__init__(message)
 
 
+class TangledBallError(MeshError):
+    def __init__(self, node_id: int, winding: int):
+        self.node_id = node_id
+        self.winding = winding
+        super().__init__(
+            f"ball of internal node {node_id} winds {winding} times around it"
+        )
+
+
 class NotBoundaryError(MeshError):
     pass
 
@@ -208,69 +217,64 @@ def build_topology(
     """Validate connectivity and derive balls and boundary chains.
 
     Raises a MeshError subclass on invalid input: non-manifold edges or
-    vertices, non-positively oriented triangles, orphan nodes, or mobility
-    labels that disagree with where a node actually sits.
+    vertices, non-positively oriented triangles, orphan nodes, mobility
+    labels that disagree with where a node actually sits, or an internal
+    node whose ball winds around it more than once.
     """
     n_nodes = len(nodes)
     for i, node in enumerate(nodes):
         if node.id != i:
             raise MeshError(f"node ids must be dense 0..N-1, found {node.id} at {i}")
+
+    # Each triangle contributes its three directed edges, interior on the
+    # left. In a manifold, consistently oriented mesh no directed edge
+    # occurs twice, and a directed edge whose reverse is absent is a
+    # boundary edge. Triangles are visited in id order, so every ball
+    # comes out sorted.
+    edges: set[tuple[int, int]] = set()
+    in_triangle = bytearray(n_nodes)
+    incidence: list[list[tuple[int, int, int]] | None] = [
+        [] if node.mobility is Mobility.INTERNAL else None for node in nodes]
     for i, tri in enumerate(triangles):
         if tri.id != i:
             raise MeshError(f"triangle ids must be dense 0..M-1, found {tri.id} at {i}")
-        if len(set(tri.nodes)) != 3:
+        a, b, c = tri.nodes
+        if a == b or b == c or c == a:
             raise MeshError(f"triangle {tri.id} has repeated nodes {tri.nodes}")
         for nid in tri.nodes:
             if not 0 <= nid < n_nodes:
                 raise MeshError(f"triangle {tri.id} references unknown node {nid}")
-
-    for tri in triangles:
-        p0, p1, p2 = (nodes[k].position for k in tri.nodes)
-        area = signed_area(p0, p1, p2)
+        area = signed_area(nodes[a].position, nodes[b].position, nodes[c].position)
         if area <= 0.0:
             raise InvertedElementError(tri.id, area)
-
-    # Edge -> incident triangle count; directed boundary edges follow the
-    # triangle orientation (interior on the left).
-    edge_count: dict[tuple[int, int], int] = {}
-    directed: dict[tuple[int, int], int] = {}
-    in_triangle = [False] * n_nodes
-    for tri in triangles:
-        a, b, c = tri.nodes
-        for u, v in ((a, b), (b, c), (c, a)):
-            in_triangle[u] = True
-            key = (u, v) if u < v else (v, u)
-            edge_count[key] = edge_count.get(key, 0) + 1
-            if edge_count[key] > 2:
+        for edge in ((a, b), (b, c), (c, a)):
+            if edge in edges:
                 raise NonManifoldError(
-                    f"edge {key} belongs to more than two triangles"
+                    f"directed edge {edge} belongs to more than one triangle"
                 )
-            directed[(u, v)] = tri.id
+            edges.add(edge)
+        in_triangle[a] = in_triangle[b] = in_triangle[c] = 1
+        for nid, n1, n2 in ((a, b, c), (b, c, a), (c, a, b)):
+            elems = incidence[nid]
+            if elems is not None:
+                elems.append((tri.id, n1, n2))
 
-    for nid, ok in enumerate(in_triangle):
-        if not ok:
-            raise OrphanNodeError(nid)
+    orphan = in_triangle.find(0)
+    if orphan >= 0:
+        raise OrphanNodeError(orphan)
 
     boundary_next: dict[int, int] = {}
-    boundary_nodes: set[int] = set()
-    for (u, v), count in edge_count.items():
-        if count != 1:
+    for u, v in edges:
+        if (v, u) in edges:
             continue
-        # recover the direction in which the single owner triangle uses it
-        if (u, v) in directed:
-            du, dv = u, v
-        else:
-            du, dv = v, u
-        if du in boundary_next:
+        if u in boundary_next:
             raise NonManifoldError(
-                f"node {du} has more than one outgoing boundary edge"
+                f"node {u} has more than one outgoing boundary edge"
             )
-        boundary_next[du] = dv
-        boundary_nodes.add(du)
-        boundary_nodes.add(dv)
+        boundary_next[u] = v
 
     for node in nodes:
-        on_boundary = node.id in boundary_nodes
+        on_boundary = node.id in boundary_next
         if node.mobility is Mobility.BOUNDARY and not on_boundary:
             raise InconsistentMobilityError(
                 node.id,
@@ -288,18 +292,36 @@ def build_topology(
             if nodes[nid].mobility is Mobility.BOUNDARY:
                 nodes[nid].chain_id = chain.chain_id
 
-    # triangles are visited in id order, so every ball comes out sorted
-    incidence: dict[int, list[tuple[int, int, int]]] = {}
-    for tri in triangles:
-        a, b, c = tri.nodes
-        for nid, n1, n2 in ((a, b, c), (b, c, a), (c, a, b)):
-            if nodes[nid].mobility is Mobility.INTERNAL:
-                incidence.setdefault(nid, []).append((tri.id, n1, n2))
     balls = {nid: Ball(vertex=nid, elements=tuple(elems))
-             for nid, elems in incidence.items()}
+             for nid, elems in enumerate(incidence) if elems is not None}
+    for ball in balls.values():
+        winding = _winding_number(nodes, ball)
+        if winding != 1:
+            raise TangledBallError(ball.vertex, winding)
 
     return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=chains,
                 rref=dict(rref) if rref else {})
+
+
+def _winding_number(nodes: list[Node], ball: Ball) -> int:
+    """How many times the ring edges n1 -> n2 of a ball wind around its vertex.
+
+    Counts signed crossings of the horizontal ray from the vertex towards
+    +x: an upward edge with the vertex on its left adds one, a downward
+    edge with the vertex on its right subtracts one.
+    """
+    p = nodes[ball.vertex].position
+    y = p.y
+    winding = 0
+    for _tid, n1, n2 in ball.elements:
+        q1 = nodes[n1].position
+        q2 = nodes[n2].position
+        if q1.y <= y:
+            if q2.y > y and signed_area(q1, q2, p) > 0.0:
+                winding += 1
+        elif q2.y <= y and signed_area(q1, q2, p) < 0.0:
+            winding -= 1
+    return winding
 
 
 def _build_chains(nodes: list[Node], boundary_next: dict[int, int]) -> list[BoundaryChain]:

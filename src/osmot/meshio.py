@@ -13,8 +13,9 @@ The format is a plain-text section layout:
 Comment lines starting with '#' and blank lines are ignored anywhere.
 Coordinates are written with 17 significant digits so that writing and
 re-reading a mesh reproduces the exact same doubles. Reading validates
-the mesh (orientation, manifoldness, mobility consistency) and reports
-the offending file line where one can be attributed.
+the mesh (orientation, manifoldness, mobility consistency, balls that
+wind once) and reports the offending file line where one can be
+attributed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .mesh import (
     Mobility,
     Node,
     OrphanNodeError,
+    TangledBallError,
     Triangle,
     build_topology,
 )
@@ -59,17 +61,33 @@ def _significant_lines(text: str):
         yield line_no, line
 
 
-def _parse_mobility(token: str, line_no: int) -> tuple[Mobility, int | None]:
+def _parse_mobility(token: str, line_no: int) -> Mobility:
     if token == "F":
-        return Mobility.FIXED, None
+        return Mobility.FIXED
     if token == "I":
-        return Mobility.INTERNAL, None
+        return Mobility.INTERNAL
     if token.startswith("B"):
+        # the chain id must be an integer, but build_topology renumbers chains
         try:
-            return Mobility.BOUNDARY, int(token[1:])
+            int(token[1:])
         except ValueError:
             raise ParseError(line_no, f"bad chain id in mobility {token!r}") from None
+        return Mobility.BOUNDARY
     raise ParseError(line_no, f"unknown mobility {token!r}")
+
+
+def _count(line_no: int, line: str, keyword: str) -> int:
+    """The count of a ``<keyword> <count>`` section header."""
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != keyword:
+        raise ParseError(line_no, f"expected '{keyword} <count>', got {line!r}")
+    try:
+        count = int(parts[1])
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ParseError(line_no, f"bad {keyword} count {parts[1]!r}")
+    return count
 
 
 def parse_mesh_text(text: str) -> Mesh:
@@ -85,14 +103,8 @@ def parse_mesh_text(text: str) -> Mesh:
     if line != HEADER:
         raise ParseError(line_no, f"expected header {HEADER!r}, got {line!r}")
 
-    line_no, line = next_line("'nodes <N>'")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "nodes":
-        raise ParseError(line_no, f"expected 'nodes <N>', got {line!r}")
-    try:
-        n_nodes = int(parts[1])
-    except ValueError:
-        raise ParseError(line_no, f"bad node count {parts[1]!r}") from None
+    line_no, line = next_line("'nodes <count>'")
+    n_nodes = _count(line_no, line, "nodes")
 
     nodes: list[Node] = []
     node_lines: dict[int, int] = {}
@@ -109,20 +121,14 @@ def parse_mesh_text(text: str) -> Mesh:
             raise ParseError(line_no, f"bad node fields in {line!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(line_no, f"non-finite coordinates in {line!r}")
-        mobility, chain_id = _parse_mobility(parts[3], line_no)
+        mobility = _parse_mobility(parts[3], line_no)
         if nid != len(nodes):
             raise ParseError(line_no, f"node ids must be dense, expected {len(nodes)}")
-        nodes.append(Node(nid, Point2(x, y), mobility, chain_id))
+        nodes.append(Node(nid, Point2(x, y), mobility))
         node_lines[nid] = line_no
 
-    line_no, line = next_line("'triangles <M>'")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "triangles":
-        raise ParseError(line_no, f"expected 'triangles <M>', got {line!r}")
-    try:
-        n_triangles = int(parts[1])
-    except ValueError:
-        raise ParseError(line_no, f"bad triangle count {parts[1]!r}") from None
+    line_no, line = next_line("'triangles <count>'")
+    n_triangles = _count(line_no, line, "triangles")
 
     triangles: list[Triangle] = []
     triangle_lines: dict[int, int] = {}
@@ -144,13 +150,7 @@ def parse_mesh_text(text: str) -> Mesh:
     trailing = list(lines)
     if trailing:
         line_no, line = trailing[0]
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != "rref":
-            raise ParseError(line_no, f"expected 'rref <K>' or end of file, got {line!r}")
-        try:
-            n_rref = int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, f"bad rref count {parts[1]!r}") from None
+        n_rref = _count(line_no, line, "rref")
         entries = trailing[1:]
         if len(entries) != n_rref:
             raise ParseError(line_no, f"rref section declares {n_rref} entries, found {len(entries)}")
@@ -167,13 +167,15 @@ def parse_mesh_text(text: str) -> Mesh:
                 raise ParseError(line_no, f"rref references unknown triangle {tid}")
             if not (math.isfinite(value) and value > 0.0):
                 raise ParseError(line_no, f"rref value must be positive, got {parts[1]}")
+            if tid in rref:
+                raise ParseError(line_no, f"repeated rref entry for triangle {tid}")
             rref[tid] = value
 
     try:
         return build_topology(nodes, triangles, rref)
     except InvertedElementError as err:
         raise ValidationError(str(err), triangle_lines.get(err.triangle_id)) from err
-    except (OrphanNodeError, InconsistentMobilityError) as err:
+    except (OrphanNodeError, InconsistentMobilityError, TangledBallError) as err:
         raise ValidationError(str(err), node_lines.get(err.node_id)) from err
     except MeshError as err:
         raise ValidationError(str(err)) from err

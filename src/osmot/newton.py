@@ -55,8 +55,8 @@ class NewtonConfig:
     lambda_min: float = 2.0 ** -30
 
     def __post_init__(self) -> None:
-        if not (self.eps > 0 and self.delta > 0 and self.eta > 0):
-            raise ValueError("eps, delta and eta must be positive")
+        if not all(0.0 < v < math.inf for v in (self.eps, self.delta, self.eta)):
+            raise ValueError("eps, delta and eta must be finite and positive")
         if self.j_max < 1 or not self.lambda_min > 0:
             raise ValueError("j_max must be >= 1 and lambda_min positive")
 

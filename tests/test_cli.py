@@ -1,6 +1,7 @@
 import pytest
 
-from osmot.cli import main
+from osmot.cli import _build_parser, main
+from osmot.driver import SmootherConfig
 
 
 def run(args):
@@ -121,7 +122,8 @@ def test_rref_reaches_the_report(tmp_path):
     assert min_q1["2"] == pytest.approx(2.0 * min_q1["1"], rel=1e-11)
 
 
-@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--rref"])
+@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--rref",
+                                  "--eps", "--delta", "--eta"])
 def test_non_finite_objective_parameter_exit_1(tmp_path, capsys, flag):
     mesh = tmp_path / "patch.mesh"
     out = tmp_path / "out.mesh"
@@ -131,3 +133,14 @@ def test_non_finite_objective_parameter_exit_1(tmp_path, capsys, flag):
                 flag, "inf"]) == 1
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_smooth_defaults_come_from_smoother_config():
+    args = _build_parser().parse_args(
+        ["smooth", "--input", "in.mesh", "--output", "out.mesh"])
+    cfg = SmootherConfig()
+    assert (args.max_loops, args.qmin, args.beta, args.gamma, args.rref,
+            args.eps, args.delta, args.eta, args.smoother) == (
+        cfg.i_max, cfg.quality.q_min, cfg.objective.beta, cfg.objective.gamma,
+        cfg.objective.r_ref, cfg.newton.eps, cfg.newton.delta, cfg.newton.eta,
+        cfg.smoother_kind.value)

@@ -7,17 +7,20 @@ from osmot.geometry import Point2, signed_area
 from osmot.mesh import (
     InconsistentMobilityError,
     InvertedElementError,
+    Mesh,
     MeshError,
     Mobility,
     Node,
     NonManifoldError,
     NotBoundaryError,
     OrphanNodeError,
+    TangledBallError,
     Triangle,
     boundary_neighbors,
     build_topology,
     flag_nodes,
 )
+from osmot.meshio import ValidationError, mesh_to_text, parse_mesh_text
 from osmot.quality import QualityConfig
 
 
@@ -133,8 +136,17 @@ def test_open_chain_neighbors():
         boundary_neighbors(mesh, chain.node_ids[0])
 
 
-def test_chain_covers_every_boundary_edge():
-    mesh = generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.5)
+@pytest.mark.parametrize("build", [
+    lambda: generate_fixture(FixtureKind.PATCH32, 1, 0.45),
+    lambda: generate_fixture(FixtureKind.GRADED_INTERFACE),
+    lambda: generate_fixture(FixtureKind.HORSESHOE),
+    lambda: generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.5),
+    lambda: build_topology(*hexagon_fan(ring_mobility=Mobility.BOUNDARY)),
+], ids=["patch32", "graded", "horseshoe", "indentedbox", "hexagon"])
+def test_chain_covers_every_boundary_edge(build):
+    # boundary edges counted without direction, independently of the
+    # directed-edge derivation in build_topology
+    mesh = build()
     edge_use = {}
     for tri in mesh.triangles:
         a, b, c = tri.nodes
@@ -184,8 +196,8 @@ def test_not_boundary_error_for_internal():
 
 
 def test_nonmanifold_edge_rejected():
-    # three CCW triangles stacked on the same edge (geometric overlap is
-    # not the mesh layer's concern; the shared edge is)
+    # CCW triangles stacked on the same side of one edge all use it in the
+    # same direction, which no manifold, consistently oriented mesh does
     nodes = [
         Node(0, Point2(0, 0), Mobility.FIXED),
         Node(1, Point2(1, 0), Mobility.FIXED),
@@ -198,8 +210,42 @@ def test_nonmanifold_edge_rejected():
         Triangle(1, (0, 1, 3)),
         Triangle(2, (0, 1, 4)),
     ]
-    with pytest.raises(NonManifoldError):
+    for n_stacked in (2, 3):
+        with pytest.raises(NonManifoldError, match=r"directed edge \(0, 1\)"):
+            build_topology(nodes[:n_stacked + 2], triangles[:n_stacked])
+
+
+def test_pinched_boundary_vertex_rejected():
+    # two triangles meeting only at node 0: it starts two boundary edges
+    nodes = [
+        Node(0, Point2(0, 0), Mobility.FIXED),
+        Node(1, Point2(1, 0), Mobility.FIXED),
+        Node(2, Point2(1, 1), Mobility.FIXED),
+        Node(3, Point2(-1, 0), Mobility.FIXED),
+        Node(4, Point2(-1, -1), Mobility.FIXED),
+    ]
+    triangles = [Triangle(0, (0, 1, 2)), Triangle(1, (0, 3, 4))]
+    with pytest.raises(NonManifoldError, match="node 0 has more than one"):
         build_topology(nodes, triangles)
+
+
+def test_doubly_wound_ball_rejected():
+    # 14 CCW triangles around node 0 whose ring circles it twice: every
+    # edge is shared correctly, but the elements of the ball overlap
+    nodes = [Node(0, Point2(0.0, 0.0), Mobility.INTERNAL)]
+    for i in range(14):
+        t = i * 2.0 * math.pi / 7.0
+        r = 1.0 if i < 7 else 2.0
+        nodes.append(Node(i + 1, Point2(r * math.cos(t), r * math.sin(t)),
+                          Mobility.FIXED))
+    triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % 14)) for i in range(14)]
+    text = mesh_to_text(Mesh(nodes=nodes, triangles=triangles))
+    with pytest.raises(TangledBallError) as err:
+        build_topology(nodes, triangles)
+    assert (err.value.node_id, err.value.winding) == (0, 2)
+    with pytest.raises(ValidationError) as err:
+        parse_mesh_text(text)
+    assert err.value.line_no == 3
 
 
 def test_inverted_element_rejected():

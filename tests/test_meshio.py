@@ -118,3 +118,20 @@ def test_rref_nonpositive_value():
     text = SINGLE + "rref 1\n0 -1.0\n"
     with pytest.raises(ParseError):
         parse_mesh_text(text)
+
+
+@pytest.mark.parametrize("text,line_no", [
+    ("osmot-mesh v1\nnodes -1\ntriangles 0\n", 2),
+    (SINGLE.replace("triangles 1", "triangles -5"), 6),
+], ids=["nodes", "triangles"])
+def test_negative_section_count(text, line_no):
+    with pytest.raises(ParseError) as err:
+        parse_mesh_text(text)
+    assert err.value.line_no == line_no
+
+
+def test_rref_repeated_triangle_id():
+    text = SINGLE + "rref 2\n0 0.5\n0 0.7\n"
+    with pytest.raises(ParseError) as err:
+        parse_mesh_text(text)
+    assert err.value.line_no == 10
