@@ -58,7 +58,7 @@ from .objective import (
     element_grad_hess,
     element_objective,
 )
-from .quality import QualityConfig, q1_size, q2_shape
+from .quality import QualityConfig, q1_size, q2_shape, size_radius
 from .report import QualityReport, quality_report, write_report_csv
 from .svgout import ColorBy, render_svg
 

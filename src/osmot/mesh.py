@@ -14,12 +14,11 @@ nodes moved through ``Mesh.set_position`` since the last read.
 from __future__ import annotations
 
 import enum
-import math
 from array import array
 from dataclasses import dataclass, field
 
 from .geometry import Point2, signed_area, triangle_geometry
-from .quality import QualityConfig, q2_bucket, q2_shape
+from .quality import QualityConfig, q2_bucket, q2_shape, size_radius
 
 
 class MeshError(Exception):
@@ -55,7 +54,7 @@ class TangledBallError(MeshError):
         self.node_id = node_id
         self.winding = winding
         super().__init__(
-            f"ball of internal node {node_id} winds {winding} times around it"
+            f"triangles around interior node {node_id} wind {winding} times around it"
         )
 
 
@@ -113,10 +112,11 @@ class QualityTable:
     """Flat per-triangle quality values, indexed by triangle id.
 
     ``q2`` is the radius ratio (``q2_shape``) and ``bucket`` its histogram
-    bucket (``q2_bucket``); ``circumradius`` is R, or +inf where
-    ``q1_size`` scores the triangle 0, so that r_ref / R is its size
-    quality for any positive r_ref; ``inverted`` is 1 where the signed
-    area is not positive. ``incident`` lists the triangles of every node.
+    bucket (``q2_bucket``); ``circumradius`` is ``size_radius`` (R, or
+    +inf where ``q1_size`` scores the triangle 0), so that r_ref / R is
+    its size quality for any positive r_ref; ``inverted`` is 1 where the
+    signed area is not positive. ``incident`` lists the triangles of
+    every node.
     """
 
     __slots__ = ("q2", "bucket", "circumradius", "inverted", "incident")
@@ -148,8 +148,7 @@ class QualityTable:
         geom = triangle_geometry(*mesh.triangle_points(tri))
         q2 = self.q2[tid] = q2_shape(geom)
         self.bucket[tid] = q2_bucket(q2)
-        self.circumradius[tid] = (
-            math.inf if geom.degenerate or geom.R == 0.0 else geom.R)
+        self.circumradius[tid] = size_radius(geom)
         self.inverted[tid] = geom.area_signed <= 0.0
 
 
@@ -218,8 +217,9 @@ def build_topology(
 
     Raises a MeshError subclass on invalid input: non-manifold edges or
     vertices, non-positively oriented triangles, orphan nodes, mobility
-    labels that disagree with where a node actually sits, or an internal
-    node whose ball winds around it more than once.
+    labels that disagree with where a node actually sits, or an interior
+    node (internal, or fixed off the boundary) whose triangles do not wind
+    around it exactly once.
     """
     n_nodes = len(nodes)
     for i, node in enumerate(nodes):
@@ -294,13 +294,35 @@ def build_topology(
 
     balls = {nid: Ball(vertex=nid, elements=tuple(elems))
              for nid, elems in enumerate(incidence) if elems is not None}
-    for ball in balls.values():
-        winding = _winding_number(nodes, ball)
+    # Every node that starts no boundary edge is interior. It is INTERNAL
+    # or FIXED (the BOUNDARY labels were checked above), so the counts
+    # tell whether a FIXED one exists without a pass over the nodes.
+    stars = list(balls.values())
+    if n_nodes - len(boundary_next) > len(balls):
+        stars += _fixed_interior_stars(nodes, triangles, boundary_next)
+    for star in stars:
+        winding = _winding_number(nodes, star)
         if winding != 1:
-            raise TangledBallError(ball.vertex, winding)
+            raise TangledBallError(star.vertex, winding)
 
     return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=chains,
                 rref=dict(rref) if rref else {})
+
+
+def _fixed_interior_stars(nodes: list[Node], triangles: list[Triangle],
+                          boundary_next: dict[int, int]) -> list[Ball]:
+    """The triangles around each FIXED node that starts no boundary edge,
+    laid out as a ball."""
+    stars: dict[int, list[tuple[int, int, int]]] = {
+        node.id: [] for node in nodes
+        if node.mobility is Mobility.FIXED and node.id not in boundary_next}
+    for tri in triangles:
+        a, b, c = tri.nodes
+        for nid, n1, n2 in ((a, b, c), (b, c, a), (c, a, b)):
+            if nid in stars:
+                stars[nid].append((tri.id, n1, n2))
+    return [Ball(vertex=nid, elements=tuple(elems))
+            for nid, elems in stars.items()]
 
 
 def _winding_number(nodes: list[Node], ball: Ball) -> int:

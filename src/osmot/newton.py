@@ -8,12 +8,28 @@ the angle criterion disqualifies it), and runs one Armijo test on the
 objective value at the trial point: accept the trial point and keep the
 step size, or keep the point and bisect the step size. The step size
 persists across iterations; it is never reset or enlarged.
+
+A trial point that rounds back onto the iterate (x + lambda d == x in
+both coordinates) ends the solve before its objective is evaluated: the
+step size only shrinks and fl(x + t d) is monotone in t, so every later
+trial rounds onto x as well, and Armijo rejects a trial at x because its
+value equals the iterate's (the value paths agree bit for bit) while
+lambda grad.d < 0. Neither the iterate nor its derivatives can change
+again, so the returned position, ``converged`` and ``final_grad_norm``
+are those the loop would reach without this exit; only the trace is
+shorter.
+
+Each solve records why it stopped (``LocalStepTrace.stop_reason``):
+``converged`` (gradient norm below eps), ``rounded`` (the trial step
+rounds back onto the iterate), ``step_floor`` (the step size fell below
+lambda_min) or ``j_max`` (the iteration cap).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 from .geometry import Point2
 from .mesh import Ball, Mesh
@@ -73,11 +89,19 @@ class IterationRecord:
     steepest: bool
 
 
+StopReason = Literal["converged", "rounded", "step_floor", "j_max"]
+
+
 @dataclass(frozen=True, slots=True)
 class LocalStepTrace:
-    converged: bool
+    stop_reason: StopReason
     final_grad_norm: float
     steps: tuple[IterationRecord, ...]
+
+    @property
+    def converged(self) -> bool:
+        """Whether the gradient-norm tolerance was met."""
+        return self.stop_reason == "converged"
 
     @property
     def iterations(self) -> int:
@@ -134,15 +158,20 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
 
     lam = 1.0
     steps: list[IterationRecord] = []
-    converged = False
+    stop_reason: StopReason = "j_max"
 
     while len(steps) <= cfg.j_max:
         if gh.grad_norm < cfg.eps:
-            converged = True
+            stop_reason = "converged"
             break
         dx, dy, steepest = descent_direction(gh, cfg)
         grad_dot_d = gh.gx * dx + gh.gy * dy
-        trial = Point2(x.x + lam * dx, x.y + lam * dy)
+        tx = x.x + lam * dx
+        ty = x.y + lam * dy
+        if tx == x.x and ty == x.y:
+            stop_reason = "rounded"
+            break
+        trial = Point2(tx, ty)
         w_new = ball_objective(mesh, ball, trial, params)
         accepted = armijo_accept(gh.value, w_new, lam, grad_dot_d)
         steps.append(IterationRecord(gh.value, gh.grad_norm, grad_dot_d,
@@ -153,8 +182,9 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
         else:
             lam *= 0.5
             if lam < cfg.lambda_min:
+                stop_reason = "step_floor"
                 break
 
-    return x, LocalStepTrace(converged=converged,
+    return x, LocalStepTrace(stop_reason=stop_reason,
                              final_grad_norm=gh.grad_norm,
                              steps=tuple(steps))

@@ -20,14 +20,26 @@ A trial position that inverts the element (signed area at or below the
 degeneracy threshold) scores +inf. This acts as a barrier: the line
 search can never accept an inverting step, which is what makes the
 smoother stable on non-convex configurations.
+
+w is formed in two places, ``_value`` (the value path) and ``_grad_hess``
+(the derivative path), each from its own a, b, c and signed area. The
+two sets are equal bit for bit, so both paths return the same w, and
+``_grad_hess`` raises DegenerateElementError exactly where ``_value``
+gives +inf. Armijo compares the ball sums of the two paths, and the
+Newton solve relies on a trial at the iterate scoring exactly the
+iterate's value. The barrier test is ``degenerate_area_eps`` inlined.
+A power that overflows a float raises ValueError, which ``osmot smooth``
+reports as an invalid parameter (exit 1); a product of two finite powers
+that overflows is +inf and acts as the barrier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import hypot
 
-from .geometry import Point2, degenerate_area_eps
+from .geometry import DEGENERATE_AREA_FACTOR, Point2
 from .mesh import Ball, Mesh
 
 
@@ -76,38 +88,65 @@ class GradHess:
         return math.hypot(self.gx, self.gy)
 
 
+def _overflow(beta: float, gamma: float, r_ref: float) -> ValueError:
+    """The error raised when a power in w overflows a float: the exponents
+    are too large for the element sizes and r_ref of this mesh."""
+    return ValueError(f"element objective overflows a float at beta={beta:g}, "
+                      f"gamma={gamma:g}, r_ref={r_ref:g}")
+
+
 def _value(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float,
            beta: float, gamma: float, r_ref: float) -> float:
-    """Element objective with the vertex at (x0, y0); +inf past the barrier.
-
-    The only place w is formed, so ball sums from the value path and the
-    derivative path agree bit for bit (Armijo compares them).
-    """
-    a = math.hypot(x1 - x0, y1 - y0)
-    b = math.hypot(x2 - x1, y2 - y1)
-    c = math.hypot(x0 - x2, y0 - y2)
+    """Element objective with the vertex at (x0, y0); +inf past the barrier."""
+    a = hypot(x1 - x0, y1 - y0)
+    b = hypot(x2 - x1, y2 - y1)
+    c = hypot(x0 - x2, y0 - y2)
     area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-    if area <= degenerate_area_eps(a, b, c):
+    # degenerate_area_eps(a, b, c), inlined
+    m = a if a > b else b
+    if c > m:
+        m = c
+    if area <= DEGENERATE_AREA_FACTOR * m * m:
         return math.inf
+    s = 0.5 * (a + b + c)
     big_r = a * b * c / (4.0 * area)
-    return (big_r / r_ref) ** beta * (big_r * (0.5 * (a + b + c)) / area) ** gamma
+    try:
+        return (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
+    except OverflowError:
+        raise _overflow(beta, gamma, r_ref) from None
 
 
 def _grad_hess(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float,
                beta: float, gamma: float, r_ref: float
                ) -> tuple[float, float, float, float, float, float]:
-    """Exact (w, wx, wy, wxx, wxy, wyy) with respect to (x0, y0)."""
-    w = _value(x0, y0, x1, y1, x2, y2, beta, gamma, r_ref)
-    if w == math.inf:
-        raise DegenerateElementError("element too distorted for derivatives")
+    """Exact (w, wx, wy, wxx, wxy, wyy) with respect to (x0, y0).
+
+    w is formed from the same a, b, c and area as in ``_value``: hypot
+    ignores the sign of its arguments and the area is a sum of products
+    of two negated factors, so both functions return the same w bit for
+    bit, and this one raises exactly where ``_value`` gives +inf.
+    """
     ux = x0 - x1
     uy = y0 - y1
     vx = x0 - x2
     vy = y0 - y2
-    a = math.hypot(ux, uy)
-    c = math.hypot(vx, vy)
-    s = 0.5 * (a + math.hypot(x2 - x1, y2 - y1) + c)
+    a = hypot(ux, uy)
+    b = hypot(x2 - x1, y2 - y1)
+    c = hypot(vx, vy)
     area = 0.5 * (ux * vy - vx * uy)
+    m = a if a > b else b
+    if c > m:
+        m = c
+    if area <= DEGENERATE_AREA_FACTOR * m * m:
+        raise DegenerateElementError("element too distorted for derivatives")
+    s = 0.5 * (a + b + c)
+    big_r = a * b * c / (4.0 * area)
+    try:
+        w = (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
+    except OverflowError:
+        raise _overflow(beta, gamma, r_ref) from None
+    if w == math.inf:
+        raise DegenerateElementError("element too distorted for derivatives")
     ka = beta + gamma
     kA = beta + 2.0 * gamma
 
@@ -162,10 +201,11 @@ def ball_objective(mesh: Mesh, ball: Ball, x0: Point2,
     nodes = mesh.nodes
     rref = mesh.rref
     beta, gamma, r_ref = params.beta, params.gamma, params.r_ref
+    px, py = x0.x, x0.y
     for tid, n1, n2 in ball.elements:
         p1 = nodes[n1].position
         p2 = nodes[n2].position
-        w = _value(x0.x, x0.y, p1.x, p1.y, p2.x, p2.y,
+        w = _value(px, py, p1.x, p1.y, p2.x, p2.y,
                    beta, gamma, rref.get(tid, r_ref))
         if w == math.inf:
             return math.inf
@@ -180,12 +220,13 @@ def ball_grad_hess(mesh: Mesh, ball: Ball, x0: Point2,
     nodes = mesh.nodes
     rref = mesh.rref
     beta, gamma, r_ref = params.beta, params.gamma, params.r_ref
+    px, py = x0.x, x0.y
     for tid, n1, n2 in ball.elements:
         p1 = nodes[n1].position
         p2 = nodes[n2].position
         try:
             w, wx, wy, wxx, wxy, wyy = _grad_hess(
-                x0.x, x0.y, p1.x, p1.y, p2.x, p2.y,
+                px, py, p1.x, p1.y, p2.x, p2.y,
                 beta, gamma, rref.get(tid, r_ref))
         except DegenerateElementError as err:
             raise DegenerateElementError(str(err), triangle_id=tid) from None

@@ -9,6 +9,7 @@ accounts for element size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import TriangleGeometry
@@ -27,11 +28,18 @@ class QualityConfig:
             raise ValueError("q_min must be in (0, 1]")
 
 
+def size_radius(geom: TriangleGeometry) -> float:
+    """The circumradius R that the size quality divides by; +inf for a
+    degenerate triangle, so that r_ref/R scores it 0 for any positive,
+    finite r_ref."""
+    if geom.degenerate or geom.R == 0.0:
+        return math.inf
+    return geom.R
+
+
 def q1_size(geom: TriangleGeometry, r_ref: float) -> float:
     """Size quality r_ref/R. Degenerate elements score 0 (worst)."""
-    if geom.degenerate or geom.R == 0.0:
-        return 0.0
-    return r_ref / geom.R
+    return r_ref / size_radius(geom)
 
 def q2_shape(geom: TriangleGeometry) -> float:
     """Normalized radius ratio 2r/R in [0, 1]; 0 for degenerate elements."""

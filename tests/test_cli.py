@@ -135,6 +135,24 @@ def test_non_finite_objective_parameter_exit_1(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [["--beta", "200", "--rref", "0.001"],
+                                  ["--gamma", "400"]],
+                         ids=["beta-rref", "gamma"])
+def test_objective_overflow_exit_1(tmp_path, capsys, args):
+    # finite exponents whose powers overflow a float: one error line, exit 1
+    mesh = tmp_path / "patch.mesh"
+    out = tmp_path / "out.mesh"
+    run(["gen", "--kind", "patch32", "--seed", "1", "--distortion", "0.45",
+         "--output", str(mesh)])
+    capsys.readouterr()
+    assert run(["smooth", "--input", str(mesh), "--output", str(out)]
+               + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: element objective overflows")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_smooth_defaults_come_from_smoother_config():
     args = _build_parser().parse_args(
         ["smooth", "--input", "in.mesh", "--output", "out.mesh"])

@@ -248,6 +248,37 @@ def test_doubly_wound_ball_rejected():
     assert err.value.line_no == 3
 
 
+def test_doubly_wound_fixed_centre_rejected():
+    # the same fan around a FIXED centre: node 0 starts no boundary edge,
+    # so its star is checked like an internal node's ball
+    nodes = [Node(0, Point2(0.0, 0.0), Mobility.FIXED)]
+    for i in range(14):
+        t = i * 2.0 * math.pi / 7.0
+        r = 1.0 if i < 7 else 2.0
+        nodes.append(Node(i + 1, Point2(r * math.cos(t), r * math.sin(t)),
+                          Mobility.FIXED))
+    triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % 14)) for i in range(14)]
+    text = mesh_to_text(Mesh(nodes=nodes, triangles=triangles))
+    with pytest.raises(TangledBallError) as err:
+        build_topology(nodes, triangles)
+    assert (err.value.node_id, err.value.winding) == (0, 2)
+    with pytest.raises(ValidationError) as err:
+        parse_mesh_text(text)
+    assert err.value.line_no == 3
+
+
+def test_fixed_interior_node_loads():
+    # pinning internal nodes of a valid mesh keeps it valid: their stars
+    # wind once, and they leave the balls
+    mesh = generate_fixture(FixtureKind.PATCH32, 1, 0.45)
+    pinned = sorted(mesh.balls)[::2]
+    nodes = [Node(n.id, n.position,
+                  Mobility.FIXED if n.id in pinned else n.mobility)
+             for n in mesh.nodes]
+    rebuilt = build_topology(nodes, mesh.triangles)
+    assert sorted(rebuilt.balls) == sorted(set(mesh.balls) - set(pinned))
+
+
 def test_inverted_element_rejected():
     nodes, triangles = single_triangle()
     nodes[1], nodes[2] = (

@@ -6,6 +6,7 @@ import pytest
 import osmot.newton
 from conftest import random_ball_mesh, regular_hexagon_mesh
 from osmot.geometry import Point2, signed_area
+from osmot.mesh import Mesh, Mobility, Node, Triangle, build_topology
 from osmot.newton import (
     DegenerateStartError,
     NewtonConfig,
@@ -194,3 +195,167 @@ def test_config_validation():
         NewtonConfig(eps=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(j_max=0)
+
+
+def _reference_optimize_ball(mesh, ball, params, cfg):
+    """The local solve without the rounded-trial exit: every trial point,
+    also one that rounds back onto the iterate, is scored by
+    ball_objective. Returns (position, converged, final_grad_norm)."""
+    x = mesh.position(ball.vertex)
+    gh = ball_grad_hess(mesh, ball, x, params)
+    lam = 1.0
+    steps = 0
+    converged = False
+    while steps <= cfg.j_max:
+        if gh.grad_norm < cfg.eps:
+            converged = True
+            break
+        dx, dy, _steepest = descent_direction(gh, cfg)
+        grad_dot_d = gh.gx * dx + gh.gy * dy
+        trial = Point2(x.x + lam * dx, x.y + lam * dy)
+        w_new = ball_objective(mesh, ball, trial, params)
+        steps += 1
+        if armijo_accept(gh.value, w_new, lam, grad_dot_d):
+            x = trial
+            gh = ball_grad_hess(mesh, ball, x, params)
+        else:
+            lam *= 0.5
+            if lam < cfg.lambda_min:
+                break
+    return x, converged, gh.grad_norm
+
+
+def _jittered_lattice_mesh(rng: random.Random, cells: int = 8,
+                          amplitude: float = 0.225) -> Mesh:
+    """A unit-square lattice of cells x cells, diagonals alternating, with
+    every internal node jittered by up to amplitude x the pitch in each
+    coordinate and the boundary fixed (the shape of the jitter64
+    benchmark input, smaller)."""
+    h = 1.0 / cells
+    nodes = []
+    for j in range(cells + 1):
+        for i in range(cells + 1):
+            if 0 < i < cells and 0 < j < cells:
+                p = Point2((i + amplitude * rng.uniform(-1, 1)) * h,
+                           (j + amplitude * rng.uniform(-1, 1)) * h)
+                nodes.append(Node(len(nodes), p, Mobility.INTERNAL))
+            else:
+                nodes.append(Node(len(nodes), Point2(i * h, j * h),
+                                  Mobility.FIXED))
+    tris = []
+    for j in range(cells):
+        for i in range(cells):
+            n00 = j * (cells + 1) + i
+            n10, n01, n11 = n00 + 1, n00 + cells + 1, n00 + cells + 2
+            if (i + j) % 2:
+                tris += [(n00, n10, n01), (n10, n11, n01)]
+            else:
+                tris += [(n00, n10, n11), (n00, n11, n01)]
+    return build_topology(nodes, [Triangle(t, v) for t, v in enumerate(tris)])
+
+
+def _bits(p: Point2) -> tuple[str, str]:
+    return p.x.hex(), p.y.hex()
+
+
+def _assert_same_as_reference(mesh, ball, reasons):
+    pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+    ref_pos, ref_converged, ref_grad_norm = _reference_optimize_ball(
+        mesh, ball, PARAMS, CFG)
+    assert _bits(pos) == _bits(ref_pos)
+    assert trace.converged == ref_converged
+    assert trace.final_grad_norm.hex() == ref_grad_norm.hex()
+    reasons.append(trace.stop_reason)
+    return pos
+
+
+def test_rounded_exit_matches_reference_loop():
+    # stopping at the first trial that rounds onto the iterate returns the
+    # same bits as scoring every trial down to the step floor
+    reasons = []
+    rng = random.Random(99)
+    for _ in range(60):
+        mesh = random_ball_mesh(rng)
+        _assert_same_as_reference(mesh, mesh.balls[0], reasons)
+    # a Gauss-Seidel sweep over a jittered lattice, as smooth() runs it
+    mesh = _jittered_lattice_mesh(random.Random(64))
+    for nid in sorted(mesh.balls):
+        pos = _assert_same_as_reference(mesh, mesh.balls[nid], reasons)
+        mesh.set_position(nid, pos)
+    assert "rounded" in reasons and "converged" in reasons
+
+
+def test_objective_never_evaluated_at_the_iterate(monkeypatch):
+    # derivatives are evaluated exactly at each iterate, so the latest
+    # ball_grad_hess point is the current iterate
+    iterate = []
+    trials = []
+
+    def tracked_grad_hess(mesh, ball, x0, params):
+        iterate[:] = [x0]
+        return ball_grad_hess(mesh, ball, x0, params)
+
+    def tracked_objective(mesh, ball, x0, params):
+        assert (x0.x, x0.y) != (iterate[0].x, iterate[0].y)
+        trials.append(x0)
+        return ball_objective(mesh, ball, x0, params)
+
+    monkeypatch.setattr(osmot.newton, "ball_grad_hess", tracked_grad_hess)
+    monkeypatch.setattr(osmot.newton, "ball_objective", tracked_objective)
+    rng = random.Random(99)
+    rounded = 0
+    for _ in range(60):
+        mesh = random_ball_mesh(rng)
+        _pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
+        rounded += trace.stop_reason == "rounded"
+    mesh = _jittered_lattice_mesh(random.Random(64))
+    for nid in sorted(mesh.balls):
+        pos, trace = optimize_ball(mesh, mesh.balls[nid], PARAMS, CFG)
+        rounded += trace.stop_reason == "rounded"
+        mesh.set_position(nid, pos)
+    assert rounded > 0 and trials
+
+
+def _shifted_hexagon(center: Point2, shift: float):
+    """regular_hexagon_mesh(center) with every node moved by (shift, shift)."""
+    mesh = regular_hexagon_mesh(center)
+    for node in mesh.nodes:
+        p = node.position
+        mesh.set_position(node.id, Point2(p.x + shift, p.y + shift))
+    return mesh
+
+
+@pytest.mark.parametrize("cfg,center,shift,reason,iterations", [
+    # the gradient at the symmetric centre is below eps from the start
+    (CFG, Point2(0.0, 0.0), 0.0, "converged", 0),
+    # eps out of reach: near (100, 100) the steps shrink below half an ulp
+    # of the coordinates and the trial rounds back onto the iterate ...
+    (NewtonConfig(eps=1e-300), Point2(0.05, 0.02), 100.0, "rounded", 23),
+    # ... while near the origin they never round and bisection hits the floor
+    (NewtonConfig(eps=1e-300), Point2(0.05, 0.02), 0.0, "step_floor", 34),
+    # the first rejection halves the step below a floor of 1
+    (NewtonConfig(lambda_min=1.0), Point2(0.05, 0.02), 0.0, "step_floor", 3),
+    # j_max caps the loop at j_max + 1 iterations
+    (NewtonConfig(j_max=1), Point2(0.05, 0.02), 0.0, "j_max", 2),
+], ids=["converged", "rounded", "step_floor-eps", "step_floor-lambda", "j_max"])
+def test_stop_reason(cfg, center, shift, reason, iterations):
+    mesh = _shifted_hexagon(center, shift)
+    ball = mesh.balls[0]
+    start = mesh.position(0)
+    pos, trace = optimize_ball(mesh, ball, PARAMS, cfg)
+    assert trace.stop_reason == reason
+    assert trace.converged == (reason == "converged")
+    assert trace.iterations == iterations
+    ref_pos, ref_converged, ref_grad_norm = _reference_optimize_ball(
+        mesh, ball, PARAMS, cfg)
+    assert (_bits(pos), trace.converged, trace.final_grad_norm) == (
+        _bits(ref_pos), ref_converged, ref_grad_norm)
+    if reason == "rounded":
+        # the trial that ended the solve rounds onto the returned position
+        last = trace.steps[-1]
+        lam = last.step_size if last.accepted else 0.5 * last.step_size
+        gh_end = ball_grad_hess(mesh, ball, pos, PARAMS)
+        dx, dy, _ = descent_direction(gh_end, cfg)
+        assert (pos.x + lam * dx, pos.y + lam * dy) == (pos.x, pos.y)
+    assert ball_objective(mesh, ball, pos, PARAMS) <= ball_objective(
+        mesh, ball, start, PARAMS)

@@ -2,13 +2,29 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import fd_gradient, fd_jacobian, random_ball_mesh, random_triangle, rel_err
-from osmot.geometry import Point2, edge_lengths, triangle_geometry
+from conftest import (
+    fd_gradient,
+    fd_jacobian,
+    random_ball_mesh,
+    random_triangle,
+    regular_hexagon_mesh,
+    rel_err,
+)
+from osmot.geometry import (
+    DEGENERATE_AREA_FACTOR,
+    Point2,
+    degenerate_area_eps,
+    edge_lengths,
+    signed_area,
+    triangle_geometry,
+)
 from osmot.objective import (
     DegenerateElementError,
     ObjectiveParams,
+    _grad_hess,
+    _value,
     ball_grad_hess,
     ball_objective,
     element_grad_hess,
@@ -220,8 +236,6 @@ def test_ball_objective_single_element():
 
 
 def test_regular_ball_value_and_stationarity():
-    from conftest import regular_hexagon_mesh
-
     mesh = regular_hexagon_mesh()
     ball = mesh.balls[0]
     w = ball_objective(mesh, ball, Point2(0.0, 0.0), PARAMS)
@@ -323,15 +337,89 @@ def test_exact_derivatives_for_every_exponent_pair(beta, gamma):
         assert abs(gh.hyy - jac[1][1]) / hscale <= 1e-4
 
 
+def _near_barrier(p1: Point2, p2: Point2, t: float, f: float) -> Point2:
+    """The point at parameter t along p1 -> p2, lifted to its left so that
+    (point, p1, p2) has about f times the degeneracy threshold of area
+    when p1-p2 is its longest edge."""
+    ex, ey = p2.x - p1.x, p2.y - p1.y
+    n = math.hypot(ex, ey)
+    h = f * 2.0 * DEGENERATE_AREA_FACTOR * n
+    return Point2(p1.x + t * ex - h * ey / n, p1.y + t * ey + h * ex / n)
+
+
 @EXPONENT_PAIRS
 def test_ball_value_paths_agree_bitwise(beta, gamma):
-    # Armijo compares the value of ball_grad_hess with ball_objective
+    # Armijo compares the value of ball_grad_hess with ball_objective, and
+    # the Newton solve relies on both paths seeing the barrier alike: at
+    # the start and with the first element straddling the barrier,
+    # ball_grad_hess raises exactly where ball_objective is +inf and
+    # otherwise returns its value bit for bit
     params = ObjectiveParams(beta=beta, gamma=gamma)
     rng = random.Random(47)
-    for _ in range(20):
-        mesh = random_ball_mesh(rng)
+    meshes = [random_ball_mesh(rng) for _ in range(20)] + [regular_hexagon_mesh()]
+    outcomes = set()
+    for mesh in meshes:
         ball = mesh.balls[0]
-        mesh.rref[ball.elements[0][0]] = 0.3
-        x0 = mesh.position(0)
-        assert ball_grad_hess(mesh, ball, x0, params).value == ball_objective(
-            mesh, ball, x0, params)
+        tid, n1, n2 = ball.elements[0]
+        mesh.rref[tid] = 0.3
+        p1, p2 = mesh.position(n1), mesh.position(n2)
+        points = [mesh.position(0)] + [
+            _near_barrier(p1, p2, 0.5, f) for f in (0.5, 0.99, 1.0, 1.01, 2.0)]
+        for x0 in points:
+            w = ball_objective(mesh, ball, x0, params)
+            try:
+                value = ball_grad_hess(mesh, ball, x0, params).value
+            except DegenerateElementError:
+                assert w == math.inf
+                outcomes.add("barrier")
+            else:
+                assert value.hex() == w.hex() and w < math.inf
+                outcomes.add("finite")
+    assert outcomes == {"barrier", "finite"}
+
+
+@given(
+    scale=st.floats(min_value=1e-6, max_value=1e6),
+    angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    offset=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    f=st.floats(min_value=0.5, max_value=1.5),
+    exponents=st.sampled_from([(1.0, 3.0), (2.0, 2.0), (0.5, 1.5)]),
+)
+@example(scale=1.0, angle=0.0, offset=(0.0, 0.0), t=0.5, f=0.5,
+         exponents=(1.0, 3.0))
+@example(scale=1.0, angle=0.0, offset=(0.0, 0.0), t=0.5, f=1.5,
+         exponents=(1.0, 3.0))
+def test_kernels_agree_near_the_barrier(scale, angle, offset, t, f, exponents):
+    # an element whose area straddles DEGENERATE_AREA_FACTOR * max(a, b, c)^2
+    p1 = Point2(scale * offset[0], scale * offset[1])
+    p2 = Point2(p1.x + scale * math.cos(angle), p1.y + scale * math.sin(angle))
+    p0 = _near_barrier(p1, p2, t, f)
+    degenerate = signed_area(p0, p1, p2) <= degenerate_area_eps(
+        *edge_lengths(p0, p1, p2))
+    beta, gamma = exponents
+    args = (p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, beta, gamma, 0.7)
+    w = _value(*args)
+    assert (w == math.inf) == degenerate
+    if degenerate:
+        with pytest.raises(DegenerateElementError):
+            _grad_hess(*args)
+    else:
+        assert _grad_hess(*args)[0].hex() == w.hex()
+
+
+def test_product_overflow_is_the_barrier():
+    # each power is finite but their product overflows to +inf
+    params = ObjectiveParams(gamma=40.0, r_ref=1e-300)
+    assert element_objective(*EQUILATERAL, params) == math.inf
+    with pytest.raises(DegenerateElementError):
+        element_grad_hess(*EQUILATERAL, params)
+
+
+def test_power_overflow_raises_value_error():
+    # (R / r_ref)^beta alone overflows: no relocation can make w finite
+    params = ObjectiveParams(beta=2.0, r_ref=1e-300)
+    with pytest.raises(ValueError, match="overflows"):
+        element_objective(*EQUILATERAL, params)
+    with pytest.raises(ValueError, match="overflows"):
+        element_grad_hess(*EQUILATERAL, params)
