@@ -7,7 +7,17 @@ direction (Newton, or steepest descent when the Hessian determinant or
 the angle criterion disqualifies it), and runs one Armijo test on the
 objective value at the trial point: accept the trial point and keep the
 step size, or keep the point and bisect the step size. The step size
-persists across iterations; it is never reset or enlarged.
+persists across iterations; it is never reset or enlarged. The direction
+depends only on the iterate, so it is chosen once per iterate and reused
+by the trials that follow a rejection.
+
+The ball's neighbour geometry is frozen once per solve into a
+``BallFrame`` (see ``objective``), and every kernel call of the solve
+reads that frame; the iterate is kept as two floats, and a ``Point2`` is
+made only for each trial point handed to the kernels. The kernels are
+looked up as this module's ``ball_grad_hess`` and ``ball_objective`` and
+called with four positional arguments, so a caller can wrap them to
+count calls and elements.
 
 A trial point that rounds back onto the iterate (x + lambda d == x in
 both coordinates) ends the solve before its objective is evaluated: the
@@ -22,14 +32,14 @@ shorter.
 Each solve records why it stopped (``LocalStepTrace.stop_reason``):
 ``converged`` (gradient norm below eps), ``rounded`` (the trial step
 rounds back onto the iterate), ``step_floor`` (the step size fell below
-lambda_min) or ``j_max`` (the iteration cap).
+lambda_min) or ``j_max`` (the iteration cap: j_max + 1 Armijo trials).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .geometry import Point2
 from .mesh import Ball, Mesh
@@ -39,6 +49,7 @@ from .objective import (
     ObjectiveParams,
     ball_grad_hess,
     ball_objective,
+    freeze_ball,
 )
 
 
@@ -59,9 +70,11 @@ class NewtonConfig:
     """Tolerances and bounds of the local optimizer.
 
     eps is the gradient-norm termination tolerance, delta the Hessian
-    determinant guard, eta the angle-criterion threshold. j_max caps the
-    inner iterations and lambda_min floors the bisected step size; on
-    hitting either bound the current (best) iterate is returned.
+    determinant guard, eta the angle-criterion threshold. j_max bounds
+    the inner iterations: a solve runs at most j_max + 1 of them, each one
+    Armijo trial, and stops as ``j_max`` after the last. lambda_min floors
+    the bisected step size. On hitting either bound the current (best)
+    iterate is returned.
     """
 
     eps: float = 1e-8
@@ -77,8 +90,7 @@ class NewtonConfig:
             raise ValueError("j_max must be >= 1 and lambda_min positive")
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One inner iteration: state before the step and the Armijo outcome."""
 
     value: float
@@ -150,35 +162,44 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
     starting position. Raises DegenerateStartError when derivatives cannot
     be evaluated at the initial position; callers skip such nodes.
     """
+    frame = freeze_ball(mesh, ball, params)
     x = mesh.position(ball.vertex)
     try:
-        gh = ball_grad_hess(mesh, ball, x, params)
+        gh = ball_grad_hess(mesh, frame, x, params)
     except DegenerateElementError as err:
         raise DegenerateStartError(ball.vertex, err.triangle_id) from None
 
+    px, py = x.x, x.y
+    grad_norm = gh.grad_norm
+    new_iterate = True
     lam = 1.0
     steps: list[IterationRecord] = []
     stop_reason: StopReason = "j_max"
 
     while len(steps) <= cfg.j_max:
-        if gh.grad_norm < cfg.eps:
-            stop_reason = "converged"
-            break
-        dx, dy, steepest = descent_direction(gh, cfg)
-        grad_dot_d = gh.gx * dx + gh.gy * dy
-        tx = x.x + lam * dx
-        ty = x.y + lam * dy
-        if tx == x.x and ty == x.y:
+        # the gradient test and the direction change only with the iterate
+        if new_iterate:
+            if grad_norm < cfg.eps:
+                stop_reason = "converged"
+                break
+            dx, dy, steepest = descent_direction(gh, cfg)
+            grad_dot_d = gh.gx * dx + gh.gy * dy
+            new_iterate = False
+        tx = px + lam * dx
+        ty = py + lam * dy
+        if tx == px and ty == py:
             stop_reason = "rounded"
             break
         trial = Point2(tx, ty)
-        w_new = ball_objective(mesh, ball, trial, params)
+        w_new = ball_objective(mesh, frame, trial, params)
         accepted = armijo_accept(gh.value, w_new, lam, grad_dot_d)
-        steps.append(IterationRecord(gh.value, gh.grad_norm, grad_dot_d,
+        steps.append(IterationRecord(gh.value, grad_norm, grad_dot_d,
                                      lam, accepted, steepest))
         if accepted:
-            x = trial
-            gh = ball_grad_hess(mesh, ball, x, params)
+            x, px, py = trial, tx, ty
+            gh = ball_grad_hess(mesh, frame, x, params)
+            grad_norm = gh.grad_norm
+            new_iterate = True
         else:
             lam *= 0.5
             if lam < cfg.lambda_min:
@@ -186,5 +207,5 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
                 break
 
     return x, LocalStepTrace(stop_reason=stop_reason,
-                             final_grad_norm=gh.grad_norm,
+                             final_grad_norm=grad_norm,
                              steps=tuple(steps))

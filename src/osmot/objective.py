@@ -21,23 +21,37 @@ degeneracy threshold) scores +inf. This acts as a barrier: the line
 search can never accept an inverting step, which is what makes the
 smoother stable on non-convex configurations.
 
-w is formed in two places, ``_value`` (the value path) and ``_grad_hess``
-(the derivative path), each from its own a, b, c and signed area. The
-two sets are equal bit for bit, so both paths return the same w, and
-``_grad_hess`` raises DegenerateElementError exactly where ``_value``
-gives +inf. Armijo compares the ball sums of the two paths, and the
-Newton solve relies on a trial at the iterate scoring exactly the
-iterate's value. The barrier test is ``degenerate_area_eps`` inlined.
-A power that overflows a float raises ValueError, which ``osmot smooth``
-reports as an invalid parameter (exit 1); a product of two finite powers
-that overflows is +inf and acts as the barrier.
+Everything about an element that does not depend on the moving vertex
+(its neighbour coordinates, the opposite edge b, its reference radius
+and the constant area gradient) is frozen once per Newton solve into a
+``BallFrame``. ``ball_objective`` and ``ball_grad_hess`` take either a
+topology ``Ball``, which they freeze first, or a frame, and run one loop
+over the frame elements. The element functions ``_value`` and
+``_grad_hess`` run the same loops over a one-element frame.
+
+The value loop and the derivative loop form w from the same float
+operations, so both return the same w bit for bit, and the derivative
+loop raises DegenerateElementError exactly where the value loop gives
++inf at the barrier. Armijo compares the ball sums of the two paths,
+and the Newton solve relies on a trial at the iterate scoring exactly
+the iterate's value. The barrier test is ``degenerate_area_eps``
+inlined.
+
+A w that overflows a float (one power, or the product of two finite
+powers) scores +inf in the value loop, so the line search rejects that
+trial like the barrier. The derivative loop raises ValueError for it:
+derivatives are only taken at the start of a solve and at accepted
+trials, whose values are finite, so an overflow there means the
+exponents are too large for this mesh, and ``osmot smooth`` reports it
+as an invalid parameter (exit 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import hypot
+from math import hypot, inf
+from typing import NamedTuple
 
 from .geometry import DEGENERATE_AREA_FACTOR, Point2
 from .mesh import Ball, Mesh
@@ -64,8 +78,7 @@ class ObjectiveParams:
             raise ValueError("beta, gamma and r_ref must be finite and positive")
 
 
-@dataclass(frozen=True, slots=True)
-class GradHess:
+class GradHess(NamedTuple):
     """Objective value, gradient and symmetric 2x2 Hessian at one point.
 
     The Hessian is stored as its three distinct entries (hxx, hxy, hyy),
@@ -88,96 +101,177 @@ class GradHess:
         return math.hypot(self.gx, self.gy)
 
 
+# One frozen element: (triangle id, x1, y1, x2, y2, b, r_ref, hx, hy), where
+# (hx, hy) = ((y1 - y2)/2, (x2 - x1)/2) is the gradient of the signed area.
+FrameElement = tuple[int | None, float, float, float, float, float, float,
+                     float, float]
+
+
+@dataclass(frozen=True, slots=True)
+class BallFrame:
+    """A ball's neighbour geometry, frozen for one Newton solve.
+
+    ``elements`` holds one ``FrameElement`` per element of the ball, in
+    the ball's order. Its r_ref is the element's ``mesh.rref`` override or
+    the ``params.r_ref`` the frame was frozen with. A frame stays valid
+    while the ball's neighbour nodes do not move.
+    """
+
+    vertex: int
+    elements: tuple[FrameElement, ...]
+
+
+def _frame_element(tid: int | None, x1: float, y1: float, x2: float, y2: float,
+                   r_ref: float) -> FrameElement:
+    return (tid, x1, y1, x2, y2, hypot(x2 - x1, y2 - y1), r_ref,
+            0.5 * (y1 - y2), 0.5 * (x2 - x1))
+
+
+def freeze_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams) -> BallFrame:
+    """The frame of a ball at the current neighbour positions."""
+    nodes = mesh.nodes
+    rref = mesh.rref
+    r_ref = params.r_ref
+    elements = []
+    for tid, n1, n2 in ball.elements:
+        p1 = nodes[n1].position
+        p2 = nodes[n2].position
+        elements.append(_frame_element(tid, p1.x, p1.y, p2.x, p2.y,
+                                       rref.get(tid, r_ref)))
+    return BallFrame(ball.vertex, tuple(elements))
+
+
 def _overflow(beta: float, gamma: float, r_ref: float) -> ValueError:
-    """The error raised when a power in w overflows a float: the exponents
-    are too large for the element sizes and r_ref of this mesh."""
+    """The error raised when w overflows a float where derivatives are
+    taken: the exponents are too large for the element sizes and r_ref of
+    this mesh."""
     return ValueError(f"element objective overflows a float at beta={beta:g}, "
                       f"gamma={gamma:g}, r_ref={r_ref:g}")
 
 
+def _frame_value(px: float, py: float, elements: tuple[FrameElement, ...],
+                 beta: float, gamma: float) -> float:
+    """Sum of the element objectives with the vertex at (px, py); +inf
+    past the barrier of any element or when a w overflows."""
+    factor = DEGENERATE_AREA_FACTOR
+    total = 0.0
+    for _tid, x1, y1, x2, y2, b, r_ref, _hx, _hy in elements:
+        ux = px - x1
+        uy = py - y1
+        vx = px - x2
+        vy = py - y2
+        a = hypot(ux, uy)
+        c = hypot(vx, vy)
+        area = 0.5 * (ux * vy - vx * uy)
+        # degenerate_area_eps(a, b, c), inlined
+        m = a if a > b else b
+        if c > m:
+            m = c
+        if area <= factor * m * m:
+            return inf
+        s = 0.5 * (a + b + c)
+        big_r = a * b * c / (4.0 * area)
+        try:
+            total += (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
+        except OverflowError:
+            return inf
+    return total
+
+
+def _frame_grad_hess(px: float, py: float, elements: tuple[FrameElement, ...],
+                     beta: float, gamma: float
+                     ) -> tuple[float, float, float, float, float, float]:
+    """Sums of the exact (w, wx, wy, wxx, wxy, wyy) of the elements with
+    respect to the vertex at (px, py).
+
+    a, b, c, the area and w are the floats ``_frame_value`` forms, so the
+    value is the same bit for bit, and this raises DegenerateElementError
+    exactly where ``_frame_value`` is +inf at the barrier and ValueError
+    where it is +inf by overflow.
+    """
+    factor = DEGENERATE_AREA_FACTOR
+    ka = beta + gamma
+    kA = beta + 2.0 * gamma
+    m2ka = -2.0 * ka
+    tw = tgx = tgy = thxx = thxy = thyy = 0.0
+    for tid, x1, y1, x2, y2, b, r_ref, hx, hy in elements:
+        ux = px - x1
+        uy = py - y1
+        vx = px - x2
+        vy = py - y2
+        a = hypot(ux, uy)
+        c = hypot(vx, vy)
+        area = 0.5 * (ux * vy - vx * uy)
+        m = a if a > b else b
+        if c > m:
+            m = c
+        if area <= factor * m * m:
+            raise DegenerateElementError(
+                "element too distorted for derivatives", triangle_id=tid)
+        s = 0.5 * (a + b + c)
+        big_r = a * b * c / (4.0 * area)
+        try:
+            w = (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
+        except OverflowError:
+            raise _overflow(beta, gamma, r_ref) from None
+        if w == inf:
+            raise _overflow(beta, gamma, r_ref)
+
+        # grad ln a = u/a^2, grad^2 ln a = I/a^2 - 2 grad ln a grad ln a^T; same for c
+        ia2 = 1.0 / (a * a)
+        ic2 = 1.0 / (c * c)
+        lax = ux * ia2
+        lay = uy * ia2
+        lcx = vx * ic2
+        lcy = vy * ic2
+        # grad ln s = grad s/s and sxx, sxy, syy = grad^2 s/s, where
+        # grad s = (u/a + v/c)/2 and grad^2 s = ((I - u u^T/a^2)/a + (I - v v^T/c^2)/c)/2
+        lsx = 0.5 * (ux / a + vx / c) / s
+        lsy = 0.5 * (uy / a + vy / c) / s
+        sxx = 0.5 * (uy * uy * ia2 / a + vy * vy * ic2 / c) / s
+        syy = 0.5 * (ux * ux * ia2 / a + vx * vx * ic2 / c) / s
+        sxy = -0.5 * (ux * uy * ia2 / a + vx * vy * ic2 / c) / s
+        # grad ln A = (hx, hy)/A
+        lAx = hx / area
+        lAy = hy / area
+
+        # grad L, then grad^2 w / w = grad^2 L + grad L grad L^T; each
+        # shared product is formed once, in the order the formulas read
+        kAx = kA * lAx
+        kAy = kA * lAy
+        i2 = ia2 + ic2
+        gx = ka * (lax + lcx) + gamma * lsx - kAx
+        gy = ka * (lay + lcy) + gamma * lsy - kAy
+        hxx = (ka * (i2 - 2.0 * (lax * lax + lcx * lcx))
+               + gamma * (sxx - lsx * lsx) + kAx * lAx + gx * gx)
+        hyy = (ka * (i2 - 2.0 * (lay * lay + lcy * lcy))
+               + gamma * (syy - lsy * lsy) + kAy * lAy + gy * gy)
+        hxy = (m2ka * (lax * lay + lcx * lcy)
+               + gamma * (sxy - lsx * lsy) + kAx * lAy + gx * gy)
+        tw += w
+        tgx += w * gx
+        tgy += w * gy
+        thxx += w * hxx
+        thxy += w * hxy
+        thyy += w * hyy
+    return tw, tgx, tgy, thxx, thxy, thyy
+
+
 def _value(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float,
            beta: float, gamma: float, r_ref: float) -> float:
-    """Element objective with the vertex at (x0, y0); +inf past the barrier."""
-    a = hypot(x1 - x0, y1 - y0)
-    b = hypot(x2 - x1, y2 - y1)
-    c = hypot(x0 - x2, y0 - y2)
-    area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-    # degenerate_area_eps(a, b, c), inlined
-    m = a if a > b else b
-    if c > m:
-        m = c
-    if area <= DEGENERATE_AREA_FACTOR * m * m:
-        return math.inf
-    s = 0.5 * (a + b + c)
-    big_r = a * b * c / (4.0 * area)
-    try:
-        return (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
-    except OverflowError:
-        raise _overflow(beta, gamma, r_ref) from None
+    """Element objective with the vertex at (x0, y0); +inf past the
+    barrier or when w overflows."""
+    return _frame_value(x0, y0, (_frame_element(None, x1, y1, x2, y2, r_ref),),
+                        beta, gamma)
 
 
 def _grad_hess(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float,
                beta: float, gamma: float, r_ref: float
                ) -> tuple[float, float, float, float, float, float]:
-    """Exact (w, wx, wy, wxx, wxy, wyy) with respect to (x0, y0).
-
-    w is formed from the same a, b, c and area as in ``_value``: hypot
-    ignores the sign of its arguments and the area is a sum of products
-    of two negated factors, so both functions return the same w bit for
-    bit, and this one raises exactly where ``_value`` gives +inf.
-    """
-    ux = x0 - x1
-    uy = y0 - y1
-    vx = x0 - x2
-    vy = y0 - y2
-    a = hypot(ux, uy)
-    b = hypot(x2 - x1, y2 - y1)
-    c = hypot(vx, vy)
-    area = 0.5 * (ux * vy - vx * uy)
-    m = a if a > b else b
-    if c > m:
-        m = c
-    if area <= DEGENERATE_AREA_FACTOR * m * m:
-        raise DegenerateElementError("element too distorted for derivatives")
-    s = 0.5 * (a + b + c)
-    big_r = a * b * c / (4.0 * area)
-    try:
-        w = (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
-    except OverflowError:
-        raise _overflow(beta, gamma, r_ref) from None
-    if w == math.inf:
-        raise DegenerateElementError("element too distorted for derivatives")
-    ka = beta + gamma
-    kA = beta + 2.0 * gamma
-
-    # grad ln a = u/a^2, grad^2 ln a = I/a^2 - 2 grad ln a grad ln a^T; same for c
-    ia2 = 1.0 / (a * a)
-    ic2 = 1.0 / (c * c)
-    lax = ux * ia2
-    lay = uy * ia2
-    lcx = vx * ic2
-    lcy = vy * ic2
-    # grad ln s = grad s/s and sxx, sxy, syy = grad^2 s/s, where
-    # grad s = (u/a + v/c)/2 and grad^2 s = ((I - u u^T/a^2)/a + (I - v v^T/c^2)/c)/2
-    lsx = 0.5 * (ux / a + vx / c) / s
-    lsy = 0.5 * (uy / a + vy / c) / s
-    sxx = 0.5 * (uy * uy * ia2 / a + vy * vy * ic2 / c) / s
-    syy = 0.5 * (ux * ux * ia2 / a + vx * vx * ic2 / c) / s
-    sxy = -0.5 * (ux * uy * ia2 / a + vx * vy * ic2 / c) / s
-    # grad A = (y1 - y2, x2 - x1)/2
-    lAx = 0.5 * (y1 - y2) / area
-    lAy = 0.5 * (x2 - x1) / area
-
-    # grad L, then grad^2 w / w = grad^2 L + grad L grad L^T
-    gx = ka * (lax + lcx) + gamma * lsx - kA * lAx
-    gy = ka * (lay + lcy) + gamma * lsy - kA * lAy
-    hxx = (ka * (ia2 + ic2 - 2.0 * (lax * lax + lcx * lcx))
-           + gamma * (sxx - lsx * lsx) + kA * lAx * lAx + gx * gx)
-    hyy = (ka * (ia2 + ic2 - 2.0 * (lay * lay + lcy * lcy))
-           + gamma * (syy - lsy * lsy) + kA * lAy * lAy + gy * gy)
-    hxy = (-2.0 * ka * (lax * lay + lcx * lcy)
-           + gamma * (sxy - lsx * lsy) + kA * lAx * lAy + gx * gy)
-    return w, w * gx, w * gy, w * hxx, w * hxy, w * hyy
+    """Exact (w, wx, wy, wxx, wxy, wyy) with respect to (x0, y0); w equals
+    ``_value`` bit for bit."""
+    return _frame_grad_hess(
+        x0, y0, (_frame_element(None, x1, y1, x2, y2, r_ref),), beta, gamma)
 
 
 def element_objective(p0: Point2, p1: Point2, p2: Point2,
@@ -194,46 +288,20 @@ def element_grad_hess(p0: Point2, p1: Point2, p2: Point2,
                                 params.beta, params.gamma, params.r_ref))
 
 
-def ball_objective(mesh: Mesh, ball: Ball, x0: Point2,
+def ball_objective(mesh: Mesh, ball: Ball | BallFrame, x0: Point2,
                    params: ObjectiveParams) -> float:
-    """Sum of element objectives over a ball with the vertex at x0."""
-    total = 0.0
-    nodes = mesh.nodes
-    rref = mesh.rref
-    beta, gamma, r_ref = params.beta, params.gamma, params.r_ref
-    px, py = x0.x, x0.y
-    for tid, n1, n2 in ball.elements:
-        p1 = nodes[n1].position
-        p2 = nodes[n2].position
-        w = _value(px, py, p1.x, p1.y, p2.x, p2.y,
-                   beta, gamma, rref.get(tid, r_ref))
-        if w == math.inf:
-            return math.inf
-        total += w
-    return total
+    """Sum of element objectives over a ball with the vertex at x0; the
+    ball is a topology Ball, frozen first, or a frame of it."""
+    if isinstance(ball, Ball):
+        ball = freeze_ball(mesh, ball, params)
+    return _frame_value(x0.x, x0.y, ball.elements, params.beta, params.gamma)
 
 
-def ball_grad_hess(mesh: Mesh, ball: Ball, x0: Point2,
+def ball_grad_hess(mesh: Mesh, ball: Ball | BallFrame, x0: Point2,
                    params: ObjectiveParams) -> GradHess:
-    """Component-wise sums of element value/gradient/Hessian over a ball."""
-    tw = tgx = tgy = thxx = thxy = thyy = 0.0
-    nodes = mesh.nodes
-    rref = mesh.rref
-    beta, gamma, r_ref = params.beta, params.gamma, params.r_ref
-    px, py = x0.x, x0.y
-    for tid, n1, n2 in ball.elements:
-        p1 = nodes[n1].position
-        p2 = nodes[n2].position
-        try:
-            w, wx, wy, wxx, wxy, wyy = _grad_hess(
-                px, py, p1.x, p1.y, p2.x, p2.y,
-                beta, gamma, rref.get(tid, r_ref))
-        except DegenerateElementError as err:
-            raise DegenerateElementError(str(err), triangle_id=tid) from None
-        tw += w
-        tgx += wx
-        tgy += wy
-        thxx += wxx
-        thxy += wxy
-        thyy += wyy
-    return GradHess(tw, tgx, tgy, thxx, thxy, thyy)
+    """Component-wise sums of element value/gradient/Hessian over a ball;
+    the ball is a topology Ball, frozen first, or a frame of it."""
+    if isinstance(ball, Ball):
+        ball = freeze_ball(mesh, ball, params)
+    return GradHess(*_frame_grad_hess(x0.x, x0.y, ball.elements,
+                                      params.beta, params.gamma))

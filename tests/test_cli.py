@@ -136,10 +136,13 @@ def test_non_finite_objective_parameter_exit_1(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("args", [["--beta", "200", "--rref", "0.001"],
-                                  ["--gamma", "400"]],
-                         ids=["beta-rref", "gamma"])
+                                  ["--gamma", "400"],
+                                  ["--gamma", "40", "--rref", "1e-300"]],
+                         ids=["beta-rref", "gamma", "product"])
 def test_objective_overflow_exit_1(tmp_path, capsys, args):
-    # finite exponents whose powers overflow a float: one error line, exit 1
+    # finite exponents whose w overflows a float at the starting positions
+    # (one power, or the product of two finite powers): one error line,
+    # exit 1
     mesh = tmp_path / "patch.mesh"
     out = tmp_path / "out.mesh"
     run(["gen", "--kind", "patch32", "--seed", "1", "--distortion", "0.45",
@@ -151,6 +154,21 @@ def test_objective_overflow_exit_1(tmp_path, capsys, args):
     assert err.startswith("error: element objective overflows")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_overflowing_trial_is_rejected(tmp_path):
+    # w is finite at the start, but powers overflow at trial points near
+    # the barrier: those trials are rejected and the run goes on
+    mesh = tmp_path / "patch.mesh"
+    csv = tmp_path / "report.csv"
+    run(["gen", "--kind", "patch32", "--seed", "1", "--distortion", "0.45",
+         "--output", str(mesh)])
+    assert run(["smooth", "--input", str(mesh),
+                "--output", str(tmp_path / "out.mesh"), "--gamma", "24",
+                "--report", str(csv)]) == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert float(rows[-1][1]) >= float(rows[0][1])
+    assert rows[-1][5] == "0"
 
 
 def test_smooth_defaults_come_from_smoother_config():

@@ -83,3 +83,26 @@ def test_reflag_svg_every_loop_bytes(tmp_path):
     assert (sha256(out), sha256(csv)) == (REFLAG_SVG_MESH_SHA, REFLAG_SVG_CSV_SHA)
     snapshots = {p.name: sha256(p) for p in sorted(svg_dir.iterdir())}
     assert snapshots == REFLAG_SVG_SNAPSHOT_SHA
+
+
+# patch32 with an rref section that overrides r_ref on every other
+# triangle, beta = gamma = 2: the per-element reference radii reach the
+# objective of every ball and the report's minQ1.
+RREF_MESH_SHA = "5b67c584fd8cff6f97c8646ccca83a42738d6bc78063bc349d9f960097541106"
+RREF_CSV_SHA = "470368678ab6c7fb183b0ec0c5da6711ac6b96fd4fad758bf27b46e750dd66a7"
+
+
+def test_per_element_rref_bytes(tmp_path):
+    src = tmp_path / "in.mesh"
+    out = tmp_path / "out.mesh"
+    csv = tmp_path / "report.csv"
+    assert main(["gen", "--kind", "patch32", "--seed", "1", "--distortion",
+                 "0.45", "--output", str(src)]) == 0
+    overrides = {tid: 0.1 + 0.02 * tid for tid in range(0, 32, 2)}
+    with src.open("a") as fh:
+        fh.write(f"rref {len(overrides)}\n")
+        fh.writelines(f"{tid} {r!r}\n" for tid, r in overrides.items())
+    assert main(["smooth", "--input", str(src), "--output", str(out),
+                 "--report", str(csv), "--beta", "2", "--gamma", "2",
+                 "--rref", "0.25"]) == 0
+    assert (sha256(out), sha256(csv)) == (RREF_MESH_SHA, RREF_CSV_SHA)

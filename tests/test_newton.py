@@ -4,7 +4,10 @@ import random
 import pytest
 
 import osmot.newton
+import osmot.objective
 from conftest import random_ball_mesh, regular_hexagon_mesh
+from osmot.driver import SmootherConfig, smooth
+from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.geometry import Point2, signed_area
 from osmot.mesh import Mesh, Mobility, Node, Triangle, build_topology
 from osmot.newton import (
@@ -14,7 +17,14 @@ from osmot.newton import (
     descent_direction,
     optimize_ball,
 )
-from osmot.objective import GradHess, ObjectiveParams, ball_grad_hess, ball_objective
+from osmot.objective import (
+    BallFrame,
+    GradHess,
+    ObjectiveParams,
+    ball_grad_hess,
+    ball_objective,
+    freeze_ball,
+)
 
 CFG = NewtonConfig()
 PARAMS = ObjectiveParams()
@@ -158,6 +168,64 @@ def test_derivatives_once_per_iterate(monkeypatch):
             mesh, ball, pos, PARAMS).grad_norm
         rejections += trace.armijo_rejections
     assert rejections > 0
+
+
+def test_one_frame_per_solve(monkeypatch):
+    # optimize_ball freezes the ball once and hands that frame to every
+    # kernel call, so no kernel call freezes the ball again
+    frozen = []
+    seen = []
+
+    def counted_freeze(*args):
+        frozen.append(freeze_ball(*args))
+        return frozen[-1]
+
+    def kernel_freeze(*args):
+        raise AssertionError("a kernel froze the ball during a solve")
+
+    def tracked(kernel):
+        def call(mesh, ball, x0, params):
+            seen.append(ball)
+            return kernel(mesh, ball, x0, params)
+        return call
+
+    monkeypatch.setattr(osmot.newton, "freeze_ball", counted_freeze)
+    monkeypatch.setattr(osmot.objective, "freeze_ball", kernel_freeze)
+    monkeypatch.setattr(osmot.newton, "ball_grad_hess", tracked(ball_grad_hess))
+    monkeypatch.setattr(osmot.newton, "ball_objective", tracked(ball_objective))
+    rng = random.Random(99)
+    for _ in range(20):
+        mesh = random_ball_mesh(rng)
+        frozen.clear()
+        seen.clear()
+        optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
+        assert len(frozen) == 1 and isinstance(frozen[0], BallFrame)
+        assert seen and all(ball is frozen[0] for ball in seen)
+
+
+def test_kernel_calls_keep_the_tracer_contract(monkeypatch):
+    # perfbench/spans.py wraps these two module attributes and reads, per
+    # call, the element count of the second positional argument and the
+    # coordinates of the third; a smooth() run must keep every call in
+    # that shape, or the per-layer benchmark counters read zero
+    calls = {"ball_grad_hess": 0, "ball_objective": 0}
+    mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
+
+    def traced(name, kernel):
+        def wrapper(*args, **kwargs):
+            assert len(args) == 4 and not kwargs
+            ball = args[1]
+            assert len(ball.elements) == len(mesh.balls[ball.vertex].elements)
+            assert isinstance(args[2], Point2)
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(osmot.newton, name,
+                            traced(name, getattr(osmot.newton, name)))
+    smooth(mesh, SmootherConfig(i_max=2))
+    assert calls["ball_grad_hess"] > 0 and calls["ball_objective"] > 0
 
 
 def test_rejected_trials_do_not_move_the_iterate():

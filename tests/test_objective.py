@@ -11,6 +11,7 @@ from conftest import (
     random_triangle,
     regular_hexagon_mesh,
     rel_err,
+    synthetic_single_ball,
 )
 from osmot.geometry import (
     DEGENERATE_AREA_FACTOR,
@@ -21,6 +22,7 @@ from osmot.geometry import (
     triangle_geometry,
 )
 from osmot.objective import (
+    BallFrame,
     DegenerateElementError,
     ObjectiveParams,
     _grad_hess,
@@ -29,6 +31,7 @@ from osmot.objective import (
     ball_objective,
     element_grad_hess,
     element_objective,
+    freeze_ball,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -347,6 +350,119 @@ def _near_barrier(p1: Point2, p2: Point2, t: float, f: float) -> Point2:
     return Point2(p1.x + t * ex - h * ey / n, p1.y + t * ey + h * ex / n)
 
 
+def _near_barrier_balls():
+    """Random balls and the regular hexagon, each with an rref override on
+    its first element, and the vertex positions to try: the start, and
+    points that put the first element at 0.5 to 2 times the barrier area."""
+    rng = random.Random(47)
+    for mesh in [random_ball_mesh(rng) for _ in range(20)] + [regular_hexagon_mesh()]:
+        ball = mesh.balls[0]
+        tid, n1, n2 = ball.elements[0]
+        mesh.rref[tid] = 0.3
+        p1, p2 = mesh.position(n1), mesh.position(n2)
+        points = [mesh.position(0)] + [
+            _near_barrier(p1, p2, 0.5, f) for f in (0.5, 0.99, 1.0, 1.01, 2.0)]
+        yield mesh, ball, points
+
+
+def _outcome(kernel, mesh, ball, x0, params):
+    """What a ball kernel returns, as float.hex strings, or what it raises."""
+    try:
+        result = kernel(mesh, ball, x0, params)
+    except (DegenerateElementError, ValueError) as err:
+        return type(err), getattr(err, "triangle_id", None)
+    return tuple(v.hex() for v in (result if isinstance(result, tuple) else (result,)))
+
+
+def _reference_ball_objective(mesh, ball, x0, params):
+    """The ball value as one element at a time, each read from the mesh:
+    +inf past the barrier or when w overflows."""
+    total = 0.0
+    for tid, n1, n2 in ball.elements:
+        p1, p2 = mesh.position(n1), mesh.position(n2)
+        a = math.hypot(p1.x - x0.x, p1.y - x0.y)
+        b = math.hypot(p2.x - p1.x, p2.y - p1.y)
+        c = math.hypot(x0.x - p2.x, x0.y - p2.y)
+        area = 0.5 * ((p1.x - x0.x) * (p2.y - x0.y) - (p2.x - x0.x) * (p1.y - x0.y))
+        if area <= degenerate_area_eps(a, b, c):
+            return math.inf
+        s = 0.5 * (a + b + c)
+        big_r = a * b * c / (4.0 * area)
+        r_ref = mesh.rref.get(tid, params.r_ref)
+        try:
+            w = (big_r / r_ref) ** params.beta * (big_r * s / area) ** params.gamma
+        except OverflowError:
+            return math.inf
+        if w == math.inf:
+            return math.inf
+        total += w
+    return total
+
+
+def _reference_ball_grad_hess(mesh, ball, x0, params):
+    """The ball derivatives as one element at a time, each read from the
+    mesh: DegenerateElementError past the barrier, ValueError when w
+    overflows."""
+    beta, gamma = params.beta, params.gamma
+    sums = [0.0] * 6
+    for tid, n1, n2 in ball.elements:
+        p1, p2 = mesh.position(n1), mesh.position(n2)
+        ux, uy = x0.x - p1.x, x0.y - p1.y
+        vx, vy = x0.x - p2.x, x0.y - p2.y
+        a = math.hypot(ux, uy)
+        b = math.hypot(p2.x - p1.x, p2.y - p1.y)
+        c = math.hypot(vx, vy)
+        area = 0.5 * (ux * vy - vx * uy)
+        if area <= degenerate_area_eps(a, b, c):
+            raise DegenerateElementError("degenerate", triangle_id=tid)
+        s = 0.5 * (a + b + c)
+        big_r = a * b * c / (4.0 * area)
+        r_ref = mesh.rref.get(tid, params.r_ref)
+        try:
+            w = (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
+        except OverflowError:
+            raise ValueError("overflow") from None
+        if w == math.inf:
+            raise ValueError("overflow")
+        ka = beta + gamma
+        kA = beta + 2.0 * gamma
+        ia2 = 1.0 / (a * a)
+        ic2 = 1.0 / (c * c)
+        lax, lay = ux * ia2, uy * ia2
+        lcx, lcy = vx * ic2, vy * ic2
+        lsx = 0.5 * (ux / a + vx / c) / s
+        lsy = 0.5 * (uy / a + vy / c) / s
+        sxx = 0.5 * (uy * uy * ia2 / a + vy * vy * ic2 / c) / s
+        syy = 0.5 * (ux * ux * ia2 / a + vx * vx * ic2 / c) / s
+        sxy = -0.5 * (ux * uy * ia2 / a + vx * vy * ic2 / c) / s
+        lAx = 0.5 * (p1.y - p2.y) / area
+        lAy = 0.5 * (p2.x - p1.x) / area
+        gx = ka * (lax + lcx) + gamma * lsx - kA * lAx
+        gy = ka * (lay + lcy) + gamma * lsy - kA * lAy
+        hxx = (ka * (ia2 + ic2 - 2.0 * (lax * lax + lcx * lcx))
+               + gamma * (sxx - lsx * lsx) + kA * lAx * lAx + gx * gx)
+        hyy = (ka * (ia2 + ic2 - 2.0 * (lay * lay + lcy * lcy))
+               + gamma * (syy - lsy * lsy) + kA * lAy * lAy + gy * gy)
+        hxy = (-2.0 * ka * (lax * lay + lcx * lcy)
+               + gamma * (sxy - lsx * lsy) + kA * lAx * lAy + gx * gy)
+        for k, v in enumerate((w, w * gx, w * gy, w * hxx, w * hxy, w * hyy)):
+            sums[k] += v
+    return tuple(sums)
+
+
+def _assert_kernels_match_reference(mesh, ball, x0, params):
+    """ball_objective and ball_grad_hess give the reference's bits, +inf or
+    exception, from a Ball and from its BallFrame alike."""
+    frame = freeze_ball(mesh, ball, params)
+    assert isinstance(frame, BallFrame) and frame.vertex == ball.vertex
+    assert len(frame.elements) == len(ball.elements)
+    for kernel, reference in ((ball_objective, _reference_ball_objective),
+                              (ball_grad_hess, _reference_ball_grad_hess)):
+        expected = _outcome(reference, mesh, ball, x0, params)
+        assert _outcome(kernel, mesh, ball, x0, params) == expected
+        assert _outcome(kernel, mesh, frame, x0, params) == expected
+
+
 @EXPONENT_PAIRS
 def test_ball_value_paths_agree_bitwise(beta, gamma):
     # Armijo compares the value of ball_grad_hess with ball_objective, and
@@ -355,16 +471,8 @@ def test_ball_value_paths_agree_bitwise(beta, gamma):
     # ball_grad_hess raises exactly where ball_objective is +inf and
     # otherwise returns its value bit for bit
     params = ObjectiveParams(beta=beta, gamma=gamma)
-    rng = random.Random(47)
-    meshes = [random_ball_mesh(rng) for _ in range(20)] + [regular_hexagon_mesh()]
     outcomes = set()
-    for mesh in meshes:
-        ball = mesh.balls[0]
-        tid, n1, n2 = ball.elements[0]
-        mesh.rref[tid] = 0.3
-        p1, p2 = mesh.position(n1), mesh.position(n2)
-        points = [mesh.position(0)] + [
-            _near_barrier(p1, p2, 0.5, f) for f in (0.5, 0.99, 1.0, 1.01, 2.0)]
+    for mesh, ball, points in _near_barrier_balls():
         for x0 in points:
             w = ball_objective(mesh, ball, x0, params)
             try:
@@ -376,6 +484,19 @@ def test_ball_value_paths_agree_bitwise(beta, gamma):
                 assert value.hex() == w.hex() and w < math.inf
                 outcomes.add("finite")
     assert outcomes == {"barrier", "finite"}
+
+
+@EXPONENT_PAIRS
+def test_frame_and_ball_agree_bitwise(beta, gamma):
+    # the frame frozen once per solve gives the kernels the same floats as
+    # reading the mesh one element at a time, also at and past the barrier
+    params = ObjectiveParams(beta=beta, gamma=gamma)
+    barrier = 0
+    for mesh, ball, points in _near_barrier_balls():
+        for x0 in points:
+            _assert_kernels_match_reference(mesh, ball, x0, params)
+            barrier += ball_objective(mesh, ball, x0, params) == math.inf
+    assert barrier > 0
 
 
 @given(
@@ -406,20 +527,28 @@ def test_kernels_agree_near_the_barrier(scale, angle, offset, t, f, exponents):
             _grad_hess(*args)
     else:
         assert _grad_hess(*args)[0].hex() == w.hex()
+    # the same element as a one-element ball, read from the mesh or frozen
+    mesh = synthetic_single_ball(p0, [p1, p2])
+    params = ObjectiveParams(beta=beta, gamma=gamma, r_ref=0.7)
+    assert ball_objective(mesh, mesh.balls[0], p0, params).hex() == w.hex()
+    _assert_kernels_match_reference(mesh, mesh.balls[0], p0, params)
 
 
-def test_product_overflow_is_the_barrier():
+@pytest.mark.parametrize("params", [
+    # (R / r_ref)^beta alone overflows
+    ObjectiveParams(beta=2.0, r_ref=1e-300),
     # each power is finite but their product overflows to +inf
-    params = ObjectiveParams(gamma=40.0, r_ref=1e-300)
+    ObjectiveParams(gamma=40.0, r_ref=1e-300),
+], ids=["power", "product"])
+def test_overflow_scores_inf_and_derivatives_raise(params):
+    # an overflowing w is rejected like the barrier where a trial is
+    # scored, and is an invalid parameter where derivatives are taken
     assert element_objective(*EQUILATERAL, params) == math.inf
-    with pytest.raises(DegenerateElementError):
-        element_grad_hess(*EQUILATERAL, params)
-
-
-def test_power_overflow_raises_value_error():
-    # (R / r_ref)^beta alone overflows: no relocation can make w finite
-    params = ObjectiveParams(beta=2.0, r_ref=1e-300)
-    with pytest.raises(ValueError, match="overflows"):
-        element_objective(*EQUILATERAL, params)
     with pytest.raises(ValueError, match="overflows"):
         element_grad_hess(*EQUILATERAL, params)
+    mesh = regular_hexagon_mesh()
+    ball = mesh.balls[0]
+    assert ball_objective(mesh, ball, Point2(0.0, 0.0), params) == math.inf
+    with pytest.raises(ValueError, match="overflows"):
+        ball_grad_hess(mesh, ball, Point2(0.0, 0.0), params)
+    _assert_kernels_match_reference(mesh, ball, Point2(0.0, 0.0), params)
