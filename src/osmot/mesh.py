@@ -8,7 +8,10 @@ immutable during smoothing; node positions are the only mutable state.
 
 Per-triangle quality lives in one ``QualityTable`` per mesh, built on
 first use and kept current by re-evaluating only the triangles around
-nodes moved through ``Mesh.set_position`` since the last read.
+nodes moved through ``Mesh.set_position`` since the last read. The text
+of the last mesh-file write and SVG render is kept on the mesh as well
+(see ``meshio`` and ``svgout``); ``moved_nodes`` tells those caches which
+nodes to format again.
 """
 
 from __future__ import annotations
@@ -16,9 +19,14 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .geometry import Point2, signed_area, triangle_geometry
 from .quality import QualityConfig, q2_bucket, q2_shape, size_radius
+
+if TYPE_CHECKING:
+    from .meshio import FileText
+    from .svgout import SvgText
 
 
 class MeshError(Exception):
@@ -172,6 +180,10 @@ class Mesh:
         default=None, init=False, compare=False, repr=False)
     _moved: set[int] = field(
         default_factory=set, init=False, compare=False, repr=False)
+    _file_text: FileText | None = field(
+        default=None, init=False, compare=False, repr=False)
+    _svg_text: SvgText | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def position(self, node_id: int) -> Point2:
         return self.nodes[node_id].position
@@ -206,6 +218,21 @@ class Mesh:
             tuple((c.chain_id, c.node_ids, c.closed) for c in self.chains),
             tuple((n.mobility, n.chain_id) for n in self.nodes),
         )
+
+
+def moved_nodes(seen: list[Point2 | None], nodes: list[Node]) -> list[int]:
+    """Ids of the nodes whose position is not the object in ``seen``.
+
+    ``seen`` holds one position per node, as some output last formatted
+    it, and is brought up to date. ``Point2`` is frozen, so the same object
+    means the same coordinates; this also sees a direct write to
+    ``Node.position``, which ``set_position`` bookkeeping would miss.
+    """
+    moved = [nid for nid, (p, node) in enumerate(zip(seen, nodes))
+             if node.position is not p]
+    for nid in moved:
+        seen[nid] = nodes[nid].position
+    return moved
 
 
 def build_topology(

@@ -16,6 +16,16 @@ re-reading a mesh reproduces the exact same doubles. Reading validates
 the mesh (orientation, manifoldness, mobility consistency, balls that
 wind once) and reports the offending file line where one can be
 attributed.
+
+Writing keeps the formatted text on the mesh (``Mesh._file_text``): one
+line per node, and the whole triangles section, which never changes
+because connectivity is immutable. Each later write formats again only
+the lines of nodes whose position object changed since the previous
+write (``moved_nodes``), so a mesh checkpointed after every rezoning
+round pays for the nodes that moved. A node's mobility and chain id are
+fixed once the topology is built, so its line changes only with its
+position. The rref section is formatted on every write, since
+``Mesh.rref`` is a plain dict that callers may edit.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .mesh import (
     TangledBallError,
     Triangle,
     build_topology,
+    moved_nodes,
 )
 
 HEADER = "osmot-mesh v1"
@@ -186,24 +197,53 @@ def read_mesh(path: str) -> Mesh:
         return parse_mesh_text(fh.read())
 
 
+class FileText:
+    """The formatted node lines and triangles section of one mesh."""
+
+    __slots__ = ("positions", "node_lines", "triangles")
+
+    def __init__(self, mesh: Mesh) -> None:
+        n = len(mesh.nodes)
+        self.positions: list[Point2 | None] = [None] * n
+        self.node_lines = [""] * n
+        self.triangles = f"triangles {len(mesh.triangles)}\n" + "".join(
+            f"{tri.id} {tri.nodes[0]} {tri.nodes[1]} {tri.nodes[2]}\n"
+            for tri in mesh.triangles)
+
+
+def _node_line(node: Node) -> str:
+    if node.mobility is Mobility.BOUNDARY:
+        mob = f"B{node.chain_id}"
+    else:
+        mob = node.mobility.value
+    return f"{node.id} {node.position.x:.17g} {node.position.y:.17g} {mob}\n"
+
+
+def _mesh_sections(mesh: Mesh) -> tuple[str, str, str, str]:
+    """The file in four consecutive pieces: header, node lines, triangles
+    section and rref section."""
+    text = mesh._file_text
+    if text is None:
+        text = mesh._file_text = FileText(mesh)
+    nodes = mesh.nodes
+    lines = text.node_lines
+    for nid in moved_nodes(text.positions, nodes):
+        lines[nid] = _node_line(nodes[nid])
+    rref = mesh.rref
+    rref_section = ""
+    if rref:
+        rref_section = f"rref {len(rref)}\n" + "".join(
+            f"{tid} {rref[tid]:.17g}\n" for tid in sorted(rref))
+    return (f"{HEADER}\nnodes {len(nodes)}\n", "".join(lines),
+            text.triangles, rref_section)
+
+
 def mesh_to_text(mesh: Mesh) -> str:
-    out = [HEADER, f"nodes {len(mesh.nodes)}"]
-    for node in mesh.nodes:
-        if node.mobility is Mobility.BOUNDARY:
-            mob = f"B{node.chain_id}"
-        else:
-            mob = node.mobility.value
-        out.append(f"{node.id} {node.position.x:.17g} {node.position.y:.17g} {mob}")
-    out.append(f"triangles {len(mesh.triangles)}")
-    for tri in mesh.triangles:
-        out.append(f"{tri.id} {tri.nodes[0]} {tri.nodes[1]} {tri.nodes[2]}")
-    if mesh.rref:
-        out.append(f"rref {len(mesh.rref)}")
-        for tid in sorted(mesh.rref):
-            out.append(f"{tid} {mesh.rref[tid]:.17g}")
-    return "\n".join(out) + "\n"
+    return "".join(_mesh_sections(mesh))
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:
+    # one write per section, so that no whole-file string is built
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(mesh_to_text(mesh))
+        for section in _mesh_sections(mesh):
+            fh.write(section)

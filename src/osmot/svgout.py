@@ -2,20 +2,46 @@
 
 The Q2 colouring reads each triangle's radius ratio from the mesh's
 per-triangle quality table (``Mesh.quality_table``), which re-evaluates
-only the triangles whose nodes moved since its last read. Each node's
-coordinates and the common stroke attributes are formatted once.
+only the triangles whose nodes moved since its last read.
+
+Rendering keeps its text on the mesh (``Mesh._svg_text``): the ``.6g``
+coordinates of every node, and each triangle's polygon element up to its
+stroke attributes. The stroke width and the viewBox follow the bounding
+box, so they are formatted on every render and never cached inside a
+polygon. A later render formats again the coordinates of the nodes whose
+position object changed (``moved_nodes``) and the polygons of the
+triangles around them (``QualityTable.incident``), plus, under Q2
+colouring, the polygons whose radius ratio in the table changed. A
+render in the other colouring formats every polygon again.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
+from itertools import compress, count
+from operator import ne
 
-from .mesh import Mesh
+from .geometry import Point2
+from .mesh import Mesh, moved_nodes
 
 
 class ColorBy(enum.Enum):
     Q2 = "q2"
     NONE = "none"
+
+
+class SvgText:
+    """The formatted node coordinates and polygons of one mesh."""
+
+    __slots__ = ("positions", "coords", "polygons", "color_by", "q2")
+
+    def __init__(self, mesh: Mesh) -> None:
+        self.positions: list[Point2 | None] = [None] * len(mesh.nodes)
+        self.coords = [""] * len(mesh.nodes)
+        self.polygons = [""] * len(mesh.triangles)
+        self.color_by: ColorBy | None = None  # colouring of the polygons
+        self.q2 = array("d")  # the radius ratios they were coloured by
 
 
 def _fill(q2: float) -> str:
@@ -26,11 +52,58 @@ def _fill(q2: float) -> str:
     return f"rgb({red},{green},0)"
 
 
-def mesh_to_svg(mesh: Mesh, color_by: ColorBy = ColorBy.Q2) -> str:
-    xs = [n.position.x for n in mesh.nodes]
-    ys = [n.position.y for n in mesh.nodes]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+def _update(mesh: Mesh, color_by: ColorBy) -> SvgText:
+    """Bring the mesh's cached coordinates and polygons up to date."""
+    text = mesh._svg_text
+    if text is None:
+        text = mesh._svg_text = SvgText(mesh)
+    nodes, triangles = mesh.nodes, mesh.triangles
+    coords = text.coords
+    moved = moved_nodes(text.positions, nodes)
+    for nid in moved:
+        p = nodes[nid].position
+        coords[nid] = f"{p.x:.6g},{-p.y:.6g}"
+
+    q2s = mesh.quality_table().q2 if color_by is ColorBy.Q2 else None
+    if text.color_by is not color_by:
+        dirty = range(len(triangles))
+        text.color_by = color_by
+    else:
+        dirty = set()
+        if moved:
+            incident = mesh.quality_table().incident
+            for nid in moved:
+                dirty.update(incident[nid])
+        if q2s is not None:
+            # a radius ratio can change where no position object did: the
+            # table catches up with a direct Node.position write when a
+            # later set_position names that node
+            dirty.update(compress(count(), map(ne, text.q2, q2s)))
+    if q2s is not None:
+        text.q2 = array("d", q2s)
+
+    polygons = text.polygons
+    for tid in dirty:
+        n0, n1, n2 = triangles[tid].nodes
+        fill = "white" if q2s is None else _fill(q2s[tid])
+        polygons[tid] = (f'<polygon points="{coords[n0]} {coords[n1]} '
+                         f'{coords[n2]}" fill="{fill}"')
+    return text
+
+
+def _svg_sections(mesh: Mesh, color_by: ColorBy) -> tuple[str, str, str]:
+    """The document in three consecutive pieces: the header, the polygons
+    joined by their common stroke attributes, and the footer, which ends
+    the last polygon."""
+    text = _update(mesh, color_by)
+    if text.positions:
+        xs = [p.x for p in text.positions]
+        ys = [p.y for p in text.positions]
+        xmin, xmax = min(xs), max(xs)
+        ymin, ymax = min(ys), max(ys)
+    else:
+        # nothing to frame: show the unit square
+        xmin, xmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
     width = xmax - xmin
     height = ymax - ymin
     margin = 0.05 * max(width, height, 1e-30)
@@ -39,23 +112,23 @@ def mesh_to_svg(mesh: Mesh, color_by: ColorBy = ColorBy.Q2) -> str:
     # flip y so the picture matches the mathematical orientation
     view = (f"{xmin - margin:.6g} {-(ymax + margin):.6g} "
             f"{width + 2 * margin:.6g} {height + 2 * margin:.6g}")
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    header = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" '
-        f'width="800" height="{800 * (height + 2 * margin) / max(width + 2 * margin, 1e-30):.6g}">',
-    ]
-    coords = [f"{n.position.x:.6g},{-n.position.y:.6g}" for n in mesh.nodes]
-    q2s = mesh.quality_table().q2 if color_by is ColorBy.Q2 else None
-    stroke_attrs = f'stroke="black" stroke-width="{stroke:.6g}"'
-    for tid, tri in enumerate(mesh.triangles):
-        fill = "white" if q2s is None else _fill(q2s[tid])
-        n0, n1, n2 = tri.nodes
-        out.append(f'<polygon points="{coords[n0]} {coords[n1]} {coords[n2]}" '
-                   f'fill="{fill}" {stroke_attrs}/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        f'width="800" height="{800 * (height + 2 * margin) / max(width + 2 * margin, 1e-30):.6g}">\n')
+    end = f' stroke="black" stroke-width="{stroke:.6g}"/>\n'
+    footer = "</svg>\n"
+    if text.polygons:
+        footer = end + footer
+    return header, end.join(text.polygons), footer
+
+
+def mesh_to_svg(mesh: Mesh, color_by: ColorBy = ColorBy.Q2) -> str:
+    return "".join(_svg_sections(mesh, color_by))
 
 
 def render_svg(mesh: Mesh, path: str, color_by: ColorBy = ColorBy.Q2) -> None:
+    # one write per section, so that no whole-document string is built
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(mesh_to_svg(mesh, color_by))
+        for section in _svg_sections(mesh, color_by):
+            fh.write(section)

@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import pytest
 
 from osmot.cli import _build_parser, main
@@ -89,6 +91,19 @@ def test_svg_snapshots(tmp_path):
     names = sorted(p.name for p in svg_dir.iterdir())
     assert names == ["loop0000.svg", "loop0002.svg", "loop0004.svg"]
 
+
+def test_empty_mesh_svg_snapshot(tmp_path):
+    mesh = tmp_path / "empty.mesh"
+    out = tmp_path / "out.mesh"
+    svg_dir = tmp_path / "svgs"
+    mesh.write_text("osmot-mesh v1\nnodes 0\ntriangles 0\n")
+    assert run(["smooth", "--input", str(mesh), "--output", str(out),
+                "--svg-every", "1", "--svg-dir", str(svg_dir)]) == 0
+    assert out.read_text() == mesh.read_text()
+    snapshot = ElementTree.parse(svg_dir / "loop0000.svg").getroot()
+    assert snapshot.tag == "{http://www.w3.org/2000/svg}svg"
+    assert snapshot.get("viewBox") == "-0.05 -1.05 1.1 1.1"
+    assert len(snapshot) == 0
 
 def test_custom_tolerances_accepted(tmp_path):
     mesh = tmp_path / "patch.mesh"

@@ -11,6 +11,11 @@ import hashlib
 import pytest
 
 from osmot.cli import main
+from osmot.driver import SmootherConfig, smooth
+from osmot.fixtures import FixtureKind, generate_fixture
+from osmot.geometry import Point2
+from osmot.meshio import write_mesh
+from osmot.svgout import ColorBy, render_svg
 
 CASES = {
     "patch32-10-loops": (
@@ -106,3 +111,32 @@ def test_per_element_rref_bytes(tmp_path):
                  "--report", str(csv), "--beta", "2", "--gamma", "2",
                  "--rref", "0.25"]) == 0
     assert (sha256(out), sha256(csv)) == (RREF_MESH_SHA, RREF_CSV_SHA)
+
+
+# indentedbox with its movable chain, driven as a rezoning run through the
+# library: each round pushes the three top nodes over the notch down with
+# set_position, smooths, renders an SVG and writes a checkpoint of the same
+# Mesh object, so every output after the first is of a mesh in which only
+# some nodes moved since it was last written.
+REZONE_DIE_IDS = (39, 40, 41)
+REZONE_SHA = {
+    "round1.svg": "f6ca4988ca34ea53926b56420afe0a0e93c73274dc9e2795ff85be4471f1ec70",
+    "round1.mesh": "2d515288d8e480af964f1f1c974ab6a59e18ff8ea8dfca82c4cfbf960012796f",
+    "round2.svg": "0da832dbf7b97ce53bdf05c91331063fbb3da8852dca573015509fc1eb952459",
+    "round2.mesh": "2d83c37eb13f1b1443476189e84d5982888669d78935e7218a11b0730605f146",
+    "round3.svg": "9e3b15586c46b979657e4da7e018962fb1ef5be3cf43a0d0078af32e3491da13",
+    "round3.mesh": "3cb7ae90ac351beac7f02d67ba98c3a5b82937e11ca1ab9f2e4425aeb6e0ca77",
+}
+
+
+def test_rezone_rounds_write_the_same_mesh_bytes(tmp_path):
+    mesh = generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.6)
+    for rnd in range(1, 4):
+        for nid in REZONE_DIE_IDS:
+            p = mesh.position(nid)
+            mesh.set_position(nid, Point2(p.x, p.y - 0.05))
+        smooth(mesh, SmootherConfig(i_max=3))
+        render_svg(mesh, str(tmp_path / f"round{rnd}.svg"), ColorBy.Q2)
+        write_mesh(mesh, str(tmp_path / f"round{rnd}.mesh"))
+    written = {p.name: sha256(p) for p in sorted(tmp_path.iterdir())}
+    assert written == REZONE_SHA
