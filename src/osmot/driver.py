@@ -14,11 +14,12 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
+from typing import get_args
 
 from .boundary import BoundaryTriple, CoincidentNeighborsError, smooth_boundary_node
 from .geometry import Point2
 from .mesh import Mesh, Mobility, boundary_neighbors, flag_nodes
-from .newton import DegenerateStartError, NewtonConfig, optimize_ball
+from .newton import DegenerateStartError, NewtonConfig, StopReason, optimize_ball
 from .objective import ObjectiveParams
 from .quality import QualityConfig
 from .report import QualityReport, quality_report
@@ -52,6 +53,8 @@ class RunReport:
     wall_time: float
     loops_run: int
     early_exit_loop: int | None  # loop after which nothing moved, if any
+    # Newton solves per stop reason, every StopReason in declaration order
+    stop_reasons: dict[str, int]
 
 
 def laplacian_baseline_step(mesh: Mesh, node_id: int) -> Point2:
@@ -97,6 +100,7 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     relocations = 0
     loops_run = 0
     early_exit_loop: int | None = None
+    stop_reasons = dict.fromkeys(get_args(StopReason), 0)
 
     for loop in range(1, cfg.i_max + 1):
         if cfg.reflag_each_loop:
@@ -125,11 +129,12 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
             old = mesh.position(nid)
             if cfg.smoother_kind is SmootherKind.OSMOT:
                 try:
-                    new_pos, _trace = optimize_ball(
+                    new_pos, trace = optimize_ball(
                         mesh, mesh.balls[nid], cfg.objective, cfg.newton)
                 except DegenerateStartError:
                     skipped.append((nid, "degenerate-start"))
                     continue
+                stop_reasons[trace.stop_reason] += 1
             else:
                 new_pos = laplacian_baseline_step(mesh, nid)
             if new_pos != old:
@@ -153,4 +158,5 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
         wall_time=time.perf_counter() - t0,
         loops_run=loops_run,
         early_exit_loop=early_exit_loop,
+        stop_reasons=stop_reasons,
     )

@@ -19,6 +19,17 @@ looked up as this module's ``ball_grad_hess`` and ``ball_objective`` and
 called with four positional arguments, so a caller can wrap them to
 count calls and elements.
 
+Before a trial is evaluated, the solve ends as ``stalled`` once the
+decrease Armijo asks of it, 0.5 lambda |grad.d|, is at most
+``STALL_ULPS`` (4) ulps of the iterate's value w. This is the
+Newton-decrement stop of Boyd & Vandenberghe, *Convex Optimization*
+section 9.5: both values that Armijo compares are rounded, so a decrease
+of a few ulps can be neither met reliably nor told apart from rounding
+error, and each bisection asks for half as much again. The returned
+iterate is still the last accepted one, so the ball objective is never
+above its starting value, and ``converged`` still means the gradient norm
+fell below eps.
+
 A trial point that rounds back onto the iterate (x + lambda d == x in
 both coordinates) ends the solve before its objective is evaluated: the
 step size only shrinks and fl(x + t d) is monotone in t, so every later
@@ -27,10 +38,12 @@ value equals the iterate's (the value paths agree bit for bit) while
 lambda grad.d < 0. Neither the iterate nor its derivatives can change
 again, so the returned position, ``converged`` and ``final_grad_norm``
 are those the loop would reach without this exit; only the trace is
-shorter.
+shorter. With the ``stalled`` test first, this exit is reached only when
+the coordinates are large next to the ball.
 
 Each solve records why it stopped (``LocalStepTrace.stop_reason``):
-``converged`` (gradient norm below eps), ``rounded`` (the trial step
+``converged`` (gradient norm below eps), ``stalled`` (the predicted
+decrease is below what w can resolve), ``rounded`` (the trial step
 rounds back onto the iterate), ``step_floor`` (the step size fell below
 lambda_min) or ``j_max`` (the iteration cap: j_max + 1 Armijo trials).
 """
@@ -74,7 +87,11 @@ class NewtonConfig:
     the inner iterations: a solve runs at most j_max + 1 of them, each one
     Armijo trial, and stops as ``j_max`` after the last. lambda_min floors
     the bisected step size. On hitting either bound the current (best)
-    iterate is returned.
+    iterate is returned. A solve also stops, as ``stalled``, before a
+    trial whose predicted decrease 0.5 lambda |grad.d| is at most
+    ``STALL_ULPS`` ulps of the ball objective: that decrease is below the
+    rounding error of the values Armijo compares, so the trial could not
+    be told from noise. The threshold is a fixed constant, not a field.
     """
 
     eps: float = 1e-8
@@ -101,7 +118,11 @@ class IterationRecord(NamedTuple):
     steepest: bool
 
 
-StopReason = Literal["converged", "rounded", "step_floor", "j_max"]
+StopReason = Literal["converged", "stalled", "rounded", "step_floor", "j_max"]
+
+# a trial whose predicted decrease 0.5 lambda |grad.d| is at most this many
+# ulps of the iterate's value is not evaluated: the solve ends as stalled
+STALL_ULPS = 4.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +206,9 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
             dx, dy, steepest = descent_direction(gh, cfg)
             grad_dot_d = gh.gx * dx + gh.gy * dy
             new_iterate = False
+        if 0.5 * lam * -grad_dot_d <= STALL_ULPS * math.ulp(gh.value):
+            stop_reason = "stalled"
+            break
         tx = px + lam * dx
         ty = py + lam * dy
         if tx == px and ty == py:

@@ -1,5 +1,8 @@
+from typing import get_args
+
 import pytest
 
+import osmot.driver
 from conftest import regular_hexagon_mesh, synthetic_single_ball
 from osmot.driver import (
     SmootherConfig,
@@ -10,6 +13,7 @@ from osmot.driver import (
 from osmot.fixtures import FixtureKind, freeze_boundary, generate_fixture
 from osmot.geometry import Point2, signed_area
 from osmot.mesh import Mobility
+from osmot.newton import StopReason
 
 
 def positions(mesh):
@@ -193,3 +197,28 @@ def test_on_loop_callback_sees_every_recorded_loop():
     result = smooth(mesh, SmootherConfig(i_max=4, early_exit=False),
                     on_loop=lambda loop, m: seen.append(loop))
     assert seen == [r.loop for r in result.reports] == [0, 1, 2, 3, 4]
+
+
+def test_stop_reasons_count_every_newton_solve(monkeypatch):
+    solves = []
+    solve = osmot.driver.optimize_ball
+
+    def counted(*args):
+        solves.append(args[1].vertex)
+        return solve(*args)
+
+    monkeypatch.setattr(osmot.driver, "optimize_ball", counted)
+    mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
+    result = smooth(mesh, SmootherConfig(i_max=3))
+    # every reason is a key, in the order StopReason declares them
+    assert list(result.stop_reasons) == list(get_args(StopReason))
+    assert sum(result.stop_reasons.values()) == len(solves) > 0
+    assert not result.skipped
+
+
+def test_laplacian_run_counts_no_newton_solve():
+    mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
+    result = smooth(mesh, SmootherConfig(
+        i_max=2, smoother_kind=SmootherKind.LAPLACIAN))
+    assert result.relocations > 0
+    assert set(result.stop_reasons.values()) == {0}

@@ -21,20 +21,20 @@ CASES = {
     "patch32-10-loops": (
         ["--kind", "patch32", "--seed", "1", "--distortion", "0.45"],
         ["--max-loops", "10"],
-        "b3868fe60bab51b778a4768233ef6500557269c0fef20042ebec8466d180291a",
-        "093964ed85a1beb3323f087e11edcd5a7c0ae644ba9fe250ec165746265828c3",
+        "822dad6c5e88a9f9d2d36363e0655e4bfeae9606e439d31f7b501cd59e254b24",
+        "ec2c7f102a9ebf2e86d8130704586457c8e2918b89bcf0e9d27f9f04fea7fa7f",
     ),
     "indentedbox-movable-chain": (
         ["--kind", "indentedbox", "--distortion", "0.6"],
         [],
-        "193014b8deb0d47dc7afe76c7bb3c5c752f3bed518d1cece5cf6f83043b160cb",
-        "e0b47c443b32411008b3adbc6bb299f3518ab8d4b17c74a8ef79fa32ab7702c4",
+        "ed4d9d9eccc2b671a7c68d8b86c7be90970d12e3d8c5d664d1a4e6d9e4f10643",
+        "b4d39562597681e5be61c3533c46ddae33255d20d55e475be46fc76c9366e700",
     ),
     "patch32-beta2-gamma2": (
         ["--kind", "patch32", "--seed", "1", "--distortion", "0.45"],
         ["--beta", "2", "--gamma", "2"],
-        "2956802f7f0b30fd564f8543b952c59b082be695a4c641c5ccf79d52d09ab65a",
-        "0405305dcac9d60966d568b35f2fb5a476114e3e634d4bf7035b98d6f16190bd",
+        "f1897215ae19db0302dea58e90492a75fe369393e229f84f289379acc5bdaf9b",
+        "29a398ef3bfb9b9200301dc5a2177c50c89d5b716217f740439f02fdd0255c44",
     ),
 }
 
@@ -58,8 +58,8 @@ def test_smooth_output_bytes(tmp_path, case):
 # indentedbox with its movable chain, reflagged every loop, with an SVG
 # snapshot after every loop: the report, flagging and SVG colouring all
 # read per-triangle quality after the nodes of a few triangles moved.
-REFLAG_SVG_MESH_SHA = "ed636a6d4eea4cdd02521f569d3100c04fcae9cb2a4fb576cdcd624a6f287911"
-REFLAG_SVG_CSV_SHA = "fc6aec6153c18844ca8a67a8ecd3173fcbfa83ac7e42d1b59470d55b2e094f93"
+REFLAG_SVG_MESH_SHA = "8b09829d8a796617229bbc169dc01592c86b84eed237a357a71395b6a67d491a"
+REFLAG_SVG_CSV_SHA = "e72509745489b08e4bf2c87f23af200e34ef51e73543a3be9735dcb190de6ea0"
 REFLAG_SVG_SNAPSHOT_SHA = {
     "loop0000.svg": "4e58b7c9f7903f87d4ce44d7c5f90854056021426c33c98e1e99a3147ed01e77",
     "loop0001.svg": "d632ee71957d772f165791beee9d80ac17c8d725b6c0a841596ec63801d556b2",
@@ -93,8 +93,8 @@ def test_reflag_svg_every_loop_bytes(tmp_path):
 # patch32 with an rref section that overrides r_ref on every other
 # triangle, beta = gamma = 2: the per-element reference radii reach the
 # objective of every ball and the report's minQ1.
-RREF_MESH_SHA = "5b67c584fd8cff6f97c8646ccca83a42738d6bc78063bc349d9f960097541106"
-RREF_CSV_SHA = "470368678ab6c7fb183b0ec0c5da6711ac6b96fd4fad758bf27b46e750dd66a7"
+RREF_MESH_SHA = "3514e52f5c52920468b668a0336a6e74ecc1c75e6e6a43c881eda0de26093056"
+RREF_CSV_SHA = "37a678265dc09a5d12d4ef10c84f839b3260cc99141fd5f5d6d2770e58ca99d2"
 
 
 def test_per_element_rref_bytes(tmp_path):
@@ -121,11 +121,11 @@ def test_per_element_rref_bytes(tmp_path):
 REZONE_DIE_IDS = (39, 40, 41)
 REZONE_SHA = {
     "round1.svg": "f6ca4988ca34ea53926b56420afe0a0e93c73274dc9e2795ff85be4471f1ec70",
-    "round1.mesh": "2d515288d8e480af964f1f1c974ab6a59e18ff8ea8dfca82c4cfbf960012796f",
+    "round1.mesh": "8c94b5aef18b7003a3fbea2b88dc59ff8d608c256460115356bee02c274116c1",
     "round2.svg": "0da832dbf7b97ce53bdf05c91331063fbb3da8852dca573015509fc1eb952459",
-    "round2.mesh": "2d83c37eb13f1b1443476189e84d5982888669d78935e7218a11b0730605f146",
-    "round3.svg": "9e3b15586c46b979657e4da7e018962fb1ef5be3cf43a0d0078af32e3491da13",
-    "round3.mesh": "3cb7ae90ac351beac7f02d67ba98c3a5b82937e11ca1ab9f2e4425aeb6e0ca77",
+    "round2.mesh": "3ef52fc3615e81861b42c284915569bab491047fcef1050b4358f1a88ea87a8e",
+    "round3.svg": "e27756179afae803a8e35df8569007ea2ddb11e57951a0e1c2b1301656319e89",
+    "round3.mesh": "2c5a0f54771901b2eb96a2475e3a3139568350cad7e1edc7282fa4fe780619f6",
 }
 
 

@@ -266,9 +266,10 @@ def test_config_validation():
 
 
 def _reference_optimize_ball(mesh, ball, params, cfg):
-    """The local solve without the rounded-trial exit: every trial point,
-    also one that rounds back onto the iterate, is scored by
-    ball_objective. Returns (position, converged, final_grad_norm)."""
+    """The local solve without the rounded-trial exit: every trial point
+    the stalled test lets through, also one that rounds back onto the
+    iterate, is scored by ball_objective. Returns (position, converged,
+    final_grad_norm)."""
     x = mesh.position(ball.vertex)
     gh = ball_grad_hess(mesh, ball, x, params)
     lam = 1.0
@@ -280,6 +281,8 @@ def _reference_optimize_ball(mesh, ball, params, cfg):
             break
         dx, dy, _steepest = descent_direction(gh, cfg)
         grad_dot_d = gh.gx * dx + gh.gy * dy
+        if 0.5 * lam * -grad_dot_d <= 4.0 * math.ulp(gh.value):
+            break
         trial = Point2(x.x + lam * dx, x.y + lam * dy)
         w_new = ball_objective(mesh, ball, trial, params)
         steps += 1
@@ -350,6 +353,10 @@ def test_rounded_exit_matches_reference_loop():
     for nid in sorted(mesh.balls):
         pos = _assert_same_as_reference(mesh, mesh.balls[nid], reasons)
         mesh.set_position(nid, pos)
+    # coordinates large next to the ball: trials round before they stall
+    for center in (Point2(0.05, 0.02), Point2(0.31, -0.17)):
+        mesh = _shifted_hexagon(center, ROUNDING_SHIFT)
+        _assert_same_as_reference(mesh, mesh.balls[0], reasons)
     assert "rounded" in reasons and "converged" in reasons
 
 
@@ -381,7 +388,61 @@ def test_objective_never_evaluated_at_the_iterate(monkeypatch):
         pos, trace = optimize_ball(mesh, mesh.balls[nid], PARAMS, CFG)
         rounded += trace.stop_reason == "rounded"
         mesh.set_position(nid, pos)
+    mesh = _shifted_hexagon(Point2(0.05, 0.02), ROUNDING_SHIFT)
+    _pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
+    rounded += trace.stop_reason == "rounded"
     assert rounded > 0 and trials
+
+
+def _check_stalled_rule(mesh, ball, reasons):
+    start_w = ball_objective(mesh, ball, mesh.position(ball.vertex), PARAMS)
+    pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+    # no scored trial asked for a decrease that w cannot resolve, so no
+    # solve bisected on to the floor or the cap past such a trial
+    for s in trace.steps:
+        assert 0.5 * s.step_size * -s.grad_dot_dir > 4.0 * math.ulp(s.value)
+    if trace.stop_reason == "stalled":
+        _lam, _dx, _dy, predicted, w = _untried_trial(mesh, ball, pos, trace,
+                                                      CFG)
+        assert predicted <= 4.0 * math.ulp(w)
+    assert ball_objective(mesh, ball, pos, PARAMS) <= start_w
+    reasons.append(trace.stop_reason)
+    return pos
+
+
+def test_stalled_stop_rule():
+    # a solve ends as stalled before the first trial whose predicted
+    # decrease 0.5 lambda |grad.d| is at most 4 ulps of w, and only there
+    reasons = []
+    rng = random.Random(99)
+    for _ in range(60):
+        mesh = random_ball_mesh(rng)
+        _check_stalled_rule(mesh, mesh.balls[0], reasons)
+    mesh = _jittered_lattice_mesh(random.Random(64))
+    for nid in sorted(mesh.balls):
+        mesh.set_position(nid, _check_stalled_rule(mesh, mesh.balls[nid],
+                                                   reasons))
+    assert "stalled" in reasons
+
+
+def _untried_trial(mesh, ball, pos, trace, cfg):
+    """Step size, direction, predicted decrease 0.5 lambda |grad.d| and
+    iterate value w of the trial that a solve ending at pos with this
+    trace would have scored next."""
+    lam = 1.0
+    if trace.steps:
+        last = trace.steps[-1]
+        lam = last.step_size if last.accepted else 0.5 * last.step_size
+    gh_end = ball_grad_hess(mesh, ball, pos, PARAMS)
+    dx, dy, _ = descent_direction(gh_end, cfg)
+    predicted = 0.5 * lam * -(gh_end.gx * dx + gh_end.gy * dy)
+    return lam, dx, dy, predicted, gh_end.value
+
+
+# near (2**44, 2**44) an ulp of a coordinate is 2**-8, so a step near the
+# minimiser rounds onto the iterate while its predicted decrease is still
+# above 4 ulps of w
+ROUNDING_SHIFT = 2.0 ** 44
 
 
 def _shifted_hexagon(center: Point2, shift: float):
@@ -396,16 +457,26 @@ def _shifted_hexagon(center: Point2, shift: float):
 @pytest.mark.parametrize("cfg,center,shift,reason,iterations", [
     # the gradient at the symmetric centre is below eps from the start
     (CFG, Point2(0.0, 0.0), 0.0, "converged", 0),
-    # eps out of reach: near (100, 100) the steps shrink below half an ulp
-    # of the coordinates and the trial rounds back onto the iterate ...
-    (NewtonConfig(eps=1e-300), Point2(0.05, 0.02), 100.0, "rounded", 23),
-    # ... while near the origin they never round and bisection hits the floor
-    (NewtonConfig(eps=1e-300), Point2(0.05, 0.02), 0.0, "step_floor", 34),
-    # the first rejection halves the step below a floor of 1
-    (NewtonConfig(lambda_min=1.0), Point2(0.05, 0.02), 0.0, "step_floor", 3),
+    # two Newton steps leave a gradient above eps, but the next step would
+    # ask for a decrease of at most 4 ulps of the objective
+    (CFG, Point2(0.05, 0.02), 0.0, "stalled", 2),
+    # near (2**22, 2**22) the next trial would also round onto the iterate:
+    # the stalled test comes first
+    (CFG, Point2(0.31, -0.17), 2.0 ** 22, "stalled", 4),
+    # eps out of reach: near (2**44, 2**44) the first step is already below
+    # half an ulp of the coordinates and the trial rounds onto the iterate
+    (NewtonConfig(eps=1e-300), Point2(0.05, 0.02), ROUNDING_SHIFT,
+     "rounded", 1),
+    # eps out of reach, a start just below the top edge: every steepest
+    # step crosses the barrier, down to the default floor
+    (NewtonConfig(eps=1e-300), Point2(0.0, 0.85), 0.0, "step_floor", 31),
+    # five accepted steps, then the first rejection halves the step below
+    # a floor of 1
+    (NewtonConfig(lambda_min=1.0), Point2(0.6, 0.0), 0.0, "step_floor", 6),
     # j_max caps the loop at j_max + 1 iterations
     (NewtonConfig(j_max=1), Point2(0.05, 0.02), 0.0, "j_max", 2),
-], ids=["converged", "rounded", "step_floor-eps", "step_floor-lambda", "j_max"])
+], ids=["converged", "stalled", "stalled-rounding", "rounded",
+        "step_floor-eps", "step_floor-lambda", "j_max"])
 def test_stop_reason(cfg, center, shift, reason, iterations):
     mesh = _shifted_hexagon(center, shift)
     ball = mesh.balls[0]
@@ -418,12 +489,12 @@ def test_stop_reason(cfg, center, shift, reason, iterations):
         mesh, ball, PARAMS, cfg)
     assert (_bits(pos), trace.converged, trace.final_grad_norm) == (
         _bits(ref_pos), ref_converged, ref_grad_norm)
-    if reason == "rounded":
-        # the trial that ended the solve rounds onto the returned position
-        last = trace.steps[-1]
-        lam = last.step_size if last.accepted else 0.5 * last.step_size
-        gh_end = ball_grad_hess(mesh, ball, pos, PARAMS)
-        dx, dy, _ = descent_direction(gh_end, cfg)
-        assert (pos.x + lam * dx, pos.y + lam * dy) == (pos.x, pos.y)
+    if reason in ("stalled", "rounded"):
+        # the trial that ended the solve asked for at most 4 ulps of w when
+        # it stalled, and for more when it rounded onto the returned position
+        lam, dx, dy, predicted, w = _untried_trial(mesh, ball, pos, trace, cfg)
+        assert (predicted <= 4.0 * math.ulp(w)) == (reason == "stalled")
+        if reason == "rounded":
+            assert (pos.x + lam * dx, pos.y + lam * dy) == (pos.x, pos.y)
     assert ball_objective(mesh, ball, pos, PARAMS) <= ball_objective(
         mesh, ball, start, PARAMS)
