@@ -7,11 +7,12 @@ chains obtained by splitting the boundary at fixed nodes. Connectivity is
 immutable during smoothing; node positions are the only mutable state.
 
 Per-triangle quality lives in one ``QualityTable`` per mesh, built on
-first use and kept current by re-evaluating only the triangles around
-nodes moved through ``Mesh.set_position`` since the last read. The text
-of the last mesh-file write and SVG render is kept on the mesh as well
-(see ``meshio`` and ``svgout``); ``moved_nodes`` tells those caches which
-nodes to format again.
+first use. The text of the last mesh-file write and SVG render is kept on
+the mesh as well (see ``meshio`` and ``svgout``). Each of the three keeps
+the position objects it last saw, and ``moved_nodes`` tells it which
+nodes have a new one: the table then re-evaluates the triangles around
+them, and the caches format them again. Any write to ``Node.position``
+is seen.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING
 
 from .geometry import Point2, signed_area, triangle_geometry
@@ -124,12 +126,15 @@ class QualityTable:
     +inf where ``q1_size`` scores the triangle 0), so that r_ref / R is
     its size quality for any positive r_ref; ``inverted`` is 1 where the
     signed area is not positive. ``incident`` lists the triangles of
-    every node.
+    every node, and ``positions`` the position object of every node as
+    the values were last evaluated.
     """
 
-    __slots__ = ("q2", "bucket", "circumradius", "inverted", "incident")
+    __slots__ = ("positions", "q2", "bucket", "circumradius", "inverted",
+                 "incident")
 
     def __init__(self, mesh: Mesh) -> None:
+        self.positions: list[Point2 | None] = [n.position for n in mesh.nodes]
         n = len(mesh.triangles)
         self.q2 = array("d", [0.0]) * n
         self.bucket = bytearray(n)
@@ -142,11 +147,12 @@ class QualityTable:
             self._evaluate(mesh, tid, tri)
         self.incident = incident
 
-    def refresh(self, mesh: Mesh, moved: set[int]) -> None:
-        """Re-evaluate every triangle with a vertex in ``moved``."""
+    def refresh(self, mesh: Mesh) -> None:
+        """Re-evaluate every triangle around a node moved since the last
+        refresh."""
         incident = self.incident
         dirty: set[int] = set()
-        for nid in moved:
+        for nid in moved_nodes(self.positions, mesh.nodes):
             dirty.update(incident[nid])
         triangles = mesh.triangles
         for tid in dirty:
@@ -162,13 +168,7 @@ class QualityTable:
 
 @dataclass(slots=True)
 class Mesh:
-    """Nodes, triangles and the topology derived from them.
-
-    After ``build_topology`` node positions change only through
-    ``set_position``: it records the moved node so that the quality table
-    re-evaluates the triangles around it. A direct write to
-    ``Node.position`` would leave the table stale.
-    """
+    """Nodes, triangles and the topology derived from them."""
 
     nodes: list[Node]
     triangles: list[Triangle]
@@ -178,8 +178,6 @@ class Mesh:
     rref: dict[int, float] = field(default_factory=dict)
     _quality: QualityTable | None = field(
         default=None, init=False, compare=False, repr=False)
-    _moved: set[int] = field(
-        default_factory=set, init=False, compare=False, repr=False)
     _file_text: FileText | None = field(
         default=None, init=False, compare=False, repr=False)
     _svg_text: SvgText | None = field(
@@ -190,7 +188,6 @@ class Mesh:
 
     def set_position(self, node_id: int, p: Point2) -> None:
         self.nodes[node_id].position = p
-        self._moved.add(node_id)
 
     def quality_table(self) -> QualityTable:
         """The per-triangle quality at the current positions.
@@ -200,9 +197,8 @@ class Mesh:
         """
         if self._quality is None:
             self._quality = QualityTable(self)
-        elif self._moved:
-            self._quality.refresh(self, self._moved)
-        self._moved.clear()
+        else:
+            self._quality.refresh(self)
         return self._quality
 
     def triangle_points(self, tri: Triangle) -> tuple[Point2, Point2, Point2]:
@@ -223,12 +219,13 @@ class Mesh:
 def moved_nodes(seen: list[Point2 | None], nodes: list[Node]) -> list[int]:
     """Ids of the nodes whose position is not the object in ``seen``.
 
-    ``seen`` holds one position per node, as some output last formatted
-    it, and is brought up to date. ``Point2`` is frozen, so the same object
-    means the same coordinates; this also sees a direct write to
-    ``Node.position``, which ``set_position`` bookkeeping would miss.
+    ``seen`` holds one position per node, as a cache last read it, and is
+    brought up to date. ``Point2`` is frozen, so the same object means the
+    same coordinates, and every write to ``Node.position`` is seen.
     """
-    moved = [nid for nid, (p, node) in enumerate(zip(seen, nodes))
+    # Identity, never ==: Point2(0.0, y) == Point2(-0.0, y), yet .17g and
+    # .6g print the two as 0 and -0.
+    moved = [nid for nid, p, node in zip(count(), seen, nodes)
              if node.position is not p]
     for nid in moved:
         seen[nid] = nodes[nid].position

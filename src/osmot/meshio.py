@@ -21,8 +21,9 @@ Writing keeps the formatted text on the mesh (``Mesh._file_text``): one
 line per node, and the whole triangles section, which never changes
 because connectivity is immutable. Each later write formats again only
 the lines of nodes whose position object changed since the previous
-write (``moved_nodes``), so a mesh checkpointed after every rezoning
-round pays for the nodes that moved. A node's mobility and chain id are
+write (``moved_nodes``, the test the quality table and the SVG text use
+too), so a mesh checkpointed after every rezoning round pays for the
+nodes that moved. A node's mobility and chain id are
 fixed once the topology is built, so its line changes only with its
 position. The rref section is formatted on every write, since
 ``Mesh.rref`` is a plain dict that callers may edit.

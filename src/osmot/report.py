@@ -1,10 +1,12 @@
 """Per-loop mesh quality reporting.
 
 A report reads the mesh's per-triangle quality table (``Mesh.quality_table``),
-which re-evaluates only the triangles whose nodes moved since its last
-read, and folds the stored values in triangle order: q1 is formed here
-from each element's rref (else ``r_ref``) and the stored circumradius,
-so an edited ``mesh.rref`` or another ``r_ref`` never reads a stale value.
+which re-evaluates only the triangles around the nodes whose position
+object changed since its last read (``moved_nodes``), however the position
+was written. It folds the stored values in triangle order: q1 is formed
+here from each element's rref (else ``r_ref``) and the stored
+circumradius, so an edited ``mesh.rref`` or another ``r_ref`` never reads
+a stale value.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The Q2 colouring reads each triangle's radius ratio from the mesh's
 per-triangle quality table (``Mesh.quality_table``), which re-evaluates
-only the triangles whose nodes moved since its last read.
+only the triangles whose nodes moved since its last read. A triangle's
+radius ratio changes only with the position of one of its nodes.
 
 Rendering keeps its text on the mesh (``Mesh._svg_text``): the ``.6g``
 coordinates of every node, and each triangle's polygon element up to its
@@ -10,17 +11,13 @@ stroke attributes. The stroke width and the viewBox follow the bounding
 box, so they are formatted on every render and never cached inside a
 polygon. A later render formats again the coordinates of the nodes whose
 position object changed (``moved_nodes``) and the polygons of the
-triangles around them (``QualityTable.incident``), plus, under Q2
-colouring, the polygons whose radius ratio in the table changed. A
-render in the other colouring formats every polygon again.
+triangles around them (``QualityTable.incident``). A render in the other
+colouring formats every polygon again.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
-from itertools import compress, count
-from operator import ne
 
 from .geometry import Point2
 from .mesh import Mesh, moved_nodes
@@ -34,14 +31,13 @@ class ColorBy(enum.Enum):
 class SvgText:
     """The formatted node coordinates and polygons of one mesh."""
 
-    __slots__ = ("positions", "coords", "polygons", "color_by", "q2")
+    __slots__ = ("positions", "coords", "polygons", "color_by")
 
     def __init__(self, mesh: Mesh) -> None:
         self.positions: list[Point2 | None] = [None] * len(mesh.nodes)
         self.coords = [""] * len(mesh.nodes)
         self.polygons = [""] * len(mesh.triangles)
         self.color_by: ColorBy | None = None  # colouring of the polygons
-        self.q2 = array("d")  # the radius ratios they were coloured by
 
 
 def _fill(q2: float) -> str:
@@ -64,24 +60,18 @@ def _update(mesh: Mesh, color_by: ColorBy) -> SvgText:
         p = nodes[nid].position
         coords[nid] = f"{p.x:.6g},{-p.y:.6g}"
 
-    q2s = mesh.quality_table().q2 if color_by is ColorBy.Q2 else None
+    table = mesh.quality_table() if color_by is ColorBy.Q2 else None
     if text.color_by is not color_by:
         dirty = range(len(triangles))
         text.color_by = color_by
     else:
         dirty = set()
         if moved:
-            incident = mesh.quality_table().incident
+            incident = (table or mesh.quality_table()).incident
             for nid in moved:
                 dirty.update(incident[nid])
-        if q2s is not None:
-            # a radius ratio can change where no position object did: the
-            # table catches up with a direct Node.position write when a
-            # later set_position names that node
-            dirty.update(compress(count(), map(ne, text.q2, q2s)))
-    if q2s is not None:
-        text.q2 = array("d", q2s)
 
+    q2s = None if table is None else table.q2
     polygons = text.polygons
     for tid in dirty:
         n0, n1, n2 = triangles[tid].nodes

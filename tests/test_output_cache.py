@@ -5,7 +5,8 @@ the mesh was last written. Random sequences of ``set_position`` moves,
 direct ``Node.position`` writes and rref edits are interleaved with
 writes and renders in both colourings of one mesh. Every output must
 equal, byte for byte, the output of the reference formatters below,
-which format the whole mesh on every call.
+which format the whole mesh, and evaluate the radius ratio of every
+triangle, on every call.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from xml.etree import ElementTree
 from hypothesis import given, settings, strategies as st
 
 from osmot.fixtures import FixtureKind, generate_fixture
-from osmot.geometry import Point2
+from osmot.geometry import Point2, triangle_geometry
 from osmot.mesh import Mesh, Mobility, Node
 from osmot.meshio import HEADER, mesh_to_text, write_mesh
+from osmot.quality import q2_shape
 from osmot.svgout import ColorBy, _fill, mesh_to_svg, render_svg
 
 
@@ -56,10 +58,11 @@ def reference_svg(mesh: Mesh, color_by: ColorBy) -> str:
         f'width="800" height="{800 * (height + 2 * margin) / max(width + 2 * margin, 1e-30):.6g}">',
     ]
     coords = [f"{n.position.x:.6g},{-n.position.y:.6g}" for n in mesh.nodes]
-    q2s = mesh.quality_table().q2 if color_by is ColorBy.Q2 else None
     stroke_attrs = f'stroke="black" stroke-width="{stroke:.6g}"'
-    for tid, tri in enumerate(mesh.triangles):
-        fill = "white" if q2s is None else _fill(q2s[tid])
+    for tri in mesh.triangles:
+        fill = "white"
+        if color_by is ColorBy.Q2:
+            fill = _fill(q2_shape(triangle_geometry(*mesh.triangle_points(tri))))
         n0, n1, n2 = tri.nodes
         out.append(f'<polygon points="{coords[n0]} {coords[n1]} {coords[n2]}" '
                    f'fill="{fill}" {stroke_attrs}/>')
@@ -135,10 +138,9 @@ def test_outputs_match_the_reference_formatters(name, steps):
 
 
 def test_table_catching_up_recolours_the_polygon():
-    # A direct write leaves the quality table stale, and the render shows
-    # the stale colour, as a render without cached text would. Handing the
-    # node its own position through set_position refreshes the table while
-    # the position object stays the same: the colour must follow the table.
+    # The quality table sees a direct write at its next read, so the very
+    # next render recolours the polygons around the node. Handing the node
+    # its own position through set_position then changes nothing.
     mesh = MESHES["patch32"]()
     nid = next(iter(mesh.balls))
     mesh_to_svg(mesh, ColorBy.Q2)
@@ -146,6 +148,22 @@ def test_table_catching_up_recolours_the_polygon():
     assert mesh_to_svg(mesh, ColorBy.Q2) == reference_svg(mesh, ColorBy.Q2)
     mesh.set_position(nid, mesh.position(nid))
     assert mesh_to_svg(mesh, ColorBy.Q2) == reference_svg(mesh, ColorBy.Q2)
+
+
+def test_negative_zero_is_a_new_position():
+    # Point2(0.0, y) == Point2(-0.0, y), but .17g and .6g print 0 and -0:
+    # the caches must find moved nodes by identity, never by equality
+    mesh = MESHES["patch32"]()
+    checks = (("text",), ("svg", ColorBy.Q2), ("svg", ColorBy.NONE))
+    for step in checks:
+        check_output(mesh, step)
+    p = mesh.position(0)
+    assert p.x == 0.0 and str(p.x) == "0.0"
+    mesh.set_position(0, Point2(-0.0, p.y))
+    assert mesh.position(0) == p
+    for step in checks:
+        check_output(mesh, step)
+    assert " -0 " in mesh_to_text(mesh)
 
 
 def test_written_files_equal_the_returned_text(tmp_path):

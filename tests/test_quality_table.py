@@ -1,8 +1,9 @@
 """The per-triangle quality table never goes stale.
 
 Random sequences of node moves (jitters, inverting jumps, moves onto
-another node or onto the midpoint of two nodes, of internal, boundary and
-fixed nodes alike) and rref edits are interleaved with reads through
+another node or onto the midpoint of two nodes, direct ``Node.position``
+writes, of internal, boundary and fixed nodes alike) and rref edits are
+interleaved with reads through
 ``quality_report``, ``flag_nodes`` and ``mesh_to_svg``. Every read must
 give the same bits as the same read on a fresh copy of the mesh, which
 builds its table from scratch.
@@ -36,6 +37,7 @@ moves = st.one_of(
     st.tuples(st.just("jump"), index, offset, offset),  # often inverts
     st.tuples(st.just("onto"), index, index),  # coincident nodes
     st.tuples(st.just("midpoint"), index, index, index),  # collinear nodes
+    st.tuples(st.just("write"), index, offset, offset),  # not set_position
 )
 edits = st.one_of(
     st.tuples(st.just("rref"), index, st.floats(min_value=0.1, max_value=4.0)),
@@ -93,6 +95,11 @@ def apply(mesh: Mesh, step) -> None:
         scale = 0.05 if kind == "jitter" else 1.5
         p = mesh.position(i % n_nodes)
         mesh.set_position(i % n_nodes, Point2(p.x + scale * dx, p.y + scale * dy))
+    elif kind == "write":
+        i, dx, dy = args
+        node = mesh.nodes[i % n_nodes]
+        node.position = Point2(node.position.x + 0.05 * dx,
+                               node.position.y + 0.05 * dy)
     elif kind == "onto":
         i, j = args
         mesh.set_position(i % n_nodes, mesh.position(j % n_nodes))
@@ -141,10 +148,22 @@ def test_report_after_each_loop_sees_the_moves_of_that_loop():
         quality_report(fresh_copy(mesh), QualityConfig(), 1.0, 1))
 
 
+def test_direct_position_write_reaches_the_next_report():
+    mesh = MESHES["patch32"]()
+    quality_report(mesh, QualityConfig(), 1.0, 0)
+    nid = next(iter(mesh.balls))
+    p = mesh.position(nid)
+    mesh.nodes[nid].position = Point2(p.x + 0.1, p.y - 0.1)
+    assert bits(quality_report(mesh, QualityConfig(), 1.0, 1)) == bits(
+        quality_report(fresh_copy(mesh), QualityConfig(), 1.0, 1))
+
+
 def test_read_mesh_builds_no_table(tmp_path):
     path = tmp_path / "patch.mesh"
     write_mesh(MESHES["patch32"](), str(path))
     mesh = read_mesh(str(path))
+    mesh_to_text(mesh)
+    mesh_to_svg(mesh, ColorBy.NONE)  # a first render formats every polygon
     assert mesh._quality is None
     quality_report(mesh, QualityConfig(), 1.0, 0)
     assert mesh._quality is not None
