@@ -13,6 +13,11 @@ the position objects it last saw, and ``moved_nodes`` tells it which
 nodes have a new one: the table then re-evaluates the triangles around
 them, and the caches format them again. Any write to ``Node.position``
 is seen.
+
+The table also keeps, by deltas over the triangles it re-evaluates, the
+q2 histogram, the number of inverted triangles and the set of triangles
+below the last q_min asked, so ``flag_nodes`` and the report's integer
+outputs cost O(moved triangles).
 """
 
 from __future__ import annotations
@@ -21,12 +26,15 @@ import enum
 from array import array
 from dataclasses import dataclass, field
 from itertools import count
+from math import hypot, inf, nan
 from typing import TYPE_CHECKING
 
-from .geometry import Point2, signed_area, triangle_geometry
-from .quality import QualityConfig, q2_bucket, q2_shape, size_radius
+from .geometry import DEGENERATE_AREA_FACTOR, Point2, signed_area
+from .quality import HISTOGRAM_BUCKETS, QualityConfig
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .meshio import FileText
     from .svgout import SvgText
 
@@ -121,17 +129,24 @@ class BoundaryChain:
 class QualityTable:
     """Flat per-triangle quality values, indexed by triangle id.
 
-    ``q2`` is the radius ratio (``q2_shape``) and ``bucket`` its histogram
-    bucket (``q2_bucket``); ``circumradius`` is ``size_radius`` (R, or
-    +inf where ``q1_size`` scores the triangle 0), so that r_ref / R is
-    its size quality for any positive r_ref; ``inverted`` is 1 where the
-    signed area is not positive. ``incident`` lists the triangles of
-    every node, and ``positions`` the position object of every node as
-    the values were last evaluated.
+    ``q2`` is the radius ratio (``q2_shape``) and ``bucket`` its index
+    among ``HISTOGRAM_BUCKETS`` uniform buckets over [0, 1];
+    ``circumradius`` is ``size_radius`` (R, or +inf where ``q1_size``
+    scores the triangle 0), so that r_ref / R is its size quality for any
+    positive r_ref; ``inverted`` is 1 where the signed area is not
+    positive. ``incident`` lists the triangles of every node, and
+    ``positions`` the position object of every node as the values were
+    last evaluated.
+
+    ``histogram`` counts the triangles per bucket and ``n_inverted`` the
+    inverted ones. They, and the triangles below the last q_min asked of
+    ``below``, are kept by deltas: ``refresh`` takes each re-evaluated
+    triangle's old bucket, flag and membership out and puts the new ones
+    in.
     """
 
     __slots__ = ("positions", "q2", "bucket", "circumradius", "inverted",
-                 "incident")
+                 "incident", "histogram", "n_inverted", "_q_min", "_below")
 
     def __init__(self, mesh: Mesh) -> None:
         self.positions: list[Point2 | None] = [n.position for n in mesh.nodes]
@@ -140,12 +155,18 @@ class QualityTable:
         self.bucket = bytearray(n)
         self.circumradius = array("d", [0.0]) * n
         self.inverted = bytearray(n)
+        # every triangle starts in bucket 0, not inverted, and below no
+        # q_min (a comparison with NaN is false)
+        self.histogram = [n] + [0] * (HISTOGRAM_BUCKETS - 1)
+        self.n_inverted = 0
+        self._q_min = nan
+        self._below: set[int] = set()
         incident: list[list[int]] = [[] for _ in mesh.nodes]
         for tid, tri in enumerate(mesh.triangles):
             for nid in tri.nodes:
                 incident[nid].append(tid)
-            self._evaluate(mesh, tid, tri)
         self.incident = incident
+        self._evaluate(mesh, range(n))
 
     def refresh(self, mesh: Mesh) -> None:
         """Re-evaluate every triangle around a node moved since the last
@@ -154,16 +175,65 @@ class QualityTable:
         dirty: set[int] = set()
         for nid in moved_nodes(self.positions, mesh.nodes):
             dirty.update(incident[nid])
-        triangles = mesh.triangles
-        for tid in dirty:
-            self._evaluate(mesh, tid, triangles[tid])
+        if dirty:
+            self._evaluate(mesh, dirty)
 
-    def _evaluate(self, mesh: Mesh, tid: int, tri: Triangle) -> None:
-        geom = triangle_geometry(*mesh.triangle_points(tri))
-        q2 = self.q2[tid] = q2_shape(geom)
-        self.bucket[tid] = q2_bucket(q2)
-        self.circumradius[tid] = size_radius(geom)
-        self.inverted[tid] = geom.area_signed <= 0.0
+    def below(self, q_min: float) -> set[int]:
+        """Ids of the triangles whose q2 is below ``q_min``.
+
+        The set is kept up to date for the last ``q_min`` asked; another
+        one builds it again from ``q2``. Callers must not change it.
+        """
+        if q_min != self._q_min:
+            self._q_min = q_min
+            self._below = {tid for tid, q2 in enumerate(self.q2) if q2 < q_min}
+        return self._below
+
+    def _evaluate(self, mesh: Mesh, tids: Iterable[int]) -> None:
+        """Evaluate the triangles ``tids`` and move their counts.
+
+        The float operations are those of ``triangle_geometry``, then
+        ``q2_shape`` and ``size_radius``, in the same order, so the values
+        are the same bits without building a ``TriangleGeometry``.
+        """
+        nodes, triangles = mesh.nodes, mesh.triangles
+        q2s, buckets, radii, inverted = (
+            self.q2, self.bucket, self.circumradius, self.inverted)
+        histogram, below, q_min = self.histogram, self._below, self._q_min
+        n_inverted = self.n_inverted
+        top = HISTOGRAM_BUCKETS - 1
+        for tid in tids:
+            n0, n1, n2 = triangles[tid].nodes
+            p0, p1, p2 = nodes[n0].position, nodes[n1].position, nodes[n2].position
+            x0, y0, x1, y1, x2, y2 = p0.x, p0.y, p1.x, p1.y, p2.x, p2.y
+            a = hypot(x1 - x0, y1 - y0)
+            b = hypot(x2 - x1, y2 - y1)
+            c = hypot(x0 - x2, y0 - y2)
+            area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+            area_abs = abs(area)
+            m = max(a, b, c)
+            if area_abs <= DEGENERATE_AREA_FACTOR * m * m:
+                q2, big_r = 0.0, inf
+            else:
+                big_r = a * b * c / (4.0 * area_abs)
+                if big_r == 0.0:
+                    q2, big_r = 0.0, inf
+                else:
+                    q2 = 2.0 * (area_abs / (0.5 * (a + b + c))) / big_r
+            bucket = min(int(q2 * HISTOGRAM_BUCKETS), top)
+            histogram[buckets[tid]] -= 1
+            histogram[bucket] += 1
+            flag = area <= 0.0
+            n_inverted += flag - inverted[tid]
+            q2s[tid] = q2
+            buckets[tid] = bucket
+            radii[tid] = big_r
+            inverted[tid] = flag
+            if q2 < q_min:
+                below.add(tid)
+            else:
+                below.discard(tid)
+        self.n_inverted = n_inverted
 
 
 @dataclass(slots=True)
@@ -421,12 +491,10 @@ def flag_nodes(mesh: Mesh, cfg: QualityConfig) -> set[int]:
     The result includes nodes of any mobility; callers intersect with the
     internal node set before optimizing.
     """
-    q_min = cfg.q_min
     triangles = mesh.triangles
     flagged: set[int] = set()
-    for tid, q2 in enumerate(mesh.quality_table().q2):
-        if q2 < q_min:
-            flagged.update(triangles[tid].nodes)
+    for tid in mesh.quality_table().below(cfg.q_min):
+        flagged.update(triangles[tid].nodes)
     return flagged
 
 

@@ -47,7 +47,3 @@ def q2_shape(geom: TriangleGeometry) -> float:
         return 0.0
     return 2.0 * geom.r / geom.R
 
-
-def q2_bucket(q2: float) -> int:
-    """Index of q2 among HISTOGRAM_BUCKETS uniform buckets over [0, 1]."""
-    return min(int(q2 * HISTOGRAM_BUCKETS), HISTOGRAM_BUCKETS - 1)

@@ -3,18 +3,23 @@
 A report reads the mesh's per-triangle quality table (``Mesh.quality_table``),
 which re-evaluates only the triangles around the nodes whose position
 object changed since its last read (``moved_nodes``), however the position
-was written. It folds the stored values in triangle order: q1 is formed
-here from each element's rref (else ``r_ref``) and the stored
-circumradius, so an edited ``mesh.rref`` or another ``r_ref`` never reads
-a stale value.
+was written.
+
+The flagged and inverted counts and the histogram are the ones the table
+keeps by deltas. Full passes over the triangles remain for min q2, for
+the mean q2 (a left-to-right sum, which must keep its bits), and for min
+q1, which is formed here so that an edited ``mesh.rref`` or another
+``r_ref`` never reads a stale value: without rref overrides it is
+``r_ref`` over the largest stored circumradius, otherwise the minimum of
+each element's rref over its circumradius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import repeat
-from operator import add, gt, truediv
+from operator import add, truediv
 
 from .mesh import Mesh
 from .quality import HISTOGRAM_BUCKETS, QualityConfig
@@ -43,23 +48,29 @@ CSV_HEADER = "loop,minQ2,meanQ2,minQ1,flagged,inverted"
 
 def quality_report(mesh: Mesh, cfg: QualityConfig, r_ref: float,
                    loop: int) -> QualityReport:
-    """Quality after ``loop``; q1 uses each element's rref, else ``r_ref``."""
+    """Quality after ``loop``; q1 uses each element's rref, else ``r_ref``,
+    which must be positive."""
     table = mesh.quality_table()
     q2s = table.q2
     n = len(q2s)
     if not n:
         return QualityReport(loop, 0.0, 0.0, 0.0, 0, 0, (0,) * HISTOGRAM_BUCKETS)
-    rrefs = map(mesh.rref.get, range(n), repeat(r_ref))
-    q1s = map(truediv, rrefs, table.circumradius)
+    if mesh.rref:
+        rrefs = map(mesh.rref.get, range(n), repeat(r_ref))
+        min_q1 = min(map(truediv, rrefs, table.circumradius))
+    else:
+        # correctly rounded division is monotone, so the smallest
+        # r_ref / R is exactly r_ref over the largest R
+        min_q1 = r_ref / max(table.circumradius)
     return QualityReport(
         loop=loop,
         min_q2=min(q2s),
         # a left-to-right float sum, as sum() compensates from Python 3.12
         mean_q2=reduce(add, q2s, 0.0) / n,
-        min_q1=min(q1s),
-        flagged_elements=sum(map(partial(gt, cfg.q_min), q2s)),
-        inverted_elements=table.inverted.count(1),
-        histogram=tuple(map(table.bucket.count, range(HISTOGRAM_BUCKETS))),
+        min_q1=min_q1,
+        flagged_elements=len(table.below(cfg.q_min)),
+        inverted_elements=table.n_inverted,
+        histogram=tuple(table.histogram),
     )
 
 

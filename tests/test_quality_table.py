@@ -6,20 +6,27 @@ writes, of internal, boundary and fixed nodes alike) and rref edits are
 interleaved with reads through
 ``quality_report``, ``flag_nodes`` and ``mesh_to_svg``. Every read must
 give the same bits as the same read on a fresh copy of the mesh, which
-builds its table from scratch.
+builds its table from scratch. The counts the table keeps by deltas must
+equal a recount of its own arrays after every step.
+
+The table's inlined evaluation gives the bits of ``triangle_geometry``
+with ``q2_shape`` and ``size_radius``, and the report's ``min_q1`` gives
+the bits of the per-element minimum it no longer forms.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from operator import truediv
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osmot.fixtures import FixtureKind, generate_fixture
-from osmot.geometry import Point2
-from osmot.mesh import Mesh, Node, flag_nodes
+from osmot.geometry import Point2, triangle_geometry
+from osmot.mesh import Mesh, Mobility, Node, QualityTable, Triangle, flag_nodes
 from osmot.meshio import ValidationError, mesh_to_text, parse_mesh_text, read_mesh, write_mesh
-from osmot.quality import QualityConfig
+from osmot.quality import HISTOGRAM_BUCKETS, QualityConfig, q2_shape, size_radius
 from osmot.report import quality_report
 from osmot.svgout import ColorBy, mesh_to_svg
 
@@ -128,12 +135,22 @@ def test_table_reads_match_a_fresh_mesh(name, steps, triangle_nodes):
             assert read(mesh, step) == read(fresh_copy(mesh), step)
         else:
             apply(mesh, step)
+        if mesh._quality is not None:
+            assert_kept_counts_match_arrays(mesh._quality)
     final = fresh_copy(mesh)
     for r_ref in R_REFS:
         assert read(mesh, ("report", r_ref)) == read(final, ("report", r_ref))
     for q_min in Q_MINS:
         assert read(mesh, ("flag", q_min)) == read(final, ("flag", q_min))
     assert read(mesh, ("svg", ColorBy.Q2)) == read(final, ("svg", ColorBy.Q2))
+
+
+def assert_kept_counts_match_arrays(table: QualityTable) -> None:
+    assert table.histogram == [table.bucket.count(b)
+                               for b in range(HISTOGRAM_BUCKETS)]
+    assert table.n_inverted == table.inverted.count(1)
+    assert table._below == {tid for tid, q2 in enumerate(table.q2)
+                            if q2 < table._q_min}
 
 
 def test_report_after_each_loop_sees_the_moves_of_that_loop():
@@ -188,3 +205,82 @@ def test_rref_edit_reaches_the_next_report():
     assert bits(edited) == bits(quality_report(fresh_copy(mesh), cfg, 1.0, 0))
     del mesh.rref[5]
     assert bits(quality_report(mesh, cfg, 1.0, 0)) == bits(first)
+
+
+# Coordinates of every sign and of very different sizes: tiny ones make
+# a*b*c underflow, huge ones make it overflow.
+scale = st.sampled_from([1.0, 2.0**-360, 2.0**340])
+coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                       st.floats(min_value=-1e3, max_value=1e3))
+point = st.builds(Point2, coordinate, coordinate)
+
+
+@st.composite
+def triangle_points(draw):
+    # a random triangle is inverted about half the time
+    p0, p1, p2 = draw(point), draw(point), draw(point)
+    kind = draw(st.sampled_from(["random", "collinear", "coincident", "point"]))
+    if kind == "collinear":
+        t = draw(st.floats(min_value=-2.0, max_value=2.0))
+        p2 = Point2(p0.x + t * (p1.x - p0.x), p0.y + t * (p1.y - p0.y))
+    elif kind == "coincident":
+        p1 = p0
+    elif kind == "point":
+        p1 = p2 = p0
+    k = draw(scale)
+    return [Point2(k * p.x, k * p.y) for p in (p0, p1, p2)]
+
+
+def expected_row(points) -> tuple:
+    geom = triangle_geometry(*points)
+    q2 = q2_shape(geom)
+    bucket = min(int(q2 * HISTOGRAM_BUCKETS), HISTOGRAM_BUCKETS - 1)
+    return (q2.hex(), bucket, size_radius(geom).hex(),
+            int(geom.area_signed <= 0.0))
+
+
+def table_row(table: QualityTable) -> tuple:
+    return (table.q2[0].hex(), table.bucket[0], table.circumradius[0].hex(),
+            table.inverted[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=triangle_points(), second=triangle_points())
+def test_inlined_evaluation_matches_the_helpers(first, second):
+    nodes = [Node(i, p, Mobility.FIXED) for i, p in enumerate(first)]
+    mesh = Mesh(nodes=nodes, triangles=[Triangle(0, (0, 1, 2))])
+    table = mesh.quality_table()  # evaluated as the table is built
+    assert table_row(table) == expected_row(first)
+    for node, p in zip(nodes, second):
+        node.position = p
+    mesh.quality_table()  # evaluated again by a refresh
+    assert table_row(table) == expected_row(second)
+    assert_kept_counts_match_arrays(table)
+
+
+radius = st.one_of(st.just(math.inf),
+                   st.floats(min_value=5e-324, max_value=math.inf))
+positive = st.one_of(st.sampled_from([0.5, 1.0, 2.5, 5e-324, 1e-300, 1e300]),
+                     st.floats(min_value=5e-324, allow_infinity=False))
+
+
+@given(radii=st.lists(radius, min_size=1, max_size=20), r_ref=positive)
+@example(radii=[3.0, 1e10], r_ref=1e-300)  # the minimum 1e-310 is subnormal
+@example(radii=[1e-300, 2.0], r_ref=1e300)  # one quotient overflows
+def test_min_q1_is_r_ref_over_the_largest_radius(radii, r_ref):
+    # Rounding is monotone: R_i <= R_j gives r_ref / R_i >= r_ref / R_j,
+    # subnormal and overflowing quotients included.
+    assert (r_ref / max(radii)).hex() == min(
+        map(truediv, [r_ref] * len(radii), radii)).hex()
+
+
+def test_min_q1_of_a_report_without_rref():
+    mesh = MESHES["patch32"]()
+    a, b, _c = mesh.triangles[0].nodes
+    mesh.set_position(a, mesh.position(b))  # one radius becomes +inf
+    assert not mesh.rref
+    for r_ref in R_REFS + (1e-310,):
+        report = quality_report(mesh, QualityConfig(), r_ref, 0)
+        radii = mesh.quality_table().circumradius
+        assert math.inf in radii
+        assert report.min_q1.hex() == min(r_ref / r for r in radii).hex()
