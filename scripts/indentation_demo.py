@@ -13,43 +13,24 @@ import os
 import sys
 
 from osmot.driver import SmootherConfig, smooth
-from osmot.fixtures import INDENTED_COLS, INDENTED_PITCH, INDENTED_ROWS
-from osmot.geometry import Point2, signed_area
-from osmot.mesh import Mobility, Node, Triangle, build_topology
+from osmot.fixtures import (INDENTED_PITCH, INDENTED_ROWS, FixtureKind,
+                            generate_fixture)
+from osmot.geometry import Point2
+from osmot.mesh import Mobility, Node, build_topology
 from osmot.svgout import ColorBy, render_svg
 
 
 def build_box_with_die():
-    cols, rows, h = INDENTED_COLS, INDENTED_ROWS, INDENTED_PITCH
-    die_xs = {1.5, 2.0, 2.5}
-
-    def nid(i, j):
-        return j * (cols + 1) + i
-
-    nodes = []
-    die_ids = []
-    for j in range(rows + 1):
-        for i in range(cols + 1):
-            x, y = i * h, j * h
-            if j == rows and x in die_xs:
-                mobility = Mobility.FIXED  # script-driven, not smoothed
-                die_ids.append(nid(i, j))
-            elif j == rows and 0 < i < cols:
-                mobility = Mobility.BOUNDARY
-            elif i in (0, cols) or j in (0, rows):
-                mobility = Mobility.FIXED
-            else:
-                mobility = Mobility.INTERNAL
-            nodes.append(Node(nid(i, j), Point2(x, y), mobility))
-
-    tris = []
-    for j in range(rows):
-        for i in range(cols):
-            tris.append(Triangle(len(tris), (nid(i, j), nid(i + 1, j),
-                                             nid(i + 1, j + 1))))
-            tris.append(Triangle(len(tris), (nid(i, j), nid(i + 1, j + 1),
-                                             nid(i, j + 1))))
-    return build_topology(nodes, tris), die_ids
+    """The flat indented box with three top-chain nodes made fixed as the
+    die; they are moved by the script, not smoothed."""
+    box = generate_fixture(FixtureKind.INDENTED_BOX)
+    top = INDENTED_ROWS * INDENTED_PITCH
+    die_ids = [n.id for n in box.nodes
+               if n.position.y == top and n.position.x in {1.5, 2.0, 2.5}]
+    nodes = [Node(n.id, n.position,
+                  Mobility.FIXED if n.id in die_ids else n.mobility)
+             for n in box.nodes]
+    return build_topology(nodes, box.triangles), die_ids
 
 
 def main(argv=None) -> int:
@@ -71,14 +52,11 @@ def main(argv=None) -> int:
             mesh.set_position(nid_, Point2(p.x, p.y - args.increment))
         result = smooth(mesh, SmootherConfig(i_max=args.loops_per_round))
         rep = result.reports[-1]
-        inverted = sum(
-            1 for t in mesh.triangles
-            if signed_area(*mesh.triangle_points(t)) <= 0.0)
         print(f"{rnd:>5} {mesh.position(die_ids[0]).y:>7.3f} "
-              f"{rep.min_q2:>8.4f} {inverted:>8}")
+              f"{rep.min_q2:>8.4f} {rep.inverted_elements:>8}")
         render_svg(mesh, os.path.join(args.out_dir, f"round{rnd:02d}.svg"),
                    ColorBy.Q2)
-        if inverted:
+        if rep.inverted_elements:
             print("mesh inverted; stopping", file=sys.stderr)
             return 1
     return 0

@@ -1,10 +1,11 @@
 """Global smoothing driver.
 
-One run records the initial quality, flags the nodes of sub-quality
-elements once, then repeats up to i_max loops. Each loop first relocates
-every movable boundary node (chains in ascending id, nodes in chain
-order, always using current neighbor positions), then optimizes the ball
-of every flagged internal node in ascending node id. Connectivity never
+One run records the initial quality, then repeats up to i_max loops.
+The first loop flags the nodes of sub-quality elements (every loop does
+with ``reflag_each_loop``). Each loop then relocates every movable
+boundary node (chains in ascending id, nodes in chain order, always
+using current neighbor positions), then optimizes the ball of every
+flagged internal node in ascending node id. Connectivity never
 changes; the run is deterministic. A loop that moves nothing makes every
 later loop a no-op, so the driver exits early by default.
 """
@@ -89,13 +90,6 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     if on_loop is not None:
         on_loop(0, mesh)
 
-    def internal_targets() -> list[int]:
-        return sorted(
-            nid for nid in flag_nodes(mesh, cfg.quality)
-            if mesh.nodes[nid].mobility is Mobility.INTERNAL
-        )
-
-    targets = internal_targets()
     skipped: list[tuple[int, str]] = []
     relocations = 0
     loops_run = 0
@@ -103,8 +97,11 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     stop_reasons = dict.fromkeys(get_args(StopReason), 0)
 
     for loop in range(1, cfg.i_max + 1):
-        if cfg.reflag_each_loop:
-            targets = internal_targets()
+        if loop == 1 or cfg.reflag_each_loop:
+            targets = sorted(
+                nid for nid in flag_nodes(mesh, cfg.quality)
+                if mesh.nodes[nid].mobility is Mobility.INTERNAL
+            )
         moved = False
 
         for chain in mesh.chains:

@@ -6,6 +6,12 @@ the ball of elements around every internal node, and the movable boundary
 chains obtained by splitting the boundary at fixed nodes. Connectivity is
 immutable during smoothing; node positions are the only mutable state.
 
+``build_topology`` reads the triangles once, building the directed edges
+and the star of every node, then the nodes once: each star is checked
+for an orphan, against the node's mobility label and, off the boundary,
+for winding once around its node, and the stars of internal nodes
+become the balls.
+
 Per-triangle quality lives in one ``QualityTable`` per mesh, built on
 first use. The text of the last mesh-file write and SVG render is kept on
 the mesh as well (see ``meshio`` and ``svgout``). Each of the three keeps
@@ -313,7 +319,8 @@ def build_topology(
     vertices, non-positively oriented triangles, orphan nodes, mobility
     labels that disagree with where a node actually sits, or an interior
     node (internal, or fixed off the boundary) whose triangles do not wind
-    around it exactly once.
+    around it exactly once. Of several faulty nodes, the lowest id is
+    named.
     """
     n_nodes = len(nodes)
     for i, node in enumerate(nodes):
@@ -323,12 +330,10 @@ def build_topology(
     # Each triangle contributes its three directed edges, interior on the
     # left. In a manifold, consistently oriented mesh no directed edge
     # occurs twice, and a directed edge whose reverse is absent is a
-    # boundary edge. Triangles are visited in id order, so every ball
-    # comes out sorted.
+    # boundary edge. The same pass builds the star of every node; the
+    # triangles are visited in id order, so every star comes out sorted.
     edges: set[tuple[int, int]] = set()
-    in_triangle = bytearray(n_nodes)
-    incidence: list[list[tuple[int, int, int]] | None] = [
-        [] if node.mobility is Mobility.INTERNAL else None for node in nodes]
+    stars: list[list[tuple[int, int, int]]] = [[] for _ in range(n_nodes)]
     for i, tri in enumerate(triangles):
         if tri.id != i:
             raise MeshError(f"triangle ids must be dense 0..M-1, found {tri.id} at {i}")
@@ -347,15 +352,9 @@ def build_topology(
                     f"directed edge {edge} belongs to more than one triangle"
                 )
             edges.add(edge)
-        in_triangle[a] = in_triangle[b] = in_triangle[c] = 1
-        for nid, n1, n2 in ((a, b, c), (b, c, a), (c, a, b)):
-            elems = incidence[nid]
-            if elems is not None:
-                elems.append((tri.id, n1, n2))
-
-    orphan = in_triangle.find(0)
-    if orphan >= 0:
-        raise OrphanNodeError(orphan)
+        stars[a].append((tri.id, b, c))
+        stars[b].append((tri.id, c, a))
+        stars[c].append((tri.id, a, b))
 
     boundary_next: dict[int, int] = {}
     for u, v in edges:
@@ -367,7 +366,13 @@ def build_topology(
             )
         boundary_next[u] = v
 
-    for node in nodes:
+    # A node that starts no boundary edge is interior, and its star must
+    # wind around it once whether it moves or not; only an INTERNAL
+    # node's star is kept as a ball.
+    balls: dict[int, Ball] = {}
+    for node, star in zip(nodes, stars):
+        if not star:
+            raise OrphanNodeError(node.id)
         on_boundary = node.id in boundary_next
         if node.mobility is Mobility.BOUNDARY and not on_boundary:
             raise InconsistentMobilityError(
@@ -379,6 +384,14 @@ def build_topology(
                 node.id,
                 f"node {node.id} is marked internal but lies on a boundary edge",
             )
+        if on_boundary:
+            continue
+        ball = Ball(vertex=node.id, elements=tuple(star))
+        winding = _winding_number(nodes, ball)
+        if winding != 1:
+            raise TangledBallError(node.id, winding)
+        if node.mobility is Mobility.INTERNAL:
+            balls[node.id] = ball
 
     chains = _build_chains(nodes, boundary_next)
     for chain in chains:
@@ -386,37 +399,8 @@ def build_topology(
             if nodes[nid].mobility is Mobility.BOUNDARY:
                 nodes[nid].chain_id = chain.chain_id
 
-    balls = {nid: Ball(vertex=nid, elements=tuple(elems))
-             for nid, elems in enumerate(incidence) if elems is not None}
-    # Every node that starts no boundary edge is interior. It is INTERNAL
-    # or FIXED (the BOUNDARY labels were checked above), so the counts
-    # tell whether a FIXED one exists without a pass over the nodes.
-    stars = list(balls.values())
-    if n_nodes - len(boundary_next) > len(balls):
-        stars += _fixed_interior_stars(nodes, triangles, boundary_next)
-    for star in stars:
-        winding = _winding_number(nodes, star)
-        if winding != 1:
-            raise TangledBallError(star.vertex, winding)
-
     return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=chains,
                 rref=dict(rref) if rref else {})
-
-
-def _fixed_interior_stars(nodes: list[Node], triangles: list[Triangle],
-                          boundary_next: dict[int, int]) -> list[Ball]:
-    """The triangles around each FIXED node that starts no boundary edge,
-    laid out as a ball."""
-    stars: dict[int, list[tuple[int, int, int]]] = {
-        node.id: [] for node in nodes
-        if node.mobility is Mobility.FIXED and node.id not in boundary_next}
-    for tri in triangles:
-        a, b, c = tri.nodes
-        for nid, n1, n2 in ((a, b, c), (b, c, a), (c, a, b)):
-            if nid in stars:
-                stars[nid].append((tri.id, n1, n2))
-    return [Ball(vertex=nid, elements=tuple(elems))
-            for nid, elems in stars.items()]
 
 
 def _winding_number(nodes: list[Node], ball: Ball) -> int:

@@ -26,8 +26,8 @@ Everything about an element that does not depend on the moving vertex
 and the constant area gradient) is frozen once per Newton solve into a
 ``BallFrame``. ``ball_objective`` and ``ball_grad_hess`` take either a
 topology ``Ball``, which they freeze first, or a frame, and run one loop
-over the frame elements. The element functions ``_value`` and
-``_grad_hess`` run the same loops over a one-element frame.
+over the frame elements. ``element_objective`` and ``element_grad_hess``
+run the same loops over a one-element frame.
 
 The value loop and the derivative loop form w from the same float
 operations, so both return the same w bit for bit, and the derivative
@@ -257,35 +257,21 @@ def _frame_grad_hess(px: float, py: float, elements: tuple[FrameElement, ...],
     return tw, tgx, tgy, thxx, thxy, thyy
 
 
-def _value(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float,
-           beta: float, gamma: float, r_ref: float) -> float:
-    """Element objective with the vertex at (x0, y0); +inf past the
-    barrier or when w overflows."""
-    return _frame_value(x0, y0, (_frame_element(None, x1, y1, x2, y2, r_ref),),
-                        beta, gamma)
-
-
-def _grad_hess(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float,
-               beta: float, gamma: float, r_ref: float
-               ) -> tuple[float, float, float, float, float, float]:
-    """Exact (w, wx, wy, wxx, wxy, wyy) with respect to (x0, y0); w equals
-    ``_value`` bit for bit."""
-    return _frame_grad_hess(
-        x0, y0, (_frame_element(None, x1, y1, x2, y2, r_ref),), beta, gamma)
-
-
 def element_objective(p0: Point2, p1: Point2, p2: Point2,
                       params: ObjectiveParams) -> float:
-    """Objective of one element with the movable vertex at p0."""
-    return _value(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y,
-                  params.beta, params.gamma, params.r_ref)
+    """Objective of one element with the movable vertex at p0; +inf past
+    the barrier or when w overflows."""
+    element = _frame_element(None, p1.x, p1.y, p2.x, p2.y, params.r_ref)
+    return _frame_value(p0.x, p0.y, (element,), params.beta, params.gamma)
 
 
 def element_grad_hess(p0: Point2, p1: Point2, p2: Point2,
                       params: ObjectiveParams) -> GradHess:
-    """Objective value, gradient and Hessian with respect to p0."""
-    return GradHess(*_grad_hess(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y,
-                                params.beta, params.gamma, params.r_ref))
+    """Objective value, gradient and Hessian with respect to p0; the value
+    equals ``element_objective`` bit for bit."""
+    element = _frame_element(None, p1.x, p1.y, p2.x, p2.y, params.r_ref)
+    return GradHess(*_frame_grad_hess(p0.x, p0.y, (element,),
+                                      params.beta, params.gamma))
 
 
 def ball_objective(mesh: Mesh, ball: Ball | BallFrame, x0: Point2,

@@ -7,7 +7,6 @@ from osmot.geometry import Point2, signed_area
 from osmot.mesh import (
     InconsistentMobilityError,
     InvertedElementError,
-    Mesh,
     MeshError,
     Mobility,
     Node,
@@ -20,7 +19,7 @@ from osmot.mesh import (
     build_topology,
     flag_nodes,
 )
-from osmot.meshio import ValidationError, mesh_to_text, parse_mesh_text
+from osmot.meshio import HEADER, ValidationError, parse_mesh_text
 from osmot.quality import QualityConfig
 
 
@@ -229,42 +228,33 @@ def test_pinched_boundary_vertex_rejected():
         build_topology(nodes, triangles)
 
 
-def test_doubly_wound_ball_rejected():
-    # 14 CCW triangles around node 0 whose ring circles it twice: every
-    # edge is shared correctly, but the elements of the ball overlap
-    nodes = [Node(0, Point2(0.0, 0.0), Mobility.INTERNAL)]
+def doubly_wound_fan(centre_mobility):
+    """14 CCW triangles around node 0 whose ring circles it twice: every
+    edge is shared correctly, but the elements of the star overlap."""
+    nodes = [Node(0, Point2(0.0, 0.0), centre_mobility)]
     for i in range(14):
         t = i * 2.0 * math.pi / 7.0
         r = 1.0 if i < 7 else 2.0
         nodes.append(Node(i + 1, Point2(r * math.cos(t), r * math.sin(t)),
                           Mobility.FIXED))
     triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % 14)) for i in range(14)]
-    text = mesh_to_text(Mesh(nodes=nodes, triangles=triangles))
+    return nodes, triangles
+
+
+def test_doubly_wound_ball_rejected():
+    # test_node_fault_names_the_node checks the node and the file line of
+    # both fans; these two check the winding reported
     with pytest.raises(TangledBallError) as err:
-        build_topology(nodes, triangles)
-    assert (err.value.node_id, err.value.winding) == (0, 2)
-    with pytest.raises(ValidationError) as err:
-        parse_mesh_text(text)
-    assert err.value.line_no == 3
+        build_topology(*doubly_wound_fan(Mobility.INTERNAL))
+    assert err.value.winding == 2
 
 
 def test_doubly_wound_fixed_centre_rejected():
-    # the same fan around a FIXED centre: node 0 starts no boundary edge,
-    # so its star is checked like an internal node's ball
-    nodes = [Node(0, Point2(0.0, 0.0), Mobility.FIXED)]
-    for i in range(14):
-        t = i * 2.0 * math.pi / 7.0
-        r = 1.0 if i < 7 else 2.0
-        nodes.append(Node(i + 1, Point2(r * math.cos(t), r * math.sin(t)),
-                          Mobility.FIXED))
-    triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % 14)) for i in range(14)]
-    text = mesh_to_text(Mesh(nodes=nodes, triangles=triangles))
+    # node 0 starts no boundary edge, so its star is checked like an
+    # internal node's ball
     with pytest.raises(TangledBallError) as err:
-        build_topology(nodes, triangles)
-    assert (err.value.node_id, err.value.winding) == (0, 2)
-    with pytest.raises(ValidationError) as err:
-        parse_mesh_text(text)
-    assert err.value.line_no == 3
+        build_topology(*doubly_wound_fan(Mobility.FIXED))
+    assert err.value.winding == 2
 
 
 def test_fixed_interior_node_loads():
@@ -290,18 +280,50 @@ def test_inverted_element_rejected():
     assert "triangle 0" in str(err.value)
 
 
-def test_orphan_node_rejected():
-    nodes, triangles = single_triangle()
-    nodes.append(Node(3, Point2(5, 5), Mobility.FIXED))
-    with pytest.raises(OrphanNodeError):
-        build_topology(nodes, triangles)
+def with_orphan(nodes, triangles):
+    return nodes + [Node(len(nodes), Point2(5, 5), Mobility.FIXED)], triangles
 
 
-def test_internal_on_boundary_rejected():
-    nodes, triangles = single_triangle()
-    nodes[0] = Node(0, Point2(0, 0), Mobility.INTERNAL)
-    with pytest.raises(InconsistentMobilityError):
+def with_internal(node_id, nodes, triangles):
+    nodes = list(nodes)
+    nodes[node_id] = Node(node_id, nodes[node_id].position, Mobility.INTERNAL)
+    return nodes, triangles
+
+
+def hand_written_text(nodes, triangles):
+    """The mesh file of the nodes and triangles. mesh_to_text would write a
+    BOUNDARY node whose chain id is unset as ``BNone``, which the reader
+    rejects, so the labels are written here."""
+    labels = {Mobility.FIXED: "F", Mobility.INTERNAL: "I", Mobility.BOUNDARY: "B0"}
+    lines = [HEADER, f"nodes {len(nodes)}"]
+    lines += [f"{n.id} {n.position.x!r} {n.position.y!r} {labels[n.mobility]}"
+              for n in nodes]
+    lines.append(f"triangles {len(triangles)}")
+    lines += [f"{t.id} {t.nodes[0]} {t.nodes[1]} {t.nodes[2]}" for t in triangles]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("build, error, node_id", [
+    (lambda: with_orphan(*single_triangle()), OrphanNodeError, 3),
+    (lambda: with_internal(1, *single_triangle()), InconsistentMobilityError, 1),
+    (lambda: hexagon_fan(center_mobility=Mobility.BOUNDARY),
+     InconsistentMobilityError, 0),
+    (lambda: doubly_wound_fan(Mobility.INTERNAL), TangledBallError, 0),
+    (lambda: doubly_wound_fan(Mobility.FIXED), TangledBallError, 0),
+    # two faulty nodes: the lower id is named, whatever its fault
+    (lambda: with_orphan(*with_internal(1, *single_triangle())),
+     InconsistentMobilityError, 1),
+], ids=["orphan", "internal-on-boundary", "boundary-label-off-boundary",
+        "tangled-internal", "tangled-fixed", "lower-id-of-two-faults"])
+def test_node_fault_names_the_node(build, error, node_id):
+    nodes, triangles = build()
+    text = hand_written_text(nodes, triangles)
+    with pytest.raises(error) as err:
         build_topology(nodes, triangles)
+    assert err.value.node_id == node_id
+    with pytest.raises(ValidationError) as err:
+        parse_mesh_text(text)
+    assert err.value.line_no == 3 + node_id  # header and count come first
 
 
 def test_shared_edge_endpoints_marked_internal_rejected():
@@ -334,12 +356,6 @@ def test_closed_chain_of_length_four():
         prev_id, next_id = boundary_neighbors(mesh, nid)
         assert prev_id == chain.node_ids[(idx - 1) % 4]
         assert next_id == chain.node_ids[(idx + 1) % 4]
-
-
-def test_boundary_marked_interior_rejected():
-    nodes, triangles = hexagon_fan(center_mobility=Mobility.BOUNDARY)
-    with pytest.raises(InconsistentMobilityError):
-        build_topology(nodes, triangles)
 
 
 def test_unknown_node_reference_rejected():

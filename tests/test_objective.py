@@ -25,8 +25,6 @@ from osmot.objective import (
     BallFrame,
     DegenerateElementError,
     ObjectiveParams,
-    _grad_hess,
-    _value,
     ball_grad_hess,
     ball_objective,
     element_grad_hess,
@@ -519,17 +517,16 @@ def test_kernels_agree_near_the_barrier(scale, angle, offset, t, f, exponents):
     degenerate = signed_area(p0, p1, p2) <= degenerate_area_eps(
         *edge_lengths(p0, p1, p2))
     beta, gamma = exponents
-    args = (p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, beta, gamma, 0.7)
-    w = _value(*args)
+    params = ObjectiveParams(beta=beta, gamma=gamma, r_ref=0.7)
+    w = element_objective(p0, p1, p2, params)
     assert (w == math.inf) == degenerate
     if degenerate:
         with pytest.raises(DegenerateElementError):
-            _grad_hess(*args)
+            element_grad_hess(p0, p1, p2, params)
     else:
-        assert _grad_hess(*args)[0].hex() == w.hex()
+        assert element_grad_hess(p0, p1, p2, params).value.hex() == w.hex()
     # the same element as a one-element ball, read from the mesh or frozen
     mesh = synthetic_single_ball(p0, [p1, p2])
-    params = ObjectiveParams(beta=beta, gamma=gamma, r_ref=0.7)
     assert ball_objective(mesh, mesh.balls[0], p0, params).hex() == w.hex()
     _assert_kernels_match_reference(mesh, mesh.balls[0], p0, params)
 
