@@ -214,7 +214,9 @@ class FileText:
 
 def _node_line(node: Node) -> str:
     if node.mobility is Mobility.BOUNDARY:
-        mob = f"B{node.chain_id}"
+        # a mesh that never went through build_topology has no chain ids;
+        # the reader renumbers chains, so any integer will do
+        mob = f"B{0 if node.chain_id is None else node.chain_id}"
     else:
         mob = node.mobility.value
     return f"{node.id} {node.position.x:.17g} {node.position.y:.17g} {mob}\n"

@@ -11,6 +11,17 @@ persists across iterations; it is never reset or enlarged. The direction
 depends only on the iterate, so it is chosen once per iterate and reused
 by the trials that follow a rejection.
 
+The Armijo test accepts a trial when w_new - w_old <= c1 lambda grad.d,
+and c1 depends on the direction (Nocedal & Wright, *Numerical
+Optimization*, 2nd ed., sections 3.1 and 3.5). A Newton direction uses
+``ARMIJO_NEWTON`` (1e-4): on a quadratic model the full Newton step
+decreases w by exactly 0.5 grad.d, so a factor of one half would reject
+lambda = 1 whenever cubic terms or rounding take a little of that, and
+since lambda never grows back, the rest of the solve would converge only
+linearly. The steepest-descent fallback keeps ``ARMIJO_STEEPEST`` (0.5):
+its direction -grad is not scaled to the ball, and near the barrier a
+full-length step accepted on a token decrease moves the node too far.
+
 The ball's neighbour geometry is frozen once per solve into a
 ``BallFrame`` (see ``objective``), and every kernel call of the solve
 reads that frame; the iterate is kept as two floats, and a ``Point2`` is
@@ -19,16 +30,15 @@ looked up as this module's ``ball_grad_hess`` and ``ball_objective`` and
 called with four positional arguments, so a caller can wrap them to
 count calls and elements.
 
-Before a trial is evaluated, the solve ends as ``stalled`` once the
-decrease Armijo asks of it, 0.5 lambda |grad.d|, is at most
-``STALL_ULPS`` (4) ulps of the iterate's value w. This is the
-Newton-decrement stop of Boyd & Vandenberghe, *Convex Optimization*
+Before a trial is evaluated, the solve ends as ``stalled`` once its
+predicted decrease 0.5 lambda |grad.d| is at most ``STALL_ULPS`` (4) ulps
+of the iterate's value w, whatever the direction's Armijo factor. This is
+the Newton-decrement stop of Boyd & Vandenberghe, *Convex Optimization*
 section 9.5: both values that Armijo compares are rounded, so a decrease
 of a few ulps can be neither met reliably nor told apart from rounding
-error, and each bisection asks for half as much again. The returned
-iterate is still the last accepted one, so the ball objective is never
-above its starting value, and ``converged`` still means the gradient norm
-fell below eps.
+error, and each bisection halves it again. The returned iterate is still
+the last accepted one, so the ball objective is never above its starting
+value, and ``converged`` still means the gradient norm fell below eps.
 
 A trial point that rounds back onto the iterate (x + lambda d == x in
 both coordinates) ends the solve before its objective is evaluated: the
@@ -91,7 +101,11 @@ class NewtonConfig:
     trial whose predicted decrease 0.5 lambda |grad.d| is at most
     ``STALL_ULPS`` ulps of the ball objective: that decrease is below the
     rounding error of the values Armijo compares, so the trial could not
-    be told from noise. The threshold is a fixed constant, not a field.
+    be told from noise. The threshold is a fixed constant, not a field,
+    and so are the Armijo factors: 1e-4 of lambda grad.d for a Newton
+    direction, so that the full Newton step is kept near the optimum, and
+    0.5 for the steepest-descent fallback, whose unscaled full-length steps
+    must not be accepted on a token decrease.
     """
 
     eps: float = 1e-8
@@ -123,6 +137,10 @@ StopReason = Literal["converged", "stalled", "rounded", "step_floor", "j_max"]
 # a trial whose predicted decrease 0.5 lambda |grad.d| is at most this many
 # ulps of the iterate's value is not evaluated: the solve ends as stalled
 STALL_ULPS = 4.0
+# Armijo factors c1 in w_new - w_old <= c1 lambda grad.d, per direction
+# (see the module docstring)
+ARMIJO_NEWTON = 1e-4
+ARMIJO_STEEPEST = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,9 +187,16 @@ def descent_direction(gh: GradHess, cfg: NewtonConfig
 
 
 def armijo_accept(w_old: float, w_new: float, step_size: float,
-                  grad_dot_d: float) -> bool:
-    """Sufficient-decrease test; an infinite trial value always fails."""
-    return w_new - w_old <= 0.5 * step_size * grad_dot_d
+                  grad_dot_d: float, steepest: bool) -> bool:
+    """Sufficient-decrease test w_new - w_old <= c1 lambda grad.d, with c1
+    ``ARMIJO_STEEPEST`` (0.5) for the steepest-descent fallback and
+    ``ARMIJO_NEWTON`` (1e-4) for a Newton direction. A full Newton step
+    meets 0.5 grad.d only on an exactly quadratic model, so the half factor
+    would reject it about half the time; the fallback keeps the half
+    factor because its direction is not scaled to the ball. An infinite
+    trial value always fails."""
+    c1 = ARMIJO_STEEPEST if steepest else ARMIJO_NEWTON
+    return w_new - w_old <= c1 * step_size * grad_dot_d
 
 
 def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
@@ -216,7 +241,7 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
             break
         trial = Point2(tx, ty)
         w_new = ball_objective(mesh, frame, trial, params)
-        accepted = armijo_accept(gh.value, w_new, lam, grad_dot_d)
+        accepted = armijo_accept(gh.value, w_new, lam, grad_dot_d, steepest)
         steps.append(IterationRecord(gh.value, grad_norm, grad_dot_d,
                                      lam, accepted, steepest))
         if accepted:

@@ -21,20 +21,20 @@ CASES = {
     "patch32-10-loops": (
         ["--kind", "patch32", "--seed", "1", "--distortion", "0.45"],
         ["--max-loops", "10"],
-        "822dad6c5e88a9f9d2d36363e0655e4bfeae9606e439d31f7b501cd59e254b24",
-        "ec2c7f102a9ebf2e86d8130704586457c8e2918b89bcf0e9d27f9f04fea7fa7f",
+        "7f3cf37c4d4993fd4cd752a6d748daf6711f1b33cb3e1ef59ca2e9a5779d5591",
+        "54d23bbcf0d83c782611313550cfff399e655e20f9a164ef72a1d58f5e84c565",
     ),
     "indentedbox-movable-chain": (
         ["--kind", "indentedbox", "--distortion", "0.6"],
         [],
-        "ed4d9d9eccc2b671a7c68d8b86c7be90970d12e3d8c5d664d1a4e6d9e4f10643",
-        "b4d39562597681e5be61c3533c46ddae33255d20d55e475be46fc76c9366e700",
+        "f657edc83f5aeb4fc9f2c741746cd60b24f13a1ce13c361db32edd7ee8a8909b",
+        "ad4c8caff38a4854fa166b99dd30d35384613936c1db973678995f51d7c66d83",
     ),
     "patch32-beta2-gamma2": (
         ["--kind", "patch32", "--seed", "1", "--distortion", "0.45"],
         ["--beta", "2", "--gamma", "2"],
-        "f1897215ae19db0302dea58e90492a75fe369393e229f84f289379acc5bdaf9b",
-        "29a398ef3bfb9b9200301dc5a2177c50c89d5b716217f740439f02fdd0255c44",
+        "a8ba7b2894304a57b8b8395f5ac1c32141bdb3410a0d300a38198cccf7638b5a",
+        "90c3df4a5db18596237cf834bb546fb71e515fec0da72f973f3f8bd5a103e1fb",
     ),
 }
 
@@ -58,8 +58,8 @@ def test_smooth_output_bytes(tmp_path, case):
 # indentedbox with its movable chain, reflagged every loop, with an SVG
 # snapshot after every loop: the report, flagging and SVG colouring all
 # read per-triangle quality after the nodes of a few triangles moved.
-REFLAG_SVG_MESH_SHA = "8b09829d8a796617229bbc169dc01592c86b84eed237a357a71395b6a67d491a"
-REFLAG_SVG_CSV_SHA = "e72509745489b08e4bf2c87f23af200e34ef51e73543a3be9735dcb190de6ea0"
+REFLAG_SVG_MESH_SHA = "e6f51b371e73d5a6e8112980170312aae9d76e04facf0c8d9b83c8c11b1ca1a8"
+REFLAG_SVG_CSV_SHA = "664d309423db4ee6329ac332390a46613e4af684778a7252eb1a67ccc13dfe91"
 REFLAG_SVG_SNAPSHOT_SHA = {
     "loop0000.svg": "4e58b7c9f7903f87d4ce44d7c5f90854056021426c33c98e1e99a3147ed01e77",
     "loop0001.svg": "d632ee71957d772f165791beee9d80ac17c8d725b6c0a841596ec63801d556b2",
@@ -69,9 +69,9 @@ REFLAG_SVG_SNAPSHOT_SHA = {
     "loop0005.svg": "2bda014e38477e170e8bb4eedab470dbbf0518ab11f73a3b26825a1ccef6d10a",
     "loop0006.svg": "3a4dd025d5ad5cd9dd1d9dba1cfd449ea92c2de2c937571229a1bdcfadb73465",
     "loop0007.svg": "a1dce8b6b1befdab949600ad2f9da2969a6622d860f423056367cc6e5dad14db",
-    "loop0008.svg": "8fda6aab9d34bba638c85acf4cd810dea78625c610893add58be1b7be5b66e60",
+    "loop0008.svg": "d08c7f86d84f36de0f2185bc3f49244b3fa32bf9eab4e2d6be705d3a75d0c10b",
     "loop0009.svg": "161c95e45b169e8da6f6d7b8d506a8a08955532894e0b323f010174db8577c00",
-    "loop0010.svg": "4476cfbaf033bdc3a7d09949c0821ed0cfbc44bad12c7ded9b286970e7fb35fa",
+    "loop0010.svg": "e19a3ce219b2c15e3728d2d345af94cb37a4b320a42d7c456bbf9a1650a7b4d6",
 }
 
 
@@ -93,8 +93,8 @@ def test_reflag_svg_every_loop_bytes(tmp_path):
 # patch32 with an rref section that overrides r_ref on every other
 # triangle, beta = gamma = 2: the per-element reference radii reach the
 # objective of every ball and the report's minQ1.
-RREF_MESH_SHA = "3514e52f5c52920468b668a0336a6e74ecc1c75e6e6a43c881eda0de26093056"
-RREF_CSV_SHA = "37a678265dc09a5d12d4ef10c84f839b3260cc99141fd5f5d6d2770e58ca99d2"
+RREF_MESH_SHA = "92c0d0587c282d5637050a7fed1ba71a9d36e5478bfc7e4a8de32c396670d9d3"
+RREF_CSV_SHA = "e2030a3315bc04ad0b35ea5f7ed00cd2bc79a2d2ad57b0fd9ea3dcd47318491b"
 
 
 def test_per_element_rref_bytes(tmp_path):
@@ -121,11 +121,11 @@ def test_per_element_rref_bytes(tmp_path):
 REZONE_DIE_IDS = (39, 40, 41)
 REZONE_SHA = {
     "round1.svg": "f6ca4988ca34ea53926b56420afe0a0e93c73274dc9e2795ff85be4471f1ec70",
-    "round1.mesh": "8c94b5aef18b7003a3fbea2b88dc59ff8d608c256460115356bee02c274116c1",
+    "round1.mesh": "cbe04285b3f83227a5ee0d82ecfbe97c675f37a62a791c608495a4f23241591a",
     "round2.svg": "0da832dbf7b97ce53bdf05c91331063fbb3da8852dca573015509fc1eb952459",
-    "round2.mesh": "3ef52fc3615e81861b42c284915569bab491047fcef1050b4358f1a88ea87a8e",
-    "round3.svg": "e27756179afae803a8e35df8569007ea2ddb11e57951a0e1c2b1301656319e89",
-    "round3.mesh": "2c5a0f54771901b2eb96a2475e3a3139568350cad7e1edc7282fa4fe780619f6",
+    "round2.mesh": "d66306b5af82c6cec1864faf708b413d8093e8d2d52882e264423473528f76b5",
+    "round3.svg": "9e3b15586c46b979657e4da7e018962fb1ef5be3cf43a0d0078af32e3491da13",
+    "round3.mesh": "ffe0664225414086a65a742af7a45208098addeca31f98aa80e153dfad1ed7ad",
 }
 
 

@@ -1,6 +1,8 @@
 import pytest
 
 from osmot.fixtures import FixtureKind, generate_fixture
+from osmot.geometry import Point2
+from osmot.mesh import Mesh, Mobility, Node, Triangle
 from osmot.meshio import (
     ParseError,
     ValidationError,
@@ -135,3 +137,21 @@ def test_rref_repeated_triangle_id():
     with pytest.raises(ParseError) as err:
         parse_mesh_text(text)
     assert err.value.line_no == 10
+
+
+def test_hand_made_boundary_nodes_roundtrip():
+    # a Mesh assembled without build_topology has no chain ids on its
+    # boundary nodes; its text must still read back
+    ring = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    nodes = [Node(0, Point2(0.5, 0.5), Mobility.INTERNAL)]
+    nodes += [Node(i + 1, Point2(*p), Mobility.BOUNDARY)
+              for i, p in enumerate(ring)]
+    triangles = [Triangle(t, (0, 1 + t, 1 + (t + 1) % 4)) for t in range(4)]
+    mesh = Mesh(nodes=nodes, triangles=triangles, balls={}, chains=[])
+    text = mesh_to_text(mesh)
+    back = parse_mesh_text(text)
+    assert mesh_to_text(back) == text
+    assert [(n.position, n.mobility) for n in back.nodes] == \
+           [(n.position, n.mobility) for n in nodes]
+    assert [t.nodes for t in back.triangles] == [t.nodes for t in triangles]
+    assert len(back.chains) == 1 and list(back.balls) == [0]

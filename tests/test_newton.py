@@ -69,15 +69,29 @@ def test_direction_always_descends():
 
 
 def test_armijo_accepts_sufficient_decrease():
-    assert armijo_accept(1.0, 0.4, 1.0, -1.0)
+    assert armijo_accept(1.0, 0.4, 1.0, -1.0, steepest=True)
+    assert armijo_accept(1.0, 0.4, 1.0, -1.0, steepest=False)
 
 
 def test_armijo_rejects_insufficient_decrease():
-    assert not armijo_accept(1.0, 0.6, 1.0, -1.0)
+    # the steepest-descent fallback asks for half the predicted decrease
+    assert not armijo_accept(1.0, 0.6, 1.0, -1.0, steepest=True)
+
+
+def test_armijo_newton_factor_accepts_a_partial_decrease():
+    # a Newton direction asks for 1e-4 of it, so the same trial passes
+    assert armijo_accept(1.0, 0.6, 1.0, -1.0, steepest=False)
+    assert armijo_accept(1.0, 0.999, 1.0, -1.0, steepest=False)
+
+
+def test_armijo_newton_factor_rejects_a_token_decrease():
+    assert not armijo_accept(1.0, 1.0 - 0.5e-4, 1.0, -1.0, steepest=False)
+    assert not armijo_accept(1.0, 1.0, 1.0, -1.0, steepest=False)
 
 
 def test_armijo_rejects_barrier_value():
-    assert not armijo_accept(1.0, math.inf, 1.0, -1.0)
+    for steepest in (True, False):
+        assert not armijo_accept(1.0, math.inf, 1.0, -1.0, steepest)
 
 
 def test_optimize_centered_ball_converges_immediately():
@@ -102,6 +116,11 @@ def test_optimize_perturbed_ball_returns_to_center():
     assert math.hypot(pos.x, pos.y) < 1e-6
     assert ball_objective(mesh, ball, pos, PARAMS) <= ball_objective(
         mesh, ball, Point2(0.05, 0.02), PARAMS)
+
+
+# a full Newton step near a smooth minimum leaves a gradient norm of at
+# most this constant times the square of the one before it
+QUADRATIC_RATIO = 0.05
 
 
 def test_optimizer_contract_on_random_balls():
@@ -134,14 +153,31 @@ def test_optimizer_contract_on_random_balls():
             recomputed = ball_grad_hess(mesh, ball, pos, PARAMS).grad_norm
             assert recomputed < CFG.eps
 
-        # quadratic-phase diagnostic (logged, not asserted): successive
-        # accepted gradient norms once below 1e-2
-        gns = [s.grad_norm for s in trace.steps if s.accepted]
-        for a, b in zip(gns, gns[1:]):
-            if a < 1e-2 and a > 0:
-                quadratic_ratios.append(b / (a * a))
-    if quadratic_ratios:
-        print(f"newton quadratic-phase ratios: max {max(quadratic_ratios):.3g}")
+        # quadratic phase: the gradient norm after each full Newton step
+        # taken once the norm is below 1e-2
+        accepted = [s for s in trace.steps if s.accepted]
+        after = [s.grad_norm for s in accepted[1:]] + [trace.final_grad_norm]
+        for s, b in zip(accepted, after):
+            if 0.0 < s.grad_norm < 1e-2 and s.step_size == 1.0 \
+                    and not s.steepest:
+                quadratic_ratios.append(b / (s.grad_norm * s.grad_norm))
+    assert quadratic_ratios
+    assert max(quadratic_ratios) <= QUADRATIC_RATIO
+
+
+@pytest.mark.parametrize("center", [
+    Point2(0.31, -0.17), Point2(-0.4, 0.3), Point2(0.5, 0.0),
+    Point2(0.0, -0.5), Point2(0.6, 0.0)])
+def test_newton_keeps_the_full_step_on_a_smooth_ball(center):
+    # no full Newton step of this solve is rejected: every step runs at
+    # lambda = 1 and the gradient norm falls quadratically from the start
+    mesh = regular_hexagon_mesh(center)
+    _pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
+    assert trace.steps and trace.stop_reason in ("converged", "stalled")
+    assert all(s.accepted and not s.steepest and s.step_size == 1.0
+               for s in trace.steps)
+    gns = [s.grad_norm for s in trace.steps] + [trace.final_grad_norm]
+    assert all(b <= QUADRATIC_RATIO * a * a for a, b in zip(gns, gns[1:]))
 
 
 def test_derivatives_once_per_iterate(monkeypatch):
@@ -229,7 +265,8 @@ def test_kernel_calls_keep_the_tracer_contract(monkeypatch):
 
 
 def test_rejected_trials_do_not_move_the_iterate():
-    rng = random.Random(5)
+    # this ball rejects Newton trials and steepest-descent trials
+    rng = random.Random(30)
     mesh = random_ball_mesh(rng)
     ball = mesh.balls[0]
     pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
@@ -279,14 +316,15 @@ def _reference_optimize_ball(mesh, ball, params, cfg):
         if gh.grad_norm < cfg.eps:
             converged = True
             break
-        dx, dy, _steepest = descent_direction(gh, cfg)
+        dx, dy, steepest = descent_direction(gh, cfg)
         grad_dot_d = gh.gx * dx + gh.gy * dy
         if 0.5 * lam * -grad_dot_d <= 4.0 * math.ulp(gh.value):
             break
         trial = Point2(x.x + lam * dx, x.y + lam * dy)
         w_new = ball_objective(mesh, ball, trial, params)
         steps += 1
-        if armijo_accept(gh.value, w_new, lam, grad_dot_d):
+        c1 = 0.5 if steepest else 1e-4
+        if w_new - gh.value <= c1 * lam * grad_dot_d:
             x = trial
             gh = ball_grad_hess(mesh, ball, x, params)
         else:
@@ -470,9 +508,9 @@ def _shifted_hexagon(center: Point2, shift: float):
     # eps out of reach, a start just below the top edge: every steepest
     # step crosses the barrier, down to the default floor
     (NewtonConfig(eps=1e-300), Point2(0.0, 0.85), 0.0, "step_floor", 31),
-    # five accepted steps, then the first rejection halves the step below
-    # a floor of 1
-    (NewtonConfig(lambda_min=1.0), Point2(0.6, 0.0), 0.0, "step_floor", 6),
+    # one accepted Newton step, then a full Newton step raises w: the
+    # rejection halves the step below a floor of 1
+    (NewtonConfig(lambda_min=1.0), Point2(0.25, 0.63), 0.0, "step_floor", 2),
     # j_max caps the loop at j_max + 1 iterations
     (NewtonConfig(j_max=1), Point2(0.05, 0.02), 0.0, "j_max", 2),
 ], ids=["converged", "stalled", "stalled-rounding", "rounded",
