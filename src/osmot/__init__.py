@@ -52,6 +52,7 @@ from .newton import (
 from .objective import (
     DegenerateElementError,
     GradHess,
+    ObjectiveOverflowError,
     ObjectiveParams,
     ball_grad_hess,
     ball_objective,

@@ -1,12 +1,16 @@
 """Damped Newton optimization of one internal node's ball.
 
-The ball gradient and Hessian belong to the iterate: they are evaluated
-at the start and after each accepted step, and nowhere else. Each
-iteration checks the gradient-norm termination test, picks a descent
-direction (Newton, or steepest descent when the Hessian determinant or
-the angle criterion disqualifies it), and runs one Armijo test on the
-objective value at the trial point: accept the trial point and keep the
-step size, or keep the point and bisect the step size. The step size
+The ball gradient and Hessian belong to the iterate. Every point the
+solve scores, the start and each trial, is evaluated once by
+``ball_grad_hess``, and an accepted trial's derivatives become the
+iterate's without a second evaluation. Each iteration checks the
+gradient-norm termination test, picks a descent direction (Newton, or
+steepest descent when the Hessian determinant or the angle criterion
+disqualifies it), and runs one Armijo test on the value at the trial
+point: accept the trial point and keep the step size, or keep the point
+and bisect the step size. A trial past the barrier, or one whose w
+overflows, is rejected like a trial whose value is +inf; at the start
+the same conditions raise (see ``optimize_ball``). The step size
 persists across iterations; it is never reset or enlarged. The direction
 depends only on the iterate, so it is chosen once per iterate and reused
 by the trials that follow a rejection.
@@ -25,10 +29,10 @@ full-length step accepted on a token decrease moves the node too far.
 The ball's neighbour geometry is frozen once per solve into a
 ``BallFrame`` (see ``objective``), and every kernel call of the solve
 reads that frame; the iterate is kept as two floats, and a ``Point2`` is
-made only for each trial point handed to the kernels. The kernels are
-looked up as this module's ``ball_grad_hess`` and ``ball_objective`` and
-called with four positional arguments, so a caller can wrap them to
-count calls and elements.
+made only for each trial point handed to the kernel. The kernel is
+looked up as this module's ``ball_grad_hess`` and called with four
+positional arguments, so a caller can wrap it to count calls and
+elements.
 
 Before a trial is evaluated, the solve ends as ``stalled`` once its
 predicted decrease 0.5 lambda |grad.d| is at most ``STALL_ULPS`` (4) ulps
@@ -44,12 +48,12 @@ A trial point that rounds back onto the iterate (x + lambda d == x in
 both coordinates) ends the solve before its objective is evaluated: the
 step size only shrinks and fl(x + t d) is monotone in t, so every later
 trial rounds onto x as well, and Armijo rejects a trial at x because its
-value equals the iterate's (the value paths agree bit for bit) while
-lambda grad.d < 0. Neither the iterate nor its derivatives can change
-again, so the returned position, ``converged`` and ``final_grad_norm``
-are those the loop would reach without this exit; only the trace is
-shorter. With the ``stalled`` test first, this exit is reached only when
-the coordinates are large next to the ball.
+value is the iterate's (one kernel scores both) while lambda grad.d < 0.
+Neither the iterate nor its derivatives can change again, so the
+returned position, ``converged`` and ``final_grad_norm`` are those the
+loop would reach without this exit; only the trace is shorter. With
+the ``stalled`` test first, this exit is reached only when the
+coordinates are large next to the ball.
 
 Each solve records why it stopped (``LocalStepTrace.stop_reason``):
 ``converged`` (gradient norm below eps), ``stalled`` (the predicted
@@ -66,9 +70,13 @@ from typing import Literal, NamedTuple
 
 from .geometry import Point2
 from .mesh import Ball, Mesh
+# ball_objective is not called here but stays a name of this module: the
+# benchmark tracer wraps osmot.newton.ball_objective by name, next to
+# ball_grad_hess, and every traced run fails without it
 from .objective import (
     DegenerateElementError,
     GradHess,
+    ObjectiveOverflowError,
     ObjectiveParams,
     ball_grad_hess,
     ball_objective,
@@ -206,7 +214,8 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
     Returns the final position together with a trace of the run. The ball
     objective at the returned position is never above the value at the
     starting position. Raises DegenerateStartError when derivatives cannot
-    be evaluated at the initial position; callers skip such nodes.
+    be evaluated at the initial position; callers skip such nodes. Raises
+    ObjectiveOverflowError, a ValueError, when a w overflows there.
     """
     frame = freeze_ball(mesh, ball, params)
     x = mesh.position(ball.vertex)
@@ -240,13 +249,17 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
             stop_reason = "rounded"
             break
         trial = Point2(tx, ty)
-        w_new = ball_objective(mesh, frame, trial, params)
-        accepted = armijo_accept(gh.value, w_new, lam, grad_dot_d, steepest)
+        try:
+            trial_gh = ball_grad_hess(mesh, frame, trial, params)
+            accepted = armijo_accept(gh.value, trial_gh.value, lam,
+                                     grad_dot_d, steepest)
+        except (DegenerateElementError, ObjectiveOverflowError):
+            # w_new = +inf, which Armijo always rejects
+            accepted = False
         steps.append(IterationRecord(gh.value, grad_norm, grad_dot_d,
                                      lam, accepted, steepest))
         if accepted:
-            x, px, py = trial, tx, ty
-            gh = ball_grad_hess(mesh, frame, x, params)
+            x, px, py, gh = trial, tx, ty, trial_gh
             grad_norm = gh.grad_norm
             new_iterate = True
         else:

@@ -24,26 +24,21 @@ smoother stable on non-convex configurations.
 Everything about an element that does not depend on the moving vertex
 (its neighbour coordinates, the opposite edge b, its reference radius
 and the constant area gradient) is frozen once per Newton solve into a
-``BallFrame``. ``ball_objective`` and ``ball_grad_hess`` take either a
-topology ``Ball``, which they freeze first, or a frame, and run one loop
-over the frame elements. ``element_objective`` and ``element_grad_hess``
-run the same loops over a one-element frame.
+``BallFrame``. ``ball_grad_hess`` takes either a topology ``Ball``,
+which it freezes first, or a frame, and runs the one kernel loop over
+the frame elements; ``element_grad_hess`` runs it over a one-element
+frame.
 
-The value loop and the derivative loop form w from the same float
-operations, so both return the same w bit for bit, and the derivative
-loop raises DegenerateElementError exactly where the value loop gives
-+inf at the barrier. Armijo compares the ball sums of the two paths,
-and the Newton solve relies on a trial at the iterate scoring exactly
-the iterate's value. The barrier test is ``degenerate_area_eps``
-inlined.
-
-A w that overflows a float (one power, or the product of two finite
-powers) scores +inf in the value loop, so the line search rejects that
-trial like the barrier. The derivative loop raises ValueError for it:
-derivatives are only taken at the start of a solve and at accepted
-trials, whose values are finite, so an overflow there means the
-exponents are too large for this mesh, and ``osmot smooth`` reports it
-as an invalid parameter (exit 1).
+The loop raises DegenerateElementError at the barrier and
+ObjectiveOverflowError, a ValueError, when a w overflows a float (one
+power, or the product of two finite powers). ``ball_objective`` and
+``element_objective`` are the value of that loop with both mapped to
++inf, so a value equals the derivative value bit for bit by
+construction. The Newton solve scores each trial with the derivatives
+and rejects one that raises, like a trial whose value is +inf; at the
+start of a solve an overflow means the exponents are too large for this
+mesh, and ``osmot smooth`` reports it as an invalid parameter (exit 1).
+The barrier test is ``degenerate_area_eps`` inlined.
 """
 
 from __future__ import annotations
@@ -63,6 +58,15 @@ class DegenerateElementError(Exception):
     def __init__(self, message: str, triangle_id: int | None = None):
         self.triangle_id = triangle_id
         super().__init__(message)
+
+
+class ObjectiveOverflowError(ValueError):
+    """An element's w overflows a float: the exponents are too large for
+    the element sizes and r_ref of this mesh."""
+
+    def __init__(self, beta: float, gamma: float, r_ref: float):
+        super().__init__(f"element objective overflows a float at beta={beta:g}, "
+                         f"gamma={gamma:g}, r_ref={r_ref:g}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,53 +145,14 @@ def freeze_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams) -> BallFrame:
     return BallFrame(ball.vertex, tuple(elements))
 
 
-def _overflow(beta: float, gamma: float, r_ref: float) -> ValueError:
-    """The error raised when w overflows a float where derivatives are
-    taken: the exponents are too large for the element sizes and r_ref of
-    this mesh."""
-    return ValueError(f"element objective overflows a float at beta={beta:g}, "
-                      f"gamma={gamma:g}, r_ref={r_ref:g}")
-
-
-def _frame_value(px: float, py: float, elements: tuple[FrameElement, ...],
-                 beta: float, gamma: float) -> float:
-    """Sum of the element objectives with the vertex at (px, py); +inf
-    past the barrier of any element or when a w overflows."""
-    factor = DEGENERATE_AREA_FACTOR
-    total = 0.0
-    for _tid, x1, y1, x2, y2, b, r_ref, _hx, _hy in elements:
-        ux = px - x1
-        uy = py - y1
-        vx = px - x2
-        vy = py - y2
-        a = hypot(ux, uy)
-        c = hypot(vx, vy)
-        area = 0.5 * (ux * vy - vx * uy)
-        # degenerate_area_eps(a, b, c), inlined
-        m = a if a > b else b
-        if c > m:
-            m = c
-        if area <= factor * m * m:
-            return inf
-        s = 0.5 * (a + b + c)
-        big_r = a * b * c / (4.0 * area)
-        try:
-            total += (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
-        except OverflowError:
-            return inf
-    return total
-
-
 def _frame_grad_hess(px: float, py: float, elements: tuple[FrameElement, ...],
                      beta: float, gamma: float
                      ) -> tuple[float, float, float, float, float, float]:
     """Sums of the exact (w, wx, wy, wxx, wxy, wyy) of the elements with
     respect to the vertex at (px, py).
 
-    a, b, c, the area and w are the floats ``_frame_value`` forms, so the
-    value is the same bit for bit, and this raises DegenerateElementError
-    exactly where ``_frame_value`` is +inf at the barrier and ValueError
-    where it is +inf by overflow.
+    Raises DegenerateElementError past the barrier of any element and
+    ObjectiveOverflowError when a w overflows.
     """
     factor = DEGENERATE_AREA_FACTOR
     ka = beta + gamma
@@ -202,6 +167,7 @@ def _frame_grad_hess(px: float, py: float, elements: tuple[FrameElement, ...],
         a = hypot(ux, uy)
         c = hypot(vx, vy)
         area = 0.5 * (ux * vy - vx * uy)
+        # degenerate_area_eps(a, b, c), inlined
         m = a if a > b else b
         if c > m:
             m = c
@@ -213,9 +179,9 @@ def _frame_grad_hess(px: float, py: float, elements: tuple[FrameElement, ...],
         try:
             w = (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
         except OverflowError:
-            raise _overflow(beta, gamma, r_ref) from None
+            raise ObjectiveOverflowError(beta, gamma, r_ref) from None
         if w == inf:
-            raise _overflow(beta, gamma, r_ref)
+            raise ObjectiveOverflowError(beta, gamma, r_ref)
 
         # grad ln a = u/a^2, grad^2 ln a = I/a^2 - 2 grad ln a grad ln a^T; same for c
         ia2 = 1.0 / (a * a)
@@ -259,16 +225,17 @@ def _frame_grad_hess(px: float, py: float, elements: tuple[FrameElement, ...],
 
 def element_objective(p0: Point2, p1: Point2, p2: Point2,
                       params: ObjectiveParams) -> float:
-    """Objective of one element with the movable vertex at p0; +inf past
-    the barrier or when w overflows."""
-    element = _frame_element(None, p1.x, p1.y, p2.x, p2.y, params.r_ref)
-    return _frame_value(p0.x, p0.y, (element,), params.beta, params.gamma)
+    """Objective of one element with the movable vertex at p0: the value
+    of ``element_grad_hess``, +inf past the barrier or when w overflows."""
+    try:
+        return element_grad_hess(p0, p1, p2, params).value
+    except (DegenerateElementError, ObjectiveOverflowError):
+        return inf
 
 
 def element_grad_hess(p0: Point2, p1: Point2, p2: Point2,
                       params: ObjectiveParams) -> GradHess:
-    """Objective value, gradient and Hessian with respect to p0; the value
-    equals ``element_objective`` bit for bit."""
+    """Objective value, gradient and Hessian with respect to p0."""
     element = _frame_element(None, p1.x, p1.y, p2.x, p2.y, params.r_ref)
     return GradHess(*_frame_grad_hess(p0.x, p0.y, (element,),
                                       params.beta, params.gamma))
@@ -276,11 +243,13 @@ def element_grad_hess(p0: Point2, p1: Point2, p2: Point2,
 
 def ball_objective(mesh: Mesh, ball: Ball | BallFrame, x0: Point2,
                    params: ObjectiveParams) -> float:
-    """Sum of element objectives over a ball with the vertex at x0; the
-    ball is a topology Ball, frozen first, or a frame of it."""
-    if isinstance(ball, Ball):
-        ball = freeze_ball(mesh, ball, params)
-    return _frame_value(x0.x, x0.y, ball.elements, params.beta, params.gamma)
+    """Sum of element objectives over a ball with the vertex at x0: the
+    value of ``ball_grad_hess``, +inf past the barrier of any element or
+    when a w overflows."""
+    try:
+        return ball_grad_hess(mesh, ball, x0, params).value
+    except (DegenerateElementError, ObjectiveOverflowError):
+        return inf
 
 
 def ball_grad_hess(mesh: Mesh, ball: Ball | BallFrame, x0: Point2,

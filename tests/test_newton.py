@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import osmot.driver
 import osmot.newton
 import osmot.objective
 from conftest import random_ball_mesh, regular_hexagon_mesh
@@ -19,7 +20,9 @@ from osmot.newton import (
 )
 from osmot.objective import (
     BallFrame,
+    DegenerateElementError,
     GradHess,
+    ObjectiveOverflowError,
     ObjectiveParams,
     ball_grad_hess,
     ball_objective,
@@ -181,8 +184,10 @@ def test_newton_keeps_the_full_step_on_a_smooth_ball(center):
 
 
 def test_derivatives_once_per_iterate(monkeypatch):
-    # the gradient and Hessian belong to the iterate: one evaluation at the
-    # start and one per accepted step, none after a rejected trial
+    # one kernel scores the start and every trial, accepted or rejected,
+    # each point once; an accepted trial's derivatives become the
+    # iterate's, so no iterate is evaluated twice and the last accepted
+    # point is the returned position
     calls = []
 
     def counted(*args):
@@ -197,9 +202,11 @@ def test_derivatives_once_per_iterate(monkeypatch):
         ball = mesh.balls[0]
         calls.clear()
         pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
-        accepted = sum(s.accepted for s in trace.steps)
-        assert len(calls) == 1 + accepted
-        assert calls[-1] == pos
+        assert len(calls) == 1 + trace.iterations
+        assert len({(p.x, p.y) for p in calls}) == len(calls)
+        iterates = [calls[0]] + [p for p, s in zip(calls[1:], trace.steps)
+                                 if s.accepted]
+        assert iterates[-1] == pos
         assert trace.final_grad_norm == ball_grad_hess(
             mesh, ball, pos, PARAMS).grad_norm
         rejections += trace.armijo_rejections
@@ -243,9 +250,17 @@ def test_kernel_calls_keep_the_tracer_contract(monkeypatch):
     # perfbench/spans.py wraps these two module attributes and reads, per
     # call, the element count of the second positional argument and the
     # coordinates of the third; a smooth() run must keep every call in
-    # that shape, or the per-layer benchmark counters read zero
+    # that shape, or the per-layer benchmark counters read zero. Each
+    # solve calls ball_grad_hess once at the start and once per trial,
+    # and never calls ball_objective
     calls = {"ball_grad_hess": 0, "ball_objective": 0}
+    solves = []
     mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
+
+    def traced_solve(*args):
+        pos, trace = optimize_ball(*args)
+        solves.append(trace.iterations)
+        return pos, trace
 
     def traced(name, kernel):
         def wrapper(*args, **kwargs):
@@ -260,8 +275,17 @@ def test_kernel_calls_keep_the_tracer_contract(monkeypatch):
     for name in calls:
         monkeypatch.setattr(osmot.newton, name,
                             traced(name, getattr(osmot.newton, name)))
+    monkeypatch.setattr(osmot.driver, "optimize_ball", traced_solve)
     smooth(mesh, SmootherConfig(i_max=2))
-    assert calls["ball_grad_hess"] > 0 and calls["ball_objective"] > 0
+    assert solves and calls["ball_objective"] == 0
+    assert calls["ball_grad_hess"] == len(solves) + sum(solves)
+
+
+def test_newton_keeps_both_kernel_names():
+    # the benchmark tracer wraps both names on this module, also the one
+    # the solve no longer calls
+    assert osmot.newton.ball_grad_hess is ball_grad_hess
+    assert osmot.newton.ball_objective is ball_objective
 
 
 def test_rejected_trials_do_not_move_the_iterate():
@@ -399,37 +423,105 @@ def test_rounded_exit_matches_reference_loop():
 
 
 def test_objective_never_evaluated_at_the_iterate(monkeypatch):
-    # derivatives are evaluated exactly at each iterate, so the latest
-    # ball_grad_hess point is the current iterate
-    iterate = []
-    trials = []
+    # a solve scores its trials with ball_grad_hess and never calls
+    # ball_objective, and no kernel call repeats a point of its solve:
+    # not at the iterate, also where the rounded exit ends the solve
+    # before a trial that rounds onto it
+    points = set()
+    counts = {"rounded": 0, "trials": 0}
 
     def tracked_grad_hess(mesh, ball, x0, params):
-        iterate[:] = [x0]
+        assert (x0.x, x0.y) not in points
+        points.add((x0.x, x0.y))
         return ball_grad_hess(mesh, ball, x0, params)
 
-    def tracked_objective(mesh, ball, x0, params):
-        assert (x0.x, x0.y) != (iterate[0].x, iterate[0].y)
-        trials.append(x0)
-        return ball_objective(mesh, ball, x0, params)
+    def no_objective(*args):
+        raise AssertionError("a solve called ball_objective")
+
+    def solve(mesh, ball):
+        points.clear()
+        pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+        counts["rounded"] += trace.stop_reason == "rounded"
+        counts["trials"] += trace.iterations
+        return pos
 
     monkeypatch.setattr(osmot.newton, "ball_grad_hess", tracked_grad_hess)
-    monkeypatch.setattr(osmot.newton, "ball_objective", tracked_objective)
+    monkeypatch.setattr(osmot.newton, "ball_objective", no_objective)
     rng = random.Random(99)
-    rounded = 0
     for _ in range(60):
         mesh = random_ball_mesh(rng)
-        _pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
-        rounded += trace.stop_reason == "rounded"
+        solve(mesh, mesh.balls[0])
     mesh = _jittered_lattice_mesh(random.Random(64))
     for nid in sorted(mesh.balls):
-        pos, trace = optimize_ball(mesh, mesh.balls[nid], PARAMS, CFG)
-        rounded += trace.stop_reason == "rounded"
-        mesh.set_position(nid, pos)
+        mesh.set_position(nid, solve(mesh, mesh.balls[nid]))
     mesh = _shifted_hexagon(Point2(0.05, 0.02), ROUNDING_SHIFT)
-    _pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
-    rounded += trace.stop_reason == "rounded"
-    assert rounded > 0 and trials
+    solve(mesh, mesh.balls[0])
+    assert counts["rounded"] > 0 and counts["trials"] > 0
+
+
+def _overflow_case(frame, x0, params):
+    """Which factor of w overflows at x0, at the first element where one
+    does: "power" when (R/r_ref)^beta alone overflows, "product" when both
+    powers are finite and their product is not; None when no w overflows."""
+    for _tid, x1, y1, x2, y2, b, r_ref, _hx, _hy in frame.elements:
+        a = math.hypot(x0.x - x1, x0.y - y1)
+        c = math.hypot(x0.x - x2, x0.y - y2)
+        area = signed_area(x0, Point2(x1, y1), Point2(x2, y2))
+        big_r = a * b * c / (4.0 * area)
+        try:
+            size = (big_r / r_ref) ** params.beta
+        except OverflowError:
+            return "power"
+        shape = (big_r * 0.5 * (a + b + c) / area) ** params.gamma
+        if size * shape == math.inf:
+            return "product"
+    return None
+
+
+@pytest.mark.parametrize("params,center,case", [
+    # steepest steps from just below the top edge cross the barrier
+    (PARAMS, Point2(0.0, 0.85), "barrier"),
+    # (R/r_ref)^beta overflows at trials near the barrier
+    (ObjectiveParams(beta=40.0, gamma=0.5), Point2(0.0, 0.8), "power"),
+    # both powers are finite at those trials but their product is not
+    (ObjectiveParams(beta=20.0, gamma=20.0), Point2(0.0, 0.6), "product"),
+], ids=["barrier", "power", "product"])
+def test_trial_past_the_barrier_or_overflowing_is_rejected(
+        monkeypatch, params, center, case):
+    # a trial the kernel cannot score, because it crosses the barrier or
+    # its w overflows, scores +inf: a rejected IterationRecord, no error
+    outcomes = []
+
+    def tracked(mesh, ball, x0, p):
+        try:
+            result = ball_grad_hess(mesh, ball, x0, p)
+        except DegenerateElementError:
+            outcomes.append("barrier")
+            raise
+        except ObjectiveOverflowError:
+            outcomes.append(_overflow_case(ball, x0, p))
+            raise
+        outcomes.append(None)
+        return result
+
+    monkeypatch.setattr(osmot.newton, "ball_grad_hess", tracked)
+    mesh = regular_hexagon_mesh(center)
+    _pos, trace = optimize_ball(mesh, mesh.balls[0], params, CFG)
+    assert outcomes[0] is None and len(outcomes) == 1 + trace.iterations
+    assert case in outcomes
+    assert not any(step.accepted for outcome, step
+                   in zip(outcomes[1:], trace.steps) if outcome is not None)
+
+
+@pytest.mark.parametrize("params", [
+    ObjectiveParams(beta=2.0, r_ref=1e-300),
+    ObjectiveParams(gamma=40.0, r_ref=1e-300),
+], ids=["power", "product"])
+def test_overflow_at_the_start_raises(params):
+    # where the solve starts, an overflowing w is an invalid parameter
+    mesh = regular_hexagon_mesh()
+    with pytest.raises(ValueError, match="overflows"):
+        optimize_ball(mesh, mesh.balls[0], params, CFG)
 
 
 def _check_stalled_rule(mesh, ball, reasons):

@@ -24,6 +24,7 @@ from osmot.geometry import (
 from osmot.objective import (
     BallFrame,
     DegenerateElementError,
+    ObjectiveOverflowError,
     ObjectiveParams,
     ball_grad_hess,
     ball_objective,
@@ -399,8 +400,8 @@ def _reference_ball_objective(mesh, ball, x0, params):
 
 def _reference_ball_grad_hess(mesh, ball, x0, params):
     """The ball derivatives as one element at a time, each read from the
-    mesh: DegenerateElementError past the barrier, ValueError when w
-    overflows."""
+    mesh: DegenerateElementError past the barrier, ObjectiveOverflowError
+    when w overflows."""
     beta, gamma = params.beta, params.gamma
     sums = [0.0] * 6
     for tid, n1, n2 in ball.elements:
@@ -419,9 +420,9 @@ def _reference_ball_grad_hess(mesh, ball, x0, params):
         try:
             w = (big_r / r_ref) ** beta * (big_r * s / area) ** gamma
         except OverflowError:
-            raise ValueError("overflow") from None
+            raise ObjectiveOverflowError(beta, gamma, r_ref) from None
         if w == math.inf:
-            raise ValueError("overflow")
+            raise ObjectiveOverflowError(beta, gamma, r_ref)
         ka = beta + gamma
         kA = beta + 2.0 * gamma
         ia2 = 1.0 / (a * a)
@@ -463,11 +464,10 @@ def _assert_kernels_match_reference(mesh, ball, x0, params):
 
 @EXPONENT_PAIRS
 def test_ball_value_paths_agree_bitwise(beta, gamma):
-    # Armijo compares the value of ball_grad_hess with ball_objective, and
-    # the Newton solve relies on both paths seeing the barrier alike: at
-    # the start and with the first element straddling the barrier,
-    # ball_grad_hess raises exactly where ball_objective is +inf and
-    # otherwise returns its value bit for bit
+    # ball_objective is the value of ball_grad_hess with the barrier
+    # mapped to +inf: at the start and with the first element straddling
+    # the barrier, ball_grad_hess raises exactly where ball_objective is
+    # +inf and otherwise returns its value bit for bit
     params = ObjectiveParams(beta=beta, gamma=gamma)
     outcomes = set()
     for mesh, ball, points in _near_barrier_balls():
