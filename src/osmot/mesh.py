@@ -6,11 +6,13 @@ the ball of elements around every internal node, and the movable boundary
 chains obtained by splitting the boundary at fixed nodes. Connectivity is
 immutable during smoothing; node positions are the only mutable state.
 
-``build_topology`` reads the triangles once, building the directed edges
-and the star of every node, then the nodes once: each star is checked
-for an orphan, against the node's mobility label and, off the boundary,
-for winding once around its node, and the stars of internal nodes
-become the balls.
+``build_topology`` reads the coordinates into two lists, then the
+triangles once: each is checked for orientation, and its three directed
+edges (u, v), keyed as the int u * n_nodes + v, against those of the
+earlier triangles; it joins the star of each of its nodes. Then the nodes
+once: each star is checked for an orphan, against the node's mobility
+label and, off the boundary, for winding once around its node by ray
+crossings, and the stars of internal nodes become the balls.
 
 Per-triangle quality lives in one ``QualityTable`` per mesh, built on
 first use. The text of the last mesh-file write and SVG render is kept on
@@ -35,7 +37,7 @@ from itertools import count
 from math import hypot, inf, nan
 from typing import TYPE_CHECKING
 
-from .geometry import DEGENERATE_AREA_FACTOR, Point2, signed_area
+from .geometry import DEGENERATE_AREA_FACTOR, Point2
 from .quality import HISTOGRAM_BUCKETS, QualityConfig
 
 if TYPE_CHECKING:
@@ -56,6 +58,7 @@ class NonManifoldError(MeshError):
 class InvertedElementError(MeshError):
     def __init__(self, triangle_id: int, area: float):
         self.triangle_id = triangle_id
+        self.area = area
         super().__init__(
             f"triangle {triangle_id} has non-positive signed area {area:g}"
         )
@@ -326,13 +329,18 @@ def build_topology(
     for i, node in enumerate(nodes):
         if node.id != i:
             raise MeshError(f"node ids must be dense 0..N-1, found {node.id} at {i}")
+    xs = [node.position.x for node in nodes]
+    ys = [node.position.y for node in nodes]
 
-    # Each triangle contributes its three directed edges, interior on the
-    # left. In a manifold, consistently oriented mesh no directed edge
+    # Each triangle contributes its three directed edges (u, v), interior
+    # on the left, keyed as u * n_nodes + v once its nodes are known to be
+    # in range. In a manifold, consistently oriented mesh no directed edge
     # occurs twice, and a directed edge whose reverse is absent is a
     # boundary edge. The same pass builds the star of every node; the
     # triangles are visited in id order, so every star comes out sorted.
-    edges: set[tuple[int, int]] = set()
+    edges: set[int] = set()
+    reverse: list[int] = []
+    add_edge = edges.add
     stars: list[list[tuple[int, int, int]]] = [[] for _ in range(n_nodes)]
     for i, tri in enumerate(triangles):
         if tri.id != i:
@@ -340,26 +348,36 @@ def build_topology(
         a, b, c = tri.nodes
         if a == b or b == c or c == a:
             raise MeshError(f"triangle {tri.id} has repeated nodes {tri.nodes}")
-        for nid in tri.nodes:
-            if not 0 <= nid < n_nodes:
-                raise MeshError(f"triangle {tri.id} references unknown node {nid}")
-        area = signed_area(nodes[a].position, nodes[b].position, nodes[c].position)
+        if not (0 <= a < n_nodes and 0 <= b < n_nodes and 0 <= c < n_nodes):
+            nid = next(nid for nid in tri.nodes if not 0 <= nid < n_nodes)
+            raise MeshError(f"triangle {tri.id} references unknown node {nid}")
+        xa, ya = xs[a], ys[a]
+        # signed_area's expression, so InvertedElementError prints its float
+        area = 0.5 * ((xs[b] - xa) * (ys[c] - ya) - (xs[c] - xa) * (ys[b] - ya))
         if area <= 0.0:
             raise InvertedElementError(tri.id, area)
-        for edge in ((a, b), (b, c), (c, a)):
-            if edge in edges:
-                raise NonManifoldError(
-                    f"directed edge {edge} belongs to more than one triangle"
-                )
-            edges.add(edge)
+        an, bn, cn = a * n_nodes, b * n_nodes, c * n_nodes
+        ab, bc, ca = an + b, bn + c, cn + a
+        if ab in edges or bc in edges or ca in edges:
+            key = next(key for key in (ab, bc, ca) if key in edges)
+            raise NonManifoldError(
+                f"directed edge {divmod(key, n_nodes)} belongs to more than one triangle"
+            )
+        add_edge(ab)
+        add_edge(bc)
+        add_edge(ca)
+        reverse += (bn + a, cn + b, an + c)
         stars[a].append((tri.id, b, c))
         stars[b].append((tri.id, c, a))
         stars[c].append((tri.id, a, b))
 
+    # Removing every reversed key leaves the boundary edges. Ascending keys
+    # visit them by start node, so of several pinched nodes (two outgoing
+    # boundary edges) the lowest is named.
+    edges.difference_update(reverse)
     boundary_next: dict[int, int] = {}
-    for u, v in edges:
-        if (v, u) in edges:
-            continue
+    for key in sorted(edges):
+        u, v = divmod(key, n_nodes)
         if u in boundary_next:
             raise NonManifoldError(
                 f"node {u} has more than one outgoing boundary edge"
@@ -367,31 +385,43 @@ def build_topology(
         boundary_next[u] = v
 
     # A node that starts no boundary edge is interior, and its star must
-    # wind around it once whether it moves or not; only an INTERNAL
-    # node's star is kept as a ball.
+    # wind around it once whether it moves or not: its ring edges n1 -> n2
+    # cross the ray from it towards +x upwards with it on their left (+1)
+    # or downwards with it on their right (-1), by signed_area(n1, n2, it).
+    # Only an INTERNAL node's star is kept as a ball.
     balls: dict[int, Ball] = {}
     for node, star in zip(nodes, stars):
+        nid = node.id
         if not star:
-            raise OrphanNodeError(node.id)
-        on_boundary = node.id in boundary_next
+            raise OrphanNodeError(nid)
+        on_boundary = nid in boundary_next
         if node.mobility is Mobility.BOUNDARY and not on_boundary:
             raise InconsistentMobilityError(
-                node.id,
-                f"node {node.id} is marked movable-boundary but lies on no boundary edge",
+                nid,
+                f"node {nid} is marked movable-boundary but lies on no boundary edge",
             )
         if node.mobility is Mobility.INTERNAL and on_boundary:
             raise InconsistentMobilityError(
-                node.id,
-                f"node {node.id} is marked internal but lies on a boundary edge",
+                nid,
+                f"node {nid} is marked internal but lies on a boundary edge",
             )
         if on_boundary:
             continue
-        ball = Ball(vertex=node.id, elements=tuple(star))
-        winding = _winding_number(nodes, ball)
+        px, py = xs[nid], ys[nid]
+        winding = 0
+        for _tid, n1, n2 in star:
+            x1, y1, y2 = xs[n1], ys[n1], ys[n2]
+            starts_below = y1 <= py
+            if starts_below != (y2 <= py):
+                side = 0.5 * ((xs[n2] - x1) * (py - y1) - (px - x1) * (y2 - y1))
+                if starts_below:
+                    winding += side > 0.0
+                else:
+                    winding -= side < 0.0
         if winding != 1:
-            raise TangledBallError(node.id, winding)
+            raise TangledBallError(nid, winding)
         if node.mobility is Mobility.INTERNAL:
-            balls[node.id] = ball
+            balls[nid] = Ball(vertex=nid, elements=tuple(star))
 
     chains = _build_chains(nodes, boundary_next)
     for chain in chains:
@@ -401,27 +431,6 @@ def build_topology(
 
     return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=chains,
                 rref=dict(rref) if rref else {})
-
-
-def _winding_number(nodes: list[Node], ball: Ball) -> int:
-    """How many times the ring edges n1 -> n2 of a ball wind around its vertex.
-
-    Counts signed crossings of the horizontal ray from the vertex towards
-    +x: an upward edge with the vertex on its left adds one, a downward
-    edge with the vertex on its right subtracts one.
-    """
-    p = nodes[ball.vertex].position
-    y = p.y
-    winding = 0
-    for _tid, n1, n2 in ball.elements:
-        q1 = nodes[n1].position
-        q2 = nodes[n2].position
-        if q1.y <= y:
-            if q2.y > y and signed_area(q1, q2, p) > 0.0:
-                winding += 1
-        elif q2.y <= y and signed_area(q1, q2, p) < 0.0:
-            winding -= 1
-    return winding
 
 
 def _build_chains(nodes: list[Node], boundary_next: dict[int, int]) -> list[BoundaryChain]:

@@ -12,10 +12,10 @@ The format is a plain-text section layout:
 
 Comment lines starting with '#' and blank lines are ignored anywhere.
 Coordinates are written with 17 significant digits so that writing and
-re-reading a mesh reproduces the exact same doubles. Reading validates
-the mesh (orientation, manifoldness, mobility consistency, balls that
-wind once) and reports the offending file line where one can be
-attributed.
+re-reading a mesh reproduces the exact same doubles. Reading takes each
+section as one slice of the significant lines, validates the mesh
+(orientation, manifoldness, mobility consistency, balls that wind once)
+and reports the offending file line where one can be attributed.
 
 Writing keeps the formatted text on the mesh (``Mesh._file_text``): one
 line per node, and the whole triangles section, which never changes
@@ -32,6 +32,7 @@ position. The rref section is formatted on every write, since
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .geometry import Point2
 from .mesh import (
@@ -66,18 +67,21 @@ class ValidationError(Exception):
 
 
 def _significant_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_no, line
+    """(file line number, stripped line) of every line that is neither blank
+    nor a comment. Node i is the line at index 2 + i, triangle i at 3 + N + i."""
+    return ((line_no, line) for line_no, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and line[0] != "#")
 
 
-def _parse_mobility(token: str, line_no: int) -> Mobility:
-    if token == "F":
-        return Mobility.FIXED
-    if token == "I":
-        return Mobility.INTERNAL
+def _file_line(text: str, index: int) -> int:
+    """The file line number of the significant line at ``index``."""
+    return next(islice(_significant_lines(text), index, None))[0]
+
+
+_MOBILITY = {"F": Mobility.FIXED, "I": Mobility.INTERNAL}
+
+
+def _boundary_mobility(token: str, line_no: int) -> Mobility:
     if token.startswith("B"):
         # the chain id must be an integer, but build_topology renumbers chains
         try:
@@ -115,13 +119,9 @@ def parse_mesh_text(text: str) -> Mesh:
     if line != HEADER:
         raise ParseError(line_no, f"expected header {HEADER!r}, got {line!r}")
 
-    line_no, line = next_line("'nodes <count>'")
-    n_nodes = _count(line_no, line, "nodes")
-
+    n_nodes = _count(*next_line("'nodes <count>'"), "nodes")
     nodes: list[Node] = []
-    node_lines: dict[int, int] = {}
-    for _ in range(n_nodes):
-        line_no, line = next_line("a node line")
+    for expected, (line_no, line) in enumerate(islice(lines, n_nodes)):
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(line_no, f"expected '<id> <x> <y> <mobility>', got {line!r}")
@@ -133,30 +133,28 @@ def parse_mesh_text(text: str) -> Mesh:
             raise ParseError(line_no, f"bad node fields in {line!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(line_no, f"non-finite coordinates in {line!r}")
-        mobility = _parse_mobility(parts[3], line_no)
-        if nid != len(nodes):
-            raise ParseError(line_no, f"node ids must be dense, expected {len(nodes)}")
+        mobility = _MOBILITY.get(parts[3]) or _boundary_mobility(parts[3], line_no)
+        if nid != expected:
+            raise ParseError(line_no, f"node ids must be dense, expected {expected}")
         nodes.append(Node(nid, Point2(x, y), mobility))
-        node_lines[nid] = line_no
+    if len(nodes) < n_nodes:
+        raise ParseError(0, "unexpected end of file, expected a node line")
 
-    line_no, line = next_line("'triangles <count>'")
-    n_triangles = _count(line_no, line, "triangles")
-
+    n_triangles = _count(*next_line("'triangles <count>'"), "triangles")
     triangles: list[Triangle] = []
-    triangle_lines: dict[int, int] = {}
-    for _ in range(n_triangles):
-        line_no, line = next_line("a triangle line")
+    for expected, (line_no, line) in enumerate(islice(lines, n_triangles)):
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(line_no, f"expected '<id> <n0> <n1> <n2>', got {line!r}")
         try:
-            tid, a, b, c = (int(p) for p in parts)
+            tid, a, b, c = map(int, parts)
         except ValueError:
             raise ParseError(line_no, f"bad triangle fields in {line!r}") from None
-        if tid != len(triangles):
-            raise ParseError(line_no, f"triangle ids must be dense, expected {len(triangles)}")
+        if tid != expected:
+            raise ParseError(line_no, f"triangle ids must be dense, expected {expected}")
         triangles.append(Triangle(tid, (a, b, c)))
-        triangle_lines[tid] = line_no
+    if len(triangles) < n_triangles:
+        raise ParseError(0, "unexpected end of file, expected a triangle line")
 
     rref: dict[int, float] = {}
     trailing = list(lines)
@@ -183,12 +181,14 @@ def parse_mesh_text(text: str) -> Mesh:
                 raise ParseError(line_no, f"repeated rref entry for triangle {tid}")
             rref[tid] = value
 
+    # no line is kept while the topology is built, the peak of a load; an
+    # error that names a node or triangle reads the lines again
     try:
         return build_topology(nodes, triangles, rref)
     except InvertedElementError as err:
-        raise ValidationError(str(err), triangle_lines.get(err.triangle_id)) from err
+        raise ValidationError(str(err), _file_line(text, 3 + n_nodes + err.triangle_id)) from err
     except (OrphanNodeError, InconsistentMobilityError, TangledBallError) as err:
-        raise ValidationError(str(err), node_lines.get(err.node_id)) from err
+        raise ValidationError(str(err), _file_line(text, 2 + err.node_id)) from err
     except MeshError as err:
         raise ValidationError(str(err)) from err
 

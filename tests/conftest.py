@@ -7,6 +7,7 @@ import random
 
 from osmot.geometry import Point2, triangle_geometry
 from osmot.mesh import Ball, Mesh, Mobility, Node, Triangle, build_topology
+from osmot.meshio import HEADER
 from osmot.quality import q2_shape
 
 
@@ -66,6 +67,45 @@ def synthetic_single_ball(vertex_pos: Point2, neighbors: list[Point2]) -> Mesh:
     elements = tuple((t.id, t.nodes[1], t.nodes[2]) for t in triangles)
     balls = {0: Ball(vertex=0, elements=elements)}
     return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=[])
+
+
+def hexagon_fan(center_mobility=Mobility.INTERNAL, ring_mobility=Mobility.FIXED):
+    """Regular 6-triangle ball: unit hexagon ring around the origin."""
+    nodes = [Node(0, Point2(0.0, 0.0), center_mobility)]
+    for i in range(6):
+        t = i * math.pi / 3.0
+        nodes.append(Node(i + 1, Point2(math.cos(t), math.sin(t)), ring_mobility))
+    triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % 6)) for i in range(6)]
+    return nodes, triangles
+
+
+def wound_fan(centre_mobility, turns=2, centre=Point2(0.0, 0.0)):
+    """7 * turns CCW triangles around node 0 whose ring circles it ``turns``
+    times: every edge is shared correctly, but the elements of the star
+    overlap. The first ring node of each turn lies on the horizontal of a
+    centre at the origin."""
+    n = 7 * turns
+    nodes = [Node(0, centre, centre_mobility)]
+    for i in range(n):
+        t = i * 2.0 * math.pi / 7.0
+        r = 1.0 + i // 7
+        nodes.append(Node(i + 1, Point2(r * math.cos(t), r * math.sin(t)),
+                          Mobility.FIXED))
+    triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % n)) for i in range(n)]
+    return nodes, triangles
+
+
+def hand_written_text(nodes, triangles):
+    """The mesh file of the nodes and triangles. mesh_to_text would write a
+    BOUNDARY node whose chain id is unset as ``BNone``, which the reader
+    rejects, so the labels are written here."""
+    labels = {Mobility.FIXED: "F", Mobility.INTERNAL: "I", Mobility.BOUNDARY: "B0"}
+    lines = [HEADER, f"nodes {len(nodes)}"]
+    lines += [f"{n.id} {n.position.x!r} {n.position.y!r} {labels[n.mobility]}"
+              for n in nodes]
+    lines.append(f"triangles {len(triangles)}")
+    lines += [f"{t.id} {t.nodes[0]} {t.nodes[1]} {t.nodes[2]}" for t in triangles]
+    return "\n".join(lines) + "\n"
 
 
 def fd_gradient(f, x: float, y: float, h: float) -> tuple[float, float]:

@@ -1,0 +1,336 @@
+"""Loading a mesh: the topology against a reference derivation, and the
+error, message and file line of every load fault."""
+
+import random
+
+import pytest
+
+from osmot.fixtures import FixtureKind, freeze_boundary, generate_fixture
+from osmot.geometry import Point2, signed_area
+from osmot.mesh import (
+    Ball,
+    InvertedElementError,
+    Mobility,
+    Node,
+    NonManifoldError,
+    TangledBallError,
+    Triangle,
+    _build_chains,
+    build_topology,
+)
+from osmot.meshio import ParseError, ValidationError, mesh_to_text, parse_mesh_text
+
+from conftest import hand_written_text, hexagon_fan, wound_fan
+
+
+def reference_winding(nodes, vertex, star):
+    """Signed crossings of the ray from the vertex towards +x by the ring
+    edges n1 -> n2: upward with the vertex on the left adds one, downward
+    with it on the right subtracts one."""
+    p = nodes[vertex].position
+    winding = 0
+    for _tid, n1, n2 in star:
+        q1, q2 = nodes[n1].position, nodes[n2].position
+        if q1.y <= p.y:
+            if q2.y > p.y and signed_area(q1, q2, p) > 0.0:
+                winding += 1
+        elif q2.y <= p.y and signed_area(q1, q2, p) < 0.0:
+            winding -= 1
+    return winding
+
+
+def reference_topology(nodes, triangles):
+    """The balls, boundary successors and windings of a valid mesh, from
+    (u, v) tuple edges, ``signed_area`` and a membership test per edge."""
+    edges = set()
+    stars = [[] for _ in nodes]
+    for tri in triangles:
+        a, b, c = tri.nodes
+        pa, pb, pc = (nodes[n].position for n in tri.nodes)
+        assert signed_area(pa, pb, pc) > 0.0
+        for edge in ((a, b), (b, c), (c, a)):
+            assert edge not in edges
+            edges.add(edge)
+        stars[a].append((tri.id, b, c))
+        stars[b].append((tri.id, c, a))
+        stars[c].append((tri.id, a, b))
+    boundary_next = {u: v for u, v in edges if (v, u) not in edges}
+    balls, windings = {}, {}
+    for node, star in zip(nodes, stars):
+        if node.id not in boundary_next:
+            windings[node.id] = reference_winding(nodes, node.id, star)
+            if node.mobility is Mobility.INTERNAL:
+                balls[node.id] = Ball(node.id, tuple(star))
+    return balls, boundary_next, windings
+
+
+def copies(nodes):
+    return [Node(n.id, n.position, n.mobility) for n in nodes]
+
+
+def relabelled(nodes, triangles, rng):
+    """The same mesh with shuffled node ids, shuffled triangle order and
+    each triangle's nodes rotated."""
+    perm = list(range(len(nodes)))
+    rng.shuffle(perm)
+    new_nodes = [None] * len(nodes)
+    for node in nodes:
+        new_nodes[perm[node.id]] = Node(perm[node.id], node.position, node.mobility)
+    order = list(triangles)
+    rng.shuffle(order)
+    new_triangles = []
+    for tid, tri in enumerate(order):
+        ids = [perm[n] for n in tri.nodes]
+        k = rng.randrange(3)
+        new_triangles.append(Triangle(tid, tuple(ids[k:] + ids[:k])))
+    return new_nodes, new_triangles
+
+
+def with_pinned_interior(mesh):
+    pinned = set(sorted(mesh.balls)[::3])
+    return [Node(n.id, n.position, Mobility.FIXED if n.id in pinned else n.mobility)
+            for n in mesh.nodes], mesh.triangles
+
+
+def valid_meshes():
+    cases = {}
+    for kind in FixtureKind:
+        for seed, distortion in ((0, 0.0), (1, 0.45), (3, 0.9)):
+            mesh = generate_fixture(kind, seed, distortion)
+            cases[f"{kind.value}-{seed}-{distortion}"] = (mesh.nodes, mesh.triangles)
+    box = generate_fixture(FixtureKind.INDENTED_BOX, 2, 0.6)
+    cases["indentedbox-frozen"] = (freeze_boundary(box).nodes, box.triangles)
+    patch = generate_fixture(FixtureKind.PATCH32, 2, 0.6)
+    cases["patch32-pinned"] = with_pinned_interior(patch)
+    cases["hexagon-closed-chain"] = hexagon_fan(ring_mobility=Mobility.BOUNDARY)
+    rng = random.Random(16)
+    for name in ("indentedbox-1-0.45", "graded-0-0.0", "hexagon-closed-chain"):
+        for k in range(3):
+            cases[f"{name}-relabelled-{k}"] = relabelled(*cases[name], rng)
+    return cases
+
+
+VALID = valid_meshes()
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_topology_matches_reference(name):
+    nodes, triangles = VALID[name]
+    mesh = build_topology(copies(nodes), triangles)
+    balls, boundary_next, windings = reference_topology(nodes, triangles)
+    assert set(windings.values()) == {1}
+    assert mesh.balls == balls
+    assert mesh.chains == _build_chains(nodes, boundary_next)
+    assert [n.mobility for n in mesh.nodes] == [n.mobility for n in nodes]
+    chain_of = {nid: chain.chain_id for chain in mesh.chains for nid in chain.node_ids}
+    assert [n.chain_id for n in mesh.nodes] == [
+        chain_of[n.id] if n.mobility is Mobility.BOUNDARY else None for n in nodes]
+
+
+@pytest.mark.parametrize("name", ["patch32-1-0.45", "indentedbox-3-0.9", "graded-0-0.0"])
+def test_inverted_element_carries_signed_area(name):
+    nodes, triangles = VALID[name]
+    for tid, tri in enumerate(triangles):
+        a, b, c = tri.nodes
+        flipped = list(triangles)
+        flipped[tid] = Triangle(tid, (a, c, b))
+        with pytest.raises(InvertedElementError) as err:
+            build_topology(copies(nodes), flipped)
+        want = signed_area(nodes[a].position, nodes[c].position, nodes[b].position)
+        assert err.value.triangle_id == tid
+        assert err.value.area.hex() == want.hex()
+        assert str(err.value) == f"triangle {tid} has non-positive signed area {want:g}"
+
+
+def test_collinear_element_area_is_zero():
+    nodes = [Node(0, Point2(0.0, 0.0), Mobility.FIXED),
+             Node(1, Point2(0.5, 0.5), Mobility.FIXED),
+             Node(2, Point2(1.0, 1.0), Mobility.FIXED)]
+    with pytest.raises(InvertedElementError) as err:
+        build_topology(nodes, [Triangle(0, (0, 1, 2))])
+    want = signed_area(*(n.position for n in nodes))
+    assert err.value.area.hex() == want.hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("turns", [2, 3])
+@pytest.mark.parametrize("mobility", [Mobility.INTERNAL, Mobility.FIXED])
+@pytest.mark.parametrize("centre", [(0.0, 0.0), (0.1, -0.05), (-0.2, 0.15)])
+def test_tangled_winding_matches_reference(turns, mobility, centre):
+    nodes, triangles = wound_fan(mobility, turns, Point2(*centre))
+    _balls, _next, windings = reference_topology(nodes, triangles)
+    with pytest.raises(TangledBallError) as err:
+        build_topology(nodes, triangles)
+    assert err.value.node_id == 0
+    assert err.value.winding == windings[0] == turns
+
+
+def pinched_strip(n_triangles):
+    """Triangles along the x axis, each meeting the next only at one node:
+    every shared node starts two boundary edges."""
+    nodes = [Node(k, Point2(float(k), 0.0), Mobility.FIXED) for k in range(n_triangles + 1)]
+    nodes += [Node(n_triangles + 1 + k, Point2(k + 0.5, 1.0), Mobility.FIXED)
+              for k in range(n_triangles)]
+    triangles = [Triangle(k, (k, k + 1, n_triangles + 1 + k)) for k in range(n_triangles)]
+    return nodes, triangles, set(range(1, n_triangles))
+
+
+@pytest.mark.parametrize("n_triangles", [3, 4])
+def test_pinched_vertices_name_the_lowest(n_triangles):
+    nodes, triangles, pinched = pinched_strip(n_triangles)
+    rng = random.Random(n_triangles)
+    for _ in range(40):
+        perm = list(range(len(nodes)))
+        rng.shuffle(perm)
+        new_nodes = sorted((Node(perm[n.id], n.position, n.mobility) for n in nodes),
+                           key=lambda n: n.id)
+        order = list(triangles)
+        rng.shuffle(order)
+        new_triangles = [Triangle(tid, tuple(perm[n] for n in tri.nodes))
+                         for tid, tri in enumerate(order)]
+        lowest = min(perm[n] for n in pinched)
+        with pytest.raises(NonManifoldError,
+                           match=f"^node {lowest} has more than one outgoing boundary edge$"):
+            build_topology(new_nodes, new_triangles)
+
+
+# Load faults under comments and blank lines. Each fault edits the lines of
+# a clean file and returns them with the index of the faulty line (None
+# where no line is attributed, EOF for a truncated file), the exception
+# class and its message.
+
+EOF = -1
+
+NOISE = ["", "   ", "\t", "#", "# comment", "   # indented comment", "#nodes 3"]
+
+
+def base_lines():
+    mesh = generate_fixture(FixtureKind.INDENTED_BOX, 1, 0.5)
+    return mesh, mesh_to_text(mesh).splitlines()
+
+
+def node_line(nid):
+    return 2 + nid
+
+
+def triangle_line(lines, tid):
+    return 3 + int(lines[1].split()[1]) + tid
+
+
+def fault_flipped(rng):
+    mesh, lines = base_lines()
+    tid = rng.randrange(len(mesh.triangles))
+    a, b, c = mesh.triangles[tid].nodes
+    at = triangle_line(lines, tid)
+    lines[at] = f"{tid} {a} {c} {b}"
+    p = [mesh.nodes[n].position for n in (a, c, b)]
+    return lines, at, ValidationError, f"triangle {tid} has non-positive signed area {signed_area(*p):g}"
+
+
+def fault_repeated_edge(rng):
+    mesh, lines = base_lines()
+    m = len(mesh.triangles)
+    a, b, c = mesh.triangles[rng.randrange(m)].nodes
+    lines[triangle_line(lines, 0) - 1] = f"triangles {m + 1}"
+    lines.append(f"{m} {b} {c} {a}")
+    return lines, None, ValidationError, f"directed edge ({b}, {c}) belongs to more than one triangle"
+
+
+def fault_orphan(rng):
+    mesh, lines = base_lines()
+    n = len(mesh.nodes)
+    lines[1] = f"nodes {n + 1}"
+    lines.insert(node_line(n), f"{n} 9 9 F")
+    return lines, node_line(n), ValidationError, f"node {n} belongs to no triangle"
+
+
+def fault_internal_on_boundary(rng):
+    mesh, lines = base_lines()
+    # every node of the indented box that is not internal lies on its boundary
+    nid = rng.choice([n.id for n in mesh.nodes if n.mobility is not Mobility.INTERNAL])
+    at = node_line(nid)
+    lines[at] = lines[at].rsplit(" ", 1)[0] + " I"
+    return lines, at, ValidationError, f"node {nid} is marked internal but lies on a boundary edge"
+
+
+def fault_boundary_off_boundary(rng):
+    mesh, lines = base_lines()
+    nid = rng.choice(sorted(mesh.balls))
+    at = node_line(nid)
+    lines[at] = lines[at].rsplit(" ", 1)[0] + " B7"
+    return (lines, at, ValidationError,
+            f"node {nid} is marked movable-boundary but lies on no boundary edge")
+
+
+def fault_tangled(rng):
+    fan = wound_fan(rng.choice([Mobility.INTERNAL, Mobility.FIXED]))
+    lines = hand_written_text(*fan).splitlines()
+    return (lines, node_line(0), ValidationError,
+            "triangles around interior node 0 wind 2 times around it")
+
+
+def fault_bad_token(rng):
+    mesh, lines = base_lines()
+    if rng.random() < 0.5:
+        nid = rng.randrange(len(mesh.nodes))
+        at = node_line(nid)
+        lines[at] = lines[at].replace(" ", " x", 1)
+        return lines, at, ParseError, f"bad node fields in {lines[at]!r}"
+    tid = rng.randrange(len(mesh.triangles))
+    at = triangle_line(lines, tid)
+    lines[at] = lines[at] + ".0"
+    return lines, at, ParseError, f"bad triangle fields in {lines[at]!r}"
+
+
+def fault_truncated(rng):
+    _mesh, lines = base_lines()
+    header = triangle_line(lines, 0) - 1
+    cut, expect = rng.choice([(rng.randrange(2, header), "a node line"),
+                              (header, "'triangles <count>'"),
+                              (rng.randrange(header + 1, len(lines)), "a triangle line")])
+    return lines[:cut], EOF, ParseError, f"unexpected end of file, expected {expect}"
+
+
+FAULTS = [fault_flipped, fault_repeated_edge, fault_orphan, fault_internal_on_boundary,
+          fault_boundary_off_boundary, fault_tangled, fault_bad_token, fault_truncated]
+
+
+def with_noise(lines, rng, faulty=None):
+    """The text of the lines with blank and comment lines inserted at
+    random places, and the file line of ``lines[faulty]`` in it."""
+    out = []
+    line_no = None
+    for i, line in enumerate(lines):
+        while rng.random() < 0.3:
+            out.append(rng.choice(NOISE))
+        if i == faulty:
+            line_no = len(out) + 1
+        out.append(line)
+    out += [rng.choice(NOISE) for _ in range(rng.randrange(3))]
+    return "\n".join(out) + "\n", line_no
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__[len("fault_"):])
+@pytest.mark.parametrize("seed", range(6))
+def test_load_fault_under_comments(fault, seed):
+    rng = random.Random(seed)
+    lines, faulty, error, message = fault(rng)
+    text, line_no = with_noise(lines, rng, faulty)
+    if faulty == EOF:
+        line_no = 0
+    with pytest.raises(error) as err:
+        parse_mesh_text(text)
+    assert type(err.value) is error
+    assert err.value.line_no == line_no
+    assert str(err.value) == (message if line_no is None else f"line {line_no}: {message}")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_comments_and_blank_lines_load_the_same_mesh(seed):
+    rng = random.Random(seed)
+    for kind in FixtureKind:
+        mesh = generate_fixture(kind, seed, 0.3)
+        mesh.rref[0] = 0.5
+        text = mesh_to_text(mesh)
+        noisy, _ = with_noise(text.splitlines(), rng)
+        assert noisy != text
+        assert parse_mesh_text(noisy) == mesh

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from osmot.fixtures import FixtureKind, generate_fixture
@@ -19,8 +17,10 @@ from osmot.mesh import (
     build_topology,
     flag_nodes,
 )
-from osmot.meshio import HEADER, ValidationError, parse_mesh_text
+from osmot.meshio import ValidationError, parse_mesh_text
 from osmot.quality import QualityConfig
+
+from conftest import hand_written_text, hexagon_fan, wound_fan
 
 
 def single_triangle(mobility=Mobility.FIXED):
@@ -30,16 +30,6 @@ def single_triangle(mobility=Mobility.FIXED):
         Node(2, Point2(0, 1), mobility),
     ]
     return nodes, [Triangle(0, (0, 1, 2))]
-
-
-def hexagon_fan(center_mobility=Mobility.INTERNAL, ring_mobility=Mobility.FIXED):
-    """Regular 6-triangle ball: unit hexagon ring around the origin."""
-    nodes = [Node(0, Point2(0.0, 0.0), center_mobility)]
-    for i in range(6):
-        t = i * math.pi / 3.0
-        nodes.append(Node(i + 1, Point2(math.cos(t), math.sin(t)), ring_mobility))
-    triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % 6)) for i in range(6)]
-    return nodes, triangles
 
 
 def test_single_triangle_all_fixed():
@@ -228,24 +218,11 @@ def test_pinched_boundary_vertex_rejected():
         build_topology(nodes, triangles)
 
 
-def doubly_wound_fan(centre_mobility):
-    """14 CCW triangles around node 0 whose ring circles it twice: every
-    edge is shared correctly, but the elements of the star overlap."""
-    nodes = [Node(0, Point2(0.0, 0.0), centre_mobility)]
-    for i in range(14):
-        t = i * 2.0 * math.pi / 7.0
-        r = 1.0 if i < 7 else 2.0
-        nodes.append(Node(i + 1, Point2(r * math.cos(t), r * math.sin(t)),
-                          Mobility.FIXED))
-    triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % 14)) for i in range(14)]
-    return nodes, triangles
-
-
 def test_doubly_wound_ball_rejected():
     # test_node_fault_names_the_node checks the node and the file line of
     # both fans; these two check the winding reported
     with pytest.raises(TangledBallError) as err:
-        build_topology(*doubly_wound_fan(Mobility.INTERNAL))
+        build_topology(*wound_fan(Mobility.INTERNAL))
     assert err.value.winding == 2
 
 
@@ -253,7 +230,7 @@ def test_doubly_wound_fixed_centre_rejected():
     # node 0 starts no boundary edge, so its star is checked like an
     # internal node's ball
     with pytest.raises(TangledBallError) as err:
-        build_topology(*doubly_wound_fan(Mobility.FIXED))
+        build_topology(*wound_fan(Mobility.FIXED))
     assert err.value.winding == 2
 
 
@@ -290,26 +267,13 @@ def with_internal(node_id, nodes, triangles):
     return nodes, triangles
 
 
-def hand_written_text(nodes, triangles):
-    """The mesh file of the nodes and triangles. mesh_to_text would write a
-    BOUNDARY node whose chain id is unset as ``BNone``, which the reader
-    rejects, so the labels are written here."""
-    labels = {Mobility.FIXED: "F", Mobility.INTERNAL: "I", Mobility.BOUNDARY: "B0"}
-    lines = [HEADER, f"nodes {len(nodes)}"]
-    lines += [f"{n.id} {n.position.x!r} {n.position.y!r} {labels[n.mobility]}"
-              for n in nodes]
-    lines.append(f"triangles {len(triangles)}")
-    lines += [f"{t.id} {t.nodes[0]} {t.nodes[1]} {t.nodes[2]}" for t in triangles]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("build, error, node_id", [
     (lambda: with_orphan(*single_triangle()), OrphanNodeError, 3),
     (lambda: with_internal(1, *single_triangle()), InconsistentMobilityError, 1),
     (lambda: hexagon_fan(center_mobility=Mobility.BOUNDARY),
      InconsistentMobilityError, 0),
-    (lambda: doubly_wound_fan(Mobility.INTERNAL), TangledBallError, 0),
-    (lambda: doubly_wound_fan(Mobility.FIXED), TangledBallError, 0),
+    (lambda: wound_fan(Mobility.INTERNAL), TangledBallError, 0),
+    (lambda: wound_fan(Mobility.FIXED), TangledBallError, 0),
     # two faulty nodes: the lower id is named, whatever its fault
     (lambda: with_orphan(*with_internal(1, *single_triangle())),
      InconsistentMobilityError, 1),
