@@ -56,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_smooth.add_argument("--gamma", type=float, default=defaults.objective.gamma)
     p_smooth.add_argument("--rref", type=float, default=defaults.objective.r_ref)
     p_smooth.add_argument("--eps", type=float, default=defaults.newton.eps)
-    p_smooth.add_argument("--delta", type=float, default=defaults.newton.delta)
-    p_smooth.add_argument("--eta", type=float, default=defaults.newton.eta)
     p_smooth.add_argument("--smoother", default=defaults.smoother_kind.value,
                           choices=[k.value for k in SmootherKind])
     p_smooth.add_argument("--report", metavar="CSV",
@@ -111,7 +109,7 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
         quality=QualityConfig(q_min=args.qmin),
         objective=ObjectiveParams(beta=args.beta, gamma=args.gamma,
                                   r_ref=args.rref),
-        newton=NewtonConfig(eps=args.eps, delta=args.delta, eta=args.eta),
+        newton=NewtonConfig(eps=args.eps),
         reflag_each_loop=args.reflag,
         smoother_kind=SmootherKind(args.smoother),
         early_exit=not args.no_early_exit,

@@ -116,10 +116,10 @@ def _patch32(seed: int, distortion: float) -> Mesh:
             for k in interior:
                 angle = rng.uniform(0.0, 2.0 * math.pi)
                 base = lattice[k]
-                nodes[k].position = Point2(
+                nodes[k] = Node(k, Point2(
                     base.x + distortion * h * math.cos(angle),
                     base.y + distortion * h * math.sin(angle),
-                )
+                ), Mobility.INTERNAL)
             ok = all(
                 signed_area(nodes[a].position, nodes[b].position,
                             nodes[c].position) > area_floor

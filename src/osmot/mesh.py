@@ -16,11 +16,12 @@ crossings, and the stars of internal nodes become the balls.
 
 Per-triangle quality lives in one ``QualityTable`` per mesh, built on
 first use. The text of the last mesh-file write and SVG render is kept on
-the mesh as well (see ``meshio`` and ``svgout``). Each of the three keeps
-the position objects it last saw, and ``moved_nodes`` tells it which
-nodes have a new one: the table then re-evaluates the triangles around
-them, and the caches format them again. Any write to ``Node.position``
-is seen.
+the mesh as well (see ``meshio`` and ``svgout``). ``Node`` is frozen, so
+once the mesh is built a position changes only through
+``Mesh.set_position``, which puts in a new node and adds its id to the
+``moved`` set of each of the three caches the mesh holds. A cache's next
+read takes its own set and clears it: the table re-evaluates the
+triangles around those nodes, and the text caches format them again.
 
 The table also keeps, by deltas over the triangles it re-evaluates, the
 q2 histogram, the number of inverted triangles and the set of triangles
@@ -33,7 +34,6 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
-from itertools import count
 from math import hypot, inf, nan
 from typing import TYPE_CHECKING
 
@@ -52,7 +52,9 @@ class MeshError(Exception):
 
 
 class NonManifoldError(MeshError):
-    pass
+    def __init__(self, message: str, triangle_id: int | None = None):
+        self.triangle_id = triangle_id  # the triangle that repeats an edge
+        super().__init__(message)
 
 
 class InvertedElementError(MeshError):
@@ -95,7 +97,7 @@ class Mobility(enum.Enum):
     BOUNDARY = "B"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: int
     position: Point2
@@ -144,8 +146,7 @@ class QualityTable:
     scores the triangle 0), so that r_ref / R is its size quality for any
     positive r_ref; ``inverted`` is 1 where the signed area is not
     positive. ``incident`` lists the triangles of every node, and
-    ``positions`` the position object of every node as the values were
-    last evaluated.
+    ``moved`` holds the nodes moved since the values were last evaluated.
 
     ``histogram`` counts the triangles per bucket and ``n_inverted`` the
     inverted ones. They, and the triangles below the last q_min asked of
@@ -154,11 +155,11 @@ class QualityTable:
     in.
     """
 
-    __slots__ = ("positions", "q2", "bucket", "circumradius", "inverted",
+    __slots__ = ("moved", "q2", "bucket", "circumradius", "inverted",
                  "incident", "histogram", "n_inverted", "_q_min", "_below")
 
     def __init__(self, mesh: Mesh) -> None:
-        self.positions: list[Point2 | None] = [n.position for n in mesh.nodes]
+        self.moved: set[int] = set()
         n = len(mesh.triangles)
         self.q2 = array("d", [0.0]) * n
         self.bucket = bytearray(n)
@@ -180,11 +181,12 @@ class QualityTable:
     def refresh(self, mesh: Mesh) -> None:
         """Re-evaluate every triangle around a node moved since the last
         refresh."""
-        incident = self.incident
-        dirty: set[int] = set()
-        for nid in moved_nodes(self.positions, mesh.nodes):
-            dirty.update(incident[nid])
-        if dirty:
+        if self.moved:
+            incident = self.incident
+            dirty: set[int] = set()
+            for nid in self.moved:
+                dirty.update(incident[nid])
+            self.moved.clear()
             self._evaluate(mesh, dirty)
 
     def below(self, q_min: float) -> set[int]:
@@ -266,7 +268,12 @@ class Mesh:
         return self.nodes[node_id].position
 
     def set_position(self, node_id: int, p: Point2) -> None:
-        self.nodes[node_id].position = p
+        """Move a node, and record it for each cache the mesh holds."""
+        node = self.nodes[node_id]
+        self.nodes[node_id] = Node(node_id, p, node.mobility, node.chain_id)
+        for cache in (self._quality, self._file_text, self._svg_text):
+            if cache is not None:
+                cache.moved.add(node_id)
 
     def quality_table(self) -> QualityTable:
         """The per-triangle quality at the current positions.
@@ -293,22 +300,6 @@ class Mesh:
             tuple((c.chain_id, c.node_ids, c.closed) for c in self.chains),
             tuple((n.mobility, n.chain_id) for n in self.nodes),
         )
-
-
-def moved_nodes(seen: list[Point2 | None], nodes: list[Node]) -> list[int]:
-    """Ids of the nodes whose position is not the object in ``seen``.
-
-    ``seen`` holds one position per node, as a cache last read it, and is
-    brought up to date. ``Point2`` is frozen, so the same object means the
-    same coordinates, and every write to ``Node.position`` is seen.
-    """
-    # Identity, never ==: Point2(0.0, y) == Point2(-0.0, y), yet .17g and
-    # .6g print the two as 0 and -0.
-    moved = [nid for nid, p, node in zip(count(), seen, nodes)
-             if node.position is not p]
-    for nid in moved:
-        seen[nid] = nodes[nid].position
-    return moved
 
 
 def build_topology(
@@ -361,7 +352,8 @@ def build_topology(
         if ab in edges or bc in edges or ca in edges:
             key = next(key for key in (ab, bc, ca) if key in edges)
             raise NonManifoldError(
-                f"directed edge {divmod(key, n_nodes)} belongs to more than one triangle"
+                f"directed edge {divmod(key, n_nodes)} belongs to more than one triangle",
+                tri.id,
             )
         add_edge(ab)
         add_edge(bc)
@@ -426,8 +418,9 @@ def build_topology(
     chains = _build_chains(nodes, boundary_next)
     for chain in chains:
         for nid in chain.node_ids:
-            if nodes[nid].mobility is Mobility.BOUNDARY:
-                nodes[nid].chain_id = chain.chain_id
+            node = nodes[nid]
+            if node.mobility is Mobility.BOUNDARY:
+                nodes[nid] = Node(nid, node.position, node.mobility, chain.chain_id)
 
     return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=chains,
                 rref=dict(rref) if rref else {})

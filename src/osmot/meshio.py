@@ -19,14 +19,14 @@ and reports the offending file line where one can be attributed.
 
 Writing keeps the formatted text on the mesh (``Mesh._file_text``): one
 line per node, and the whole triangles section, which never changes
-because connectivity is immutable. Each later write formats again only
-the lines of nodes whose position object changed since the previous
-write (``moved_nodes``, the test the quality table and the SVG text use
-too), so a mesh checkpointed after every rezoning round pays for the
-nodes that moved. A node's mobility and chain id are
-fixed once the topology is built, so its line changes only with its
-position. The rref section is formatted on every write, since
-``Mesh.rref`` is a plain dict that callers may edit.
+because connectivity is immutable. Positions change only through
+``Mesh.set_position``, which records the node in the text's ``moved``
+set, so each later write formats again only the lines of the nodes moved
+since the previous write: a mesh checkpointed after every rezoning round
+pays for the nodes that moved. A node's mobility and chain id are fixed
+once the topology is built, so its line changes only with its position.
+The rref section is formatted on every write, since ``Mesh.rref`` is a
+plain dict that callers may edit.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ from .mesh import (
     Mesh,
     Mobility,
     Node,
+    NonManifoldError,
     OrphanNodeError,
     TangledBallError,
     Triangle,
     build_topology,
-    moved_nodes,
 )
 
 HEADER = "osmot-mesh v1"
@@ -185,8 +185,10 @@ def parse_mesh_text(text: str) -> Mesh:
     # error that names a node or triangle reads the lines again
     try:
         return build_topology(nodes, triangles, rref)
-    except InvertedElementError as err:
-        raise ValidationError(str(err), _file_line(text, 3 + n_nodes + err.triangle_id)) from err
+    except (InvertedElementError, NonManifoldError) as err:
+        tid = err.triangle_id
+        line_no = None if tid is None else _file_line(text, 3 + n_nodes + tid)
+        raise ValidationError(str(err), line_no) from err
     except (OrphanNodeError, InconsistentMobilityError, TangledBallError) as err:
         raise ValidationError(str(err), _file_line(text, 2 + err.node_id)) from err
     except MeshError as err:
@@ -201,12 +203,11 @@ def read_mesh(path: str) -> Mesh:
 class FileText:
     """The formatted node lines and triangles section of one mesh."""
 
-    __slots__ = ("positions", "node_lines", "triangles")
+    __slots__ = ("moved", "node_lines", "triangles")
 
     def __init__(self, mesh: Mesh) -> None:
-        n = len(mesh.nodes)
-        self.positions: list[Point2 | None] = [None] * n
-        self.node_lines = [""] * n
+        self.moved: set[int] = set()
+        self.node_lines = [_node_line(node) for node in mesh.nodes]
         self.triangles = f"triangles {len(mesh.triangles)}\n" + "".join(
             f"{tri.id} {tri.nodes[0]} {tri.nodes[1]} {tri.nodes[2]}\n"
             for tri in mesh.triangles)
@@ -230,8 +231,9 @@ def _mesh_sections(mesh: Mesh) -> tuple[str, str, str, str]:
         text = mesh._file_text = FileText(mesh)
     nodes = mesh.nodes
     lines = text.node_lines
-    for nid in moved_nodes(text.positions, nodes):
+    for nid in text.moved:
         lines[nid] = _node_line(nodes[nid])
+    text.moved.clear()
     rref = mesh.rref
     rref_section = ""
     if rref:

@@ -100,9 +100,8 @@ class DegenerateStartError(Exception):
 class NewtonConfig:
     """Tolerances and bounds of the local optimizer.
 
-    eps is the gradient-norm termination tolerance, delta the Hessian
-    determinant guard, eta the angle-criterion threshold. j_max bounds
-    the inner iterations: a solve runs at most j_max + 1 of them, each one
+    eps is the gradient-norm termination tolerance. j_max bounds the
+    inner iterations: a solve runs at most j_max + 1 of them, each one
     Armijo trial, and stops as ``j_max`` after the last. lambda_min floors
     the bisected step size. On hitting either bound the current (best)
     iterate is returned. A solve also stops, as ``stalled``, before a
@@ -110,21 +109,20 @@ class NewtonConfig:
     ``STALL_ULPS`` ulps of the ball objective: that decrease is below the
     rounding error of the values Armijo compares, so the trial could not
     be told from noise. The threshold is a fixed constant, not a field,
-    and so are the Armijo factors: 1e-4 of lambda grad.d for a Newton
-    direction, so that the full Newton step is kept near the optimum, and
-    0.5 for the steepest-descent fallback, whose unscaled full-length steps
-    must not be accepted on a token decrease.
+    and so are the direction tests (``DELTA``, ``ETA``) and the Armijo
+    factors: 1e-4 of lambda grad.d for a Newton direction, so that the
+    full Newton step is kept near the optimum, and 0.5 for the
+    steepest-descent fallback, whose unscaled full-length steps must not
+    be accepted on a token decrease.
     """
 
     eps: float = 1e-8
-    delta: float = 1e-6
-    eta: float = 0.05
     j_max: int = 50
     lambda_min: float = 2.0 ** -30
 
     def __post_init__(self) -> None:
-        if not all(0.0 < v < math.inf for v in (self.eps, self.delta, self.eta)):
-            raise ValueError("eps, delta and eta must be finite and positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and positive")
         if self.j_max < 1 or not self.lambda_min > 0:
             raise ValueError("j_max must be >= 1 and lambda_min positive")
 
@@ -145,6 +143,10 @@ StopReason = Literal["converged", "stalled", "rounded", "step_floor", "j_max"]
 # a trial whose predicted decrease 0.5 lambda |grad.d| is at most this many
 # ulps of the iterate's value is not evaluated: the solve ends as stalled
 STALL_ULPS = 4.0
+# the Newton direction is replaced by steepest descent when the Hessian
+# determinant is below DELTA or the cosine of its angle with -grad below ETA
+DELTA = 1e-6
+ETA = 0.05
 # Armijo factors c1 in w_new - w_old <= c1 lambda grad.d, per direction
 # (see the module docstring)
 ARMIJO_NEWTON = 1e-4
@@ -175,13 +177,12 @@ class LocalStepTrace:
         return sum(not s.accepted for s in self.steps)
 
 
-def descent_direction(gh: GradHess, cfg: NewtonConfig
-                      ) -> tuple[float, float, bool]:
+def descent_direction(gh: GradHess) -> tuple[float, float, bool]:
     """Newton direction, or steepest descent when the determinant guard or
     the angle criterion rejects it, and whether steepest descent was
     substituted. Always satisfies grad . d < 0 for a nonzero gradient."""
     det = gh.hxx * gh.hyy - gh.hxy * gh.hxy
-    if det < cfg.delta:
+    if det < DELTA:
         return -gh.gx, -gh.gy, True
     # 2x2 Newton solve H d = -grad by Cramer's rule
     dx = -(gh.hyy * gh.gx - gh.hxy * gh.gy) / det
@@ -189,7 +190,7 @@ def descent_direction(gh: GradHess, cfg: NewtonConfig
     gnorm = math.hypot(gh.gx, gh.gy)
     dnorm = math.hypot(dx, dy)
     cos_theta = -(gh.gx * dx + gh.gy * dy) / (gnorm * dnorm)
-    if cos_theta < cfg.eta:
+    if cos_theta < ETA:
         return -gh.gx, -gh.gy, True
     return dx, dy, False
 
@@ -237,7 +238,7 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
             if grad_norm < cfg.eps:
                 stop_reason = "converged"
                 break
-            dx, dy, steepest = descent_direction(gh, cfg)
+            dx, dy, steepest = descent_direction(gh)
             grad_dot_d = gh.gx * dx + gh.gy * dy
             new_iterate = False
         if 0.5 * lam * -grad_dot_d <= STALL_ULPS * math.ulp(gh.value):

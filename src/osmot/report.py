@@ -1,25 +1,25 @@
 """Per-loop mesh quality reporting.
 
 A report reads the mesh's per-triangle quality table (``Mesh.quality_table``),
-which re-evaluates only the triangles around the nodes whose position
-object changed since its last read (``moved_nodes``), however the position
-was written.
+which re-evaluates only the triangles around the nodes moved since its
+last read. Positions change only through ``Mesh.set_position``, which
+records each moved node for the table.
 
 The flagged and inverted counts and the histogram are the ones the table
 keeps by deltas. Full passes over the triangles remain for min q2, for
-the mean q2 (a left-to-right sum, which must keep its bits), and for min
-q1, which is formed here so that an edited ``mesh.rref`` or another
-``r_ref`` never reads a stale value: without rref overrides it is
-``r_ref`` over the largest stored circumradius, otherwise the minimum of
-each element's rref over its circumradius.
+the mean q2 (``math.fsum``, correctly rounded, so the same bits on every
+Python version), and for min q1, which is formed here so that an edited
+``mesh.rref`` or another ``r_ref`` never reads a stale value: without
+rref overrides it is ``r_ref`` over the largest stored circumradius,
+otherwise the minimum of each element's rref over its circumradius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
-from operator import add, truediv
+from math import fsum
+from operator import truediv
 
 from .mesh import Mesh
 from .quality import HISTOGRAM_BUCKETS, QualityConfig
@@ -65,8 +65,7 @@ def quality_report(mesh: Mesh, cfg: QualityConfig, r_ref: float,
     return QualityReport(
         loop=loop,
         min_q2=min(q2s),
-        # a left-to-right float sum, as sum() compensates from Python 3.12
-        mean_q2=reduce(add, q2s, 0.0) / n,
+        mean_q2=fsum(q2s) / n,
         min_q1=min_q1,
         flagged_elements=len(table.below(cfg.q_min)),
         inverted_elements=table.n_inverted,

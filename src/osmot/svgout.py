@@ -8,11 +8,13 @@ radius ratio changes only with the position of one of its nodes.
 Rendering keeps its text on the mesh (``Mesh._svg_text``): the ``.6g``
 coordinates of every node, and each triangle's polygon element up to its
 stroke attributes. The stroke width and the viewBox follow the bounding
-box, so they are formatted on every render and never cached inside a
-polygon. A later render formats again the coordinates of the nodes whose
-position object changed (``moved_nodes``) and the polygons of the
-triangles around them (``QualityTable.incident``). A render in the other
-colouring formats every polygon again.
+box, which is taken from ``Mesh.nodes``, so they are formatted on every
+render and never cached inside a polygon. Positions change only through
+``Mesh.set_position``, which records the node in the text's ``moved``
+set, so a later render formats again the coordinates of the nodes moved
+since the previous render and the polygons of the triangles around them
+(``QualityTable.incident``). A render in the other colouring formats
+every polygon again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import enum
 
 from .geometry import Point2
-from .mesh import Mesh, moved_nodes
+from .mesh import Mesh
 
 
 class ColorBy(enum.Enum):
@@ -31,13 +33,17 @@ class ColorBy(enum.Enum):
 class SvgText:
     """The formatted node coordinates and polygons of one mesh."""
 
-    __slots__ = ("positions", "coords", "polygons", "color_by")
+    __slots__ = ("moved", "coords", "polygons", "color_by")
 
     def __init__(self, mesh: Mesh) -> None:
-        self.positions: list[Point2 | None] = [None] * len(mesh.nodes)
-        self.coords = [""] * len(mesh.nodes)
+        self.moved: set[int] = set()
+        self.coords = [_coords(node.position) for node in mesh.nodes]
         self.polygons = [""] * len(mesh.triangles)
         self.color_by: ColorBy | None = None  # colouring of the polygons
+
+
+def _coords(p: Point2) -> str:
+    return f"{p.x:.6g},{-p.y:.6g}"
 
 
 def _fill(q2: float) -> str:
@@ -55,10 +61,9 @@ def _update(mesh: Mesh, color_by: ColorBy) -> SvgText:
         text = mesh._svg_text = SvgText(mesh)
     nodes, triangles = mesh.nodes, mesh.triangles
     coords = text.coords
-    moved = moved_nodes(text.positions, nodes)
+    moved = text.moved
     for nid in moved:
-        p = nodes[nid].position
-        coords[nid] = f"{p.x:.6g},{-p.y:.6g}"
+        coords[nid] = _coords(nodes[nid].position)
 
     table = mesh.quality_table() if color_by is ColorBy.Q2 else None
     if text.color_by is not color_by:
@@ -70,6 +75,7 @@ def _update(mesh: Mesh, color_by: ColorBy) -> SvgText:
             incident = (table or mesh.quality_table()).incident
             for nid in moved:
                 dirty.update(incident[nid])
+    moved.clear()
 
     q2s = None if table is None else table.q2
     polygons = text.polygons
@@ -86,9 +92,9 @@ def _svg_sections(mesh: Mesh, color_by: ColorBy) -> tuple[str, str, str]:
     joined by their common stroke attributes, and the footer, which ends
     the last polygon."""
     text = _update(mesh, color_by)
-    if text.positions:
-        xs = [p.x for p in text.positions]
-        ys = [p.y for p in text.positions]
+    if mesh.nodes:
+        xs = [node.position.x for node in mesh.nodes]
+        ys = [node.position.y for node in mesh.nodes]
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
     else:

@@ -90,7 +90,7 @@ def test_criterion_2_patch_test():
             i_max=10,
             quality=QualityConfig(q_min=0.6),
             objective=ObjectiveParams(beta=1.0, gamma=3.0, r_ref=1.0),
-            newton=NewtonConfig(eps=1e-8, delta=1e-6, eta=0.05),
+            newton=NewtonConfig(eps=1e-8),
         )
         result = smooth(mesh, cfg)
         assert result.reports[-1].min_q2 >= 0.80

@@ -111,8 +111,8 @@ def test_custom_tolerances_accepted(tmp_path):
     run(["gen", "--kind", "patch32", "--seed", "2", "--distortion", "0.3",
          "--output", str(mesh)])
     assert run(["smooth", "--input", str(mesh), "--output", str(out),
-                "--qmin", "0.7", "--eps", "1e-6", "--delta", "1e-5",
-                "--eta", "0.1", "--rref", "0.5", "--reflag"]) == 0
+                "--qmin", "0.7", "--eps", "1e-6", "--rref", "0.5",
+                "--reflag"]) == 0
 
 
 def test_gen_all_kinds(tmp_path):
@@ -137,8 +137,7 @@ def test_rref_reaches_the_report(tmp_path):
     assert min_q1["2"] == pytest.approx(2.0 * min_q1["1"], rel=1e-11)
 
 
-@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--rref",
-                                  "--eps", "--delta", "--eta"])
+@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--rref", "--eps"])
 def test_non_finite_objective_parameter_exit_1(tmp_path, capsys, flag):
     mesh = tmp_path / "patch.mesh"
     out = tmp_path / "out.mesh"
@@ -191,7 +190,6 @@ def test_smooth_defaults_come_from_smoother_config():
         ["smooth", "--input", "in.mesh", "--output", "out.mesh"])
     cfg = SmootherConfig()
     assert (args.max_loops, args.qmin, args.beta, args.gamma, args.rref,
-            args.eps, args.delta, args.eta, args.smoother) == (
+            args.eps, args.smoother) == (
         cfg.i_max, cfg.quality.q_min, cfg.objective.beta, cfg.objective.gamma,
-        cfg.objective.r_ref, cfg.newton.eps, cfg.newton.delta, cfg.newton.eta,
-        cfg.smoother_kind.value)
+        cfg.objective.r_ref, cfg.newton.eps, cfg.smoother_kind.value)

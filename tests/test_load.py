@@ -194,9 +194,8 @@ def test_pinched_vertices_name_the_lowest(n_triangles):
 
 
 # Load faults under comments and blank lines. Each fault edits the lines of
-# a clean file and returns them with the index of the faulty line (None
-# where no line is attributed, EOF for a truncated file), the exception
-# class and its message.
+# a clean file and returns them with the index of the faulty line (EOF for
+# a truncated file), the exception class and its message.
 
 EOF = -1
 
@@ -232,7 +231,8 @@ def fault_repeated_edge(rng):
     a, b, c = mesh.triangles[rng.randrange(m)].nodes
     lines[triangle_line(lines, 0) - 1] = f"triangles {m + 1}"
     lines.append(f"{m} {b} {c} {a}")
-    return lines, None, ValidationError, f"directed edge ({b}, {c}) belongs to more than one triangle"
+    return (lines, len(lines) - 1, ValidationError,
+            f"directed edge ({b}, {c}) belongs to more than one triangle")
 
 
 def fault_orphan(rng):
@@ -321,7 +321,7 @@ def test_load_fault_under_comments(fault, seed):
         parse_mesh_text(text)
     assert type(err.value) is error
     assert err.value.line_no == line_no
-    assert str(err.value) == (message if line_no is None else f"line {line_no}: {message}")
+    assert str(err.value) == f"line {line_no}: {message}"
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -39,23 +39,23 @@ def gh(gx, gy, hxx, hxy, hyy):
 
 def test_config_defaults_match_published_tolerances():
     assert CFG.eps == 1e-8
-    assert CFG.delta == 1e-6
-    assert CFG.eta == 0.05
+    assert osmot.newton.DELTA == 1e-6
+    assert osmot.newton.ETA == 0.05
 
 
 def test_direction_identity_hessian_keeps_newton():
-    d = descent_direction(gh(2.0, 0.0, 1.0, 0.0, 1.0), CFG)
+    d = descent_direction(gh(2.0, 0.0, 1.0, 0.0, 1.0))
     assert d == (-2.0, 0.0, False)
 
 
 def test_direction_negative_definite_falls_back():
     # det(-I) = 1 >= delta but the Newton direction is an ascent direction
-    d = descent_direction(gh(1.0, 0.0, -1.0, 0.0, -1.0), CFG)
+    d = descent_direction(gh(1.0, 0.0, -1.0, 0.0, -1.0))
     assert d == (-1.0, 0.0, True)
 
 
 def test_direction_tiny_determinant_steepest():
-    d = descent_direction(gh(0.0, 1.0, 1e-9, 0.0, 1e-9), CFG)
+    d = descent_direction(gh(0.0, 1.0, 1e-9, 0.0, 1e-9))
     assert d == (0.0, -1.0, True)
 
 
@@ -66,7 +66,7 @@ def test_direction_always_descends():
                rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
         if math.hypot(g.gx, g.gy) < 1e-12:
             continue
-        dx, dy, steepest = descent_direction(g, CFG)
+        dx, dy, steepest = descent_direction(g)
         assert g.gx * dx + g.gy * dy < 0.0
         assert not steepest or (dx, dy) == (-g.gx, -g.gy)
 
@@ -340,7 +340,7 @@ def _reference_optimize_ball(mesh, ball, params, cfg):
         if gh.grad_norm < cfg.eps:
             converged = True
             break
-        dx, dy, steepest = descent_direction(gh, cfg)
+        dx, dy, steepest = descent_direction(gh)
         grad_dot_d = gh.gx * dx + gh.gy * dy
         if 0.5 * lam * -grad_dot_d <= 4.0 * math.ulp(gh.value):
             break
@@ -532,8 +532,7 @@ def _check_stalled_rule(mesh, ball, reasons):
     for s in trace.steps:
         assert 0.5 * s.step_size * -s.grad_dot_dir > 4.0 * math.ulp(s.value)
     if trace.stop_reason == "stalled":
-        _lam, _dx, _dy, predicted, w = _untried_trial(mesh, ball, pos, trace,
-                                                      CFG)
+        _lam, _dx, _dy, predicted, w = _untried_trial(mesh, ball, pos, trace)
         assert predicted <= 4.0 * math.ulp(w)
     assert ball_objective(mesh, ball, pos, PARAMS) <= start_w
     reasons.append(trace.stop_reason)
@@ -555,7 +554,7 @@ def test_stalled_stop_rule():
     assert "stalled" in reasons
 
 
-def _untried_trial(mesh, ball, pos, trace, cfg):
+def _untried_trial(mesh, ball, pos, trace):
     """Step size, direction, predicted decrease 0.5 lambda |grad.d| and
     iterate value w of the trial that a solve ending at pos with this
     trace would have scored next."""
@@ -564,7 +563,7 @@ def _untried_trial(mesh, ball, pos, trace, cfg):
         last = trace.steps[-1]
         lam = last.step_size if last.accepted else 0.5 * last.step_size
     gh_end = ball_grad_hess(mesh, ball, pos, PARAMS)
-    dx, dy, _ = descent_direction(gh_end, cfg)
+    dx, dy, _ = descent_direction(gh_end)
     predicted = 0.5 * lam * -(gh_end.gx * dx + gh_end.gy * dy)
     return lam, dx, dy, predicted, gh_end.value
 
@@ -622,7 +621,7 @@ def test_stop_reason(cfg, center, shift, reason, iterations):
     if reason in ("stalled", "rounded"):
         # the trial that ended the solve asked for at most 4 ulps of w when
         # it stalled, and for more when it rounded onto the returned position
-        lam, dx, dy, predicted, w = _untried_trial(mesh, ball, pos, trace, cfg)
+        lam, dx, dy, predicted, w = _untried_trial(mesh, ball, pos, trace)
         assert (predicted <= 4.0 * math.ulp(w)) == (reason == "stalled")
         if reason == "rounded":
             assert (pos.x + lam * dx, pos.y + lam * dy) == (pos.x, pos.y)

@@ -1,13 +1,13 @@
 """The per-triangle quality table never goes stale.
 
-Random sequences of node moves (jitters, inverting jumps, moves onto
-another node or onto the midpoint of two nodes, direct ``Node.position``
-writes, of internal, boundary and fixed nodes alike) and rref edits are
-interleaved with reads through
-``quality_report``, ``flag_nodes`` and ``mesh_to_svg``. Every read must
-give the same bits as the same read on a fresh copy of the mesh, which
-builds its table from scratch. The counts the table keeps by deltas must
-equal a recount of its own arrays after every step.
+Random sequences of ``set_position`` moves (jitters, inverting jumps,
+moves onto another node or onto the midpoint of two nodes, of internal,
+boundary and fixed nodes alike) and rref edits are interleaved with reads
+through ``quality_report``, ``flag_nodes`` and ``mesh_to_svg``. Every
+read must give the same bits as the same read on a fresh copy of the
+mesh, which builds its table from scratch. The counts the table keeps by deltas must
+equal a recount of its own arrays after every step, and a read must
+re-evaluate only the triangles around the nodes moved since the last one.
 
 The table's inlined evaluation gives the bits of ``triangle_geometry``
 with ``q2_shape`` and ``size_radius``, and the report's ``min_q1`` gives
@@ -20,6 +20,7 @@ import dataclasses
 import math
 from operator import truediv
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from osmot.fixtures import FixtureKind, generate_fixture
@@ -44,7 +45,6 @@ moves = st.one_of(
     st.tuples(st.just("jump"), index, offset, offset),  # often inverts
     st.tuples(st.just("onto"), index, index),  # coincident nodes
     st.tuples(st.just("midpoint"), index, index, index),  # collinear nodes
-    st.tuples(st.just("write"), index, offset, offset),  # not set_position
 )
 edits = st.one_of(
     st.tuples(st.just("rref"), index, st.floats(min_value=0.1, max_value=4.0)),
@@ -62,14 +62,12 @@ def fresh_copy(mesh: Mesh) -> Mesh:
     """The mesh rebuilt from its text, with no quality table yet.
 
     A mesh with an inverted element fails validation on parse; it is
-    rebuilt from new nodes and the same topology instead.
+    rebuilt from the same (frozen) nodes and topology instead.
     """
     try:
         return parse_mesh_text(mesh_to_text(mesh))
     except ValidationError:
-        nodes = [Node(n.id, n.position, n.mobility, n.chain_id)
-                 for n in mesh.nodes]
-        return Mesh(nodes=nodes, triangles=list(mesh.triangles),
+        return Mesh(nodes=list(mesh.nodes), triangles=list(mesh.triangles),
                     balls=dict(mesh.balls), chains=list(mesh.chains),
                     rref=dict(mesh.rref))
 
@@ -102,11 +100,6 @@ def apply(mesh: Mesh, step) -> None:
         scale = 0.05 if kind == "jitter" else 1.5
         p = mesh.position(i % n_nodes)
         mesh.set_position(i % n_nodes, Point2(p.x + scale * dx, p.y + scale * dy))
-    elif kind == "write":
-        i, dx, dy = args
-        node = mesh.nodes[i % n_nodes]
-        node.position = Point2(node.position.x + 0.05 * dx,
-                               node.position.y + 0.05 * dy)
     elif kind == "onto":
         i, j = args
         mesh.set_position(i % n_nodes, mesh.position(j % n_nodes))
@@ -165,14 +158,38 @@ def test_report_after_each_loop_sees_the_moves_of_that_loop():
         quality_report(fresh_copy(mesh), QualityConfig(), 1.0, 1))
 
 
-def test_direct_position_write_reaches_the_next_report():
+def test_direct_position_write_raises():
+    # set_position is the only way to move a node, so no cache misses one
     mesh = MESHES["patch32"]()
-    quality_report(mesh, QualityConfig(), 1.0, 0)
     nid = next(iter(mesh.balls))
-    p = mesh.position(nid)
-    mesh.nodes[nid].position = Point2(p.x + 0.1, p.y - 0.1)
-    assert bits(quality_report(mesh, QualityConfig(), 1.0, 1)) == bits(
-        quality_report(fresh_copy(mesh), QualityConfig(), 1.0, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.nodes[nid].position = Point2(0.5, 0.5)
+
+
+def test_read_evaluates_only_the_triangles_around_moved_nodes(monkeypatch):
+    mesh = MESHES["patch32"]()
+    table = mesh.quality_table()
+    evaluated: list[int] = []
+    evaluate = QualityTable._evaluate
+
+    def counting(self, mesh, tids):
+        tids = list(tids)
+        evaluated.extend(tids)
+        evaluate(self, mesh, tids)
+
+    monkeypatch.setattr(QualityTable, "_evaluate", counting)
+    moved = sorted(mesh.balls)[:3]
+    for nid in moved + moved[:1]:  # the first node moves twice
+        p = mesh.position(nid)
+        mesh.set_position(nid, Point2(p.x + 0.01, p.y - 0.01))
+    quality_report(mesh, QualityConfig(), 1.0, 1)
+    around = {tid for nid in moved for tid in table.incident[nid]}
+    assert sorted(evaluated) == sorted(around)
+    assert len(around) < len(mesh.triangles)
+    evaluated.clear()
+    quality_report(mesh, QualityConfig(), 1.0, 2)
+    flag_nodes(mesh, QualityConfig())
+    assert evaluated == []
 
 
 def test_read_mesh_builds_no_table(tmp_path):
@@ -251,8 +268,8 @@ def test_inlined_evaluation_matches_the_helpers(first, second):
     mesh = Mesh(nodes=nodes, triangles=[Triangle(0, (0, 1, 2))])
     table = mesh.quality_table()  # evaluated as the table is built
     assert table_row(table) == expected_row(first)
-    for node, p in zip(nodes, second):
-        node.position = p
+    for nid, p in enumerate(second):
+        mesh.set_position(nid, p)
     mesh.quality_table()  # evaluated again by a refresh
     assert table_row(table) == expected_row(second)
     assert_kept_counts_match_arrays(table)
