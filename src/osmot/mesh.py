@@ -10,9 +10,11 @@ immutable during smoothing; node positions are the only mutable state.
 triangles once: each is checked for orientation, and its three directed
 edges (u, v), keyed as the int u * n_nodes + v, against those of the
 earlier triangles; it joins the star of each of its nodes. Then the nodes
-once: each star is checked for an orphan, against the node's mobility
-label and, off the boundary, for winding once around its node by ray
-crossings, and the stars of internal nodes become the balls.
+once: each star becomes a tuple and is checked for an orphan, against the
+node's mobility label and, off the boundary, for winding once around its
+node by ray crossings. The stars are kept as ``Mesh.stars``, the mesh's
+one node-to-triangle incidence, and the ball of an internal node wraps
+its star.
 
 Per-triangle quality lives in one ``QualityTable`` per mesh, built on
 first use. The text of the last mesh-file write and SVG render is kept on
@@ -21,7 +23,8 @@ once the mesh is built a position changes only through
 ``Mesh.set_position``, which puts in a new node and adds its id to the
 ``moved`` set of each of the three caches the mesh holds. A cache's next
 read takes its own set and clears it: the table re-evaluates the
-triangles around those nodes, and the text caches format them again.
+triangles in the stars of those nodes, and the text caches format them
+again.
 
 The table also keeps, by deltas over the triangles it re-evaluates, the
 q2 histogram, the number of inverted triangles and the set of triangles
@@ -50,10 +53,17 @@ if TYPE_CHECKING:
 class MeshError(Exception):
     """Base class for mesh validation errors."""
 
+    # the triangle or node the fault lies in, where one does; a reader
+    # names its file line
+    triangle_id: int | None = None
+    node_id: int | None = None
+
 
 class NonManifoldError(MeshError):
-    def __init__(self, message: str, triangle_id: int | None = None):
+    def __init__(self, message: str, *, triangle_id: int | None = None,
+                 node_id: int | None = None):
         self.triangle_id = triangle_id  # the triangle that repeats an edge
+        self.node_id = node_id  # the node that starts two boundary edges
         super().__init__(message)
 
 
@@ -145,8 +155,8 @@ class QualityTable:
     ``circumradius`` is ``size_radius`` (R, or +inf where ``q1_size``
     scores the triangle 0), so that r_ref / R is its size quality for any
     positive r_ref; ``inverted`` is 1 where the signed area is not
-    positive. ``incident`` lists the triangles of every node, and
-    ``moved`` holds the nodes moved since the values were last evaluated.
+    positive. ``moved`` holds the nodes moved since the values were last
+    evaluated.
 
     ``histogram`` counts the triangles per bucket and ``n_inverted`` the
     inverted ones. They, and the triangles below the last q_min asked of
@@ -156,7 +166,7 @@ class QualityTable:
     """
 
     __slots__ = ("moved", "q2", "bucket", "circumradius", "inverted",
-                 "incident", "histogram", "n_inverted", "_q_min", "_below")
+                 "histogram", "n_inverted", "_q_min", "_below")
 
     def __init__(self, mesh: Mesh) -> None:
         self.moved: set[int] = set()
@@ -171,21 +181,14 @@ class QualityTable:
         self.n_inverted = 0
         self._q_min = nan
         self._below: set[int] = set()
-        incident: list[list[int]] = [[] for _ in mesh.nodes]
-        for tid, tri in enumerate(mesh.triangles):
-            for nid in tri.nodes:
-                incident[nid].append(tid)
-        self.incident = incident
         self._evaluate(mesh, range(n))
 
     def refresh(self, mesh: Mesh) -> None:
-        """Re-evaluate every triangle around a node moved since the last
-        refresh."""
+        """Re-evaluate every triangle in the star of a node moved since the
+        last refresh."""
         if self.moved:
-            incident = self.incident
-            dirty: set[int] = set()
-            for nid in self.moved:
-                dirty.update(incident[nid])
+            dirty = {tid for nid in self.moved
+                     for tid, _n1, _n2 in mesh.stars[nid]}
             self.moved.clear()
             self._evaluate(mesh, dirty)
 
@@ -249,10 +252,18 @@ class QualityTable:
 
 @dataclass(slots=True)
 class Mesh:
-    """Nodes, triangles and the topology derived from them."""
+    """Nodes, triangles and the topology derived from them.
+
+    ``stars[nid]`` holds node nid's (triangle id, n1, n2) triples, as in
+    ``Ball.elements``, and is the one node-to-triangle incidence: the
+    quality table and the SVG text find the triangles around a moved node
+    there. A mesh assembled without ``build_topology`` passes the stars of
+    the nodes it moves, as it passes ``balls`` and ``chains``.
+    """
 
     nodes: list[Node]
     triangles: list[Triangle]
+    stars: list[tuple[tuple[int, int, int], ...]] = field(default_factory=list)
     balls: dict[int, Ball] = field(default_factory=dict)
     chains: list[BoundaryChain] = field(default_factory=list)
     # optional per-triangle reference radius overrides (triangle id -> value)
@@ -353,7 +364,7 @@ def build_topology(
             key = next(key for key in (ab, bc, ca) if key in edges)
             raise NonManifoldError(
                 f"directed edge {divmod(key, n_nodes)} belongs to more than one triangle",
-                tri.id,
+                triangle_id=tri.id,
             )
         add_edge(ab)
         add_edge(bc)
@@ -372,18 +383,18 @@ def build_topology(
         u, v = divmod(key, n_nodes)
         if u in boundary_next:
             raise NonManifoldError(
-                f"node {u} has more than one outgoing boundary edge"
-            )
+                f"node {u} has more than one outgoing boundary edge", node_id=u)
         boundary_next[u] = v
 
     # A node that starts no boundary edge is interior, and its star must
     # wind around it once whether it moves or not: its ring edges n1 -> n2
     # cross the ray from it towards +x upwards with it on their left (+1)
     # or downwards with it on their right (-1), by signed_area(n1, n2, it).
-    # Only an INTERNAL node's star is kept as a ball.
+    # Each star list is replaced by its tuple, so no two copies are held;
+    # an INTERNAL node's ball wraps that tuple.
     balls: dict[int, Ball] = {}
-    for node, star in zip(nodes, stars):
-        nid = node.id
+    for nid, node in enumerate(nodes):
+        star = stars[nid] = tuple(stars[nid])
         if not star:
             raise OrphanNodeError(nid)
         on_boundary = nid in boundary_next
@@ -413,7 +424,7 @@ def build_topology(
         if winding != 1:
             raise TangledBallError(nid, winding)
         if node.mobility is Mobility.INTERNAL:
-            balls[nid] = Ball(vertex=nid, elements=tuple(star))
+            balls[nid] = Ball(vertex=nid, elements=star)
 
     chains = _build_chains(nodes, boundary_next)
     for chain in chains:
@@ -422,8 +433,8 @@ def build_topology(
             if node.mobility is Mobility.BOUNDARY:
                 nodes[nid] = Node(nid, node.position, node.mobility, chain.chain_id)
 
-    return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=chains,
-                rref=dict(rref) if rref else {})
+    return Mesh(nodes=nodes, triangles=triangles, stars=stars, balls=balls,
+                chains=chains, rref=dict(rref) if rref else {})
 
 
 def _build_chains(nodes: list[Node], boundary_next: dict[int, int]) -> list[BoundaryChain]:

@@ -35,19 +35,7 @@ import math
 from itertools import islice
 
 from .geometry import Point2
-from .mesh import (
-    InconsistentMobilityError,
-    InvertedElementError,
-    MeshError,
-    Mesh,
-    Mobility,
-    Node,
-    NonManifoldError,
-    OrphanNodeError,
-    TangledBallError,
-    Triangle,
-    build_topology,
-)
+from .mesh import MeshError, Mesh, Mobility, Node, Triangle, build_topology
 
 HEADER = "osmot-mesh v1"
 
@@ -182,17 +170,16 @@ def parse_mesh_text(text: str) -> Mesh:
             rref[tid] = value
 
     # no line is kept while the topology is built, the peak of a load; an
-    # error that names a node or triangle reads the lines again
+    # error that names a triangle or node reads the lines again
     try:
         return build_topology(nodes, triangles, rref)
-    except (InvertedElementError, NonManifoldError) as err:
-        tid = err.triangle_id
-        line_no = None if tid is None else _file_line(text, 3 + n_nodes + tid)
-        raise ValidationError(str(err), line_no) from err
-    except (OrphanNodeError, InconsistentMobilityError, TangledBallError) as err:
-        raise ValidationError(str(err), _file_line(text, 2 + err.node_id)) from err
     except MeshError as err:
-        raise ValidationError(str(err)) from err
+        line_no = None
+        if err.triangle_id is not None:
+            line_no = _file_line(text, 3 + n_nodes + err.triangle_id)
+        elif err.node_id is not None:
+            line_no = _file_line(text, 2 + err.node_id)
+        raise ValidationError(str(err), line_no) from err
 
 
 def read_mesh(path: str) -> Mesh:

@@ -59,7 +59,8 @@ Each solve records why it stopped (``LocalStepTrace.stop_reason``):
 ``converged`` (gradient norm below eps), ``stalled`` (the predicted
 decrease is below what w can resolve), ``rounded`` (the trial step
 rounds back onto the iterate), ``step_floor`` (the step size fell below
-lambda_min) or ``j_max`` (the iteration cap: j_max + 1 Armijo trials).
+``LAMBDA_MIN``) or ``j_max`` (the iteration cap: ``J_MAX`` + 1 Armijo
+trials). Both bounds are module constants; only eps is configured.
 """
 
 from __future__ import annotations
@@ -98,33 +99,29 @@ class DegenerateStartError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class NewtonConfig:
-    """Tolerances and bounds of the local optimizer.
+    """Tolerance of the local optimizer.
 
-    eps is the gradient-norm termination tolerance. j_max bounds the
-    inner iterations: a solve runs at most j_max + 1 of them, each one
-    Armijo trial, and stops as ``j_max`` after the last. lambda_min floors
-    the bisected step size. On hitting either bound the current (best)
-    iterate is returned. A solve also stops, as ``stalled``, before a
-    trial whose predicted decrease 0.5 lambda |grad.d| is at most
-    ``STALL_ULPS`` ulps of the ball objective: that decrease is below the
-    rounding error of the values Armijo compares, so the trial could not
-    be told from noise. The threshold is a fixed constant, not a field,
-    and so are the direction tests (``DELTA``, ``ETA``) and the Armijo
-    factors: 1e-4 of lambda grad.d for a Newton direction, so that the
-    full Newton step is kept near the optimum, and 0.5 for the
+    eps is the gradient-norm termination tolerance. The other stops are
+    fixed module constants, not fields: a solve runs at most ``J_MAX`` + 1
+    inner iterations, each one Armijo trial, and stops as ``j_max`` after
+    the last; ``LAMBDA_MIN`` floors the bisected step size. On hitting
+    either bound the current (best) iterate is returned. A solve also
+    stops, as ``stalled``, before a trial whose predicted decrease
+    0.5 lambda |grad.d| is at most ``STALL_ULPS`` ulps of the ball
+    objective: that decrease is below the rounding error of the values
+    Armijo compares, so the trial could not be told from noise. The
+    direction tests (``DELTA``, ``ETA``) and the Armijo factors are
+    constants too: 1e-4 of lambda grad.d for a Newton direction, so that
+    the full Newton step is kept near the optimum, and 0.5 for the
     steepest-descent fallback, whose unscaled full-length steps must not
     be accepted on a token decrease.
     """
 
     eps: float = 1e-8
-    j_max: int = 50
-    lambda_min: float = 2.0 ** -30
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < math.inf:
             raise ValueError("eps must be finite and positive")
-        if self.j_max < 1 or not self.lambda_min > 0:
-            raise ValueError("j_max must be >= 1 and lambda_min positive")
 
 
 class IterationRecord(NamedTuple):
@@ -140,6 +137,9 @@ class IterationRecord(NamedTuple):
 
 StopReason = Literal["converged", "stalled", "rounded", "step_floor", "j_max"]
 
+# the iteration cap (J_MAX + 1 Armijo trials) and the step-size floor
+J_MAX = 50
+LAMBDA_MIN = 2.0 ** -30
 # a trial whose predicted decrease 0.5 lambda |grad.d| is at most this many
 # ulps of the iterate's value is not evaluated: the solve ends as stalled
 STALL_ULPS = 4.0
@@ -232,7 +232,7 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
     steps: list[IterationRecord] = []
     stop_reason: StopReason = "j_max"
 
-    while len(steps) <= cfg.j_max:
+    while len(steps) <= J_MAX:
         # the gradient test and the direction change only with the iterate
         if new_iterate:
             if grad_norm < cfg.eps:
@@ -265,7 +265,7 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
             new_iterate = True
         else:
             lam *= 0.5
-            if lam < cfg.lambda_min:
+            if lam < LAMBDA_MIN:
                 stop_reason = "step_floor"
                 break
 

@@ -12,9 +12,10 @@ box, which is taken from ``Mesh.nodes``, so they are formatted on every
 render and never cached inside a polygon. Positions change only through
 ``Mesh.set_position``, which records the node in the text's ``moved``
 set, so a later render formats again the coordinates of the nodes moved
-since the previous render and the polygons of the triangles around them
-(``QualityTable.incident``). A render in the other colouring formats
-every polygon again.
+since the previous render and the polygons of the triangles in their
+stars (``Mesh.stars``, the mesh's one node-to-triangle incidence). A
+render in the other colouring formats every polygon again; only the Q2
+colouring reads the quality table.
 """
 
 from __future__ import annotations
@@ -70,11 +71,7 @@ def _update(mesh: Mesh, color_by: ColorBy) -> SvgText:
         dirty = range(len(triangles))
         text.color_by = color_by
     else:
-        dirty = set()
-        if moved:
-            incident = (table or mesh.quality_table()).incident
-            for nid in moved:
-                dirty.update(incident[nid])
+        dirty = {tid for nid in moved for tid, _n1, _n2 in mesh.stars[nid]}
     moved.clear()
 
     q2s = None if table is None else table.q2

@@ -189,8 +189,9 @@ def test_pinched_vertices_name_the_lowest(n_triangles):
                          for tid, tri in enumerate(order)]
         lowest = min(perm[n] for n in pinched)
         with pytest.raises(NonManifoldError,
-                           match=f"^node {lowest} has more than one outgoing boundary edge$"):
+                           match=f"^node {lowest} has more than one outgoing boundary edge$") as err:
             build_topology(new_nodes, new_triangles)
+        assert (err.value.node_id, err.value.triangle_id) == (lowest, None)
 
 
 # Load faults under comments and blank lines. Each fault edits the lines of
@@ -268,6 +269,14 @@ def fault_tangled(rng):
             "triangles around interior node 0 wind 2 times around it")
 
 
+def fault_pinched(rng):
+    nodes, triangles, pinched = pinched_strip(rng.choice([3, 4]))
+    lines = hand_written_text(nodes, triangles).splitlines()
+    lowest = min(pinched)
+    return (lines, node_line(lowest), ValidationError,
+            f"node {lowest} has more than one outgoing boundary edge")
+
+
 def fault_bad_token(rng):
     mesh, lines = base_lines()
     if rng.random() < 0.5:
@@ -291,7 +300,8 @@ def fault_truncated(rng):
 
 
 FAULTS = [fault_flipped, fault_repeated_edge, fault_orphan, fault_internal_on_boundary,
-          fault_boundary_off_boundary, fault_tangled, fault_bad_token, fault_truncated]
+          fault_boundary_off_boundary, fault_tangled, fault_pinched, fault_bad_token,
+          fault_truncated]
 
 
 def with_noise(lines, rng, faulty=None):

@@ -41,6 +41,8 @@ def test_config_defaults_match_published_tolerances():
     assert CFG.eps == 1e-8
     assert osmot.newton.DELTA == 1e-6
     assert osmot.newton.ETA == 0.05
+    assert osmot.newton.J_MAX == 50
+    assert osmot.newton.LAMBDA_MIN == 2.0 ** -30
 
 
 def test_direction_identity_hessian_keeps_newton():
@@ -310,10 +312,10 @@ def test_degenerate_start_raises():
     assert err.value.node_id == 0
 
 
-def test_lambda_floor_terminates():
-    cfg = NewtonConfig(lambda_min=0.25)
+def test_lambda_floor_terminates(monkeypatch):
+    monkeypatch.setattr(osmot.newton, "LAMBDA_MIN", 0.25)
     mesh = regular_hexagon_mesh(center=Point2(0.31, -0.17))
-    pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, cfg)
+    pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
     # the run ends; either converged or stopped by a bound, never worse
     assert ball_objective(mesh, mesh.balls[0], pos, PARAMS) <= ball_objective(
         mesh, mesh.balls[0], Point2(0.31, -0.17), PARAMS)
@@ -322,21 +324,20 @@ def test_lambda_floor_terminates():
 def test_config_validation():
     with pytest.raises(ValueError):
         NewtonConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        NewtonConfig(j_max=0)
 
 
 def _reference_optimize_ball(mesh, ball, params, cfg):
     """The local solve without the rounded-trial exit: every trial point
     the stalled test lets through, also one that rounds back onto the
     iterate, is scored by ball_objective. Returns (position, converged,
-    final_grad_norm)."""
+    final_grad_norm). The bounds are read from the module, as the solve
+    reads them."""
     x = mesh.position(ball.vertex)
     gh = ball_grad_hess(mesh, ball, x, params)
     lam = 1.0
     steps = 0
     converged = False
-    while steps <= cfg.j_max:
+    while steps <= osmot.newton.J_MAX:
         if gh.grad_norm < cfg.eps:
             converged = True
             break
@@ -353,7 +354,7 @@ def _reference_optimize_ball(mesh, ball, params, cfg):
             gh = ball_grad_hess(mesh, ball, x, params)
         else:
             lam *= 0.5
-            if lam < cfg.lambda_min:
+            if lam < osmot.newton.LAMBDA_MIN:
                 break
     return x, converged, gh.grad_norm
 
@@ -583,30 +584,32 @@ def _shifted_hexagon(center: Point2, shift: float):
     return mesh
 
 
-@pytest.mark.parametrize("cfg,center,shift,reason,iterations", [
+@pytest.mark.parametrize("cfg,bounds,center,shift,reason,iterations", [
     # the gradient at the symmetric centre is below eps from the start
-    (CFG, Point2(0.0, 0.0), 0.0, "converged", 0),
+    (CFG, {}, Point2(0.0, 0.0), 0.0, "converged", 0),
     # two Newton steps leave a gradient above eps, but the next step would
     # ask for a decrease of at most 4 ulps of the objective
-    (CFG, Point2(0.05, 0.02), 0.0, "stalled", 2),
+    (CFG, {}, Point2(0.05, 0.02), 0.0, "stalled", 2),
     # near (2**22, 2**22) the next trial would also round onto the iterate:
     # the stalled test comes first
-    (CFG, Point2(0.31, -0.17), 2.0 ** 22, "stalled", 4),
+    (CFG, {}, Point2(0.31, -0.17), 2.0 ** 22, "stalled", 4),
     # eps out of reach: near (2**44, 2**44) the first step is already below
     # half an ulp of the coordinates and the trial rounds onto the iterate
-    (NewtonConfig(eps=1e-300), Point2(0.05, 0.02), ROUNDING_SHIFT,
+    (NewtonConfig(eps=1e-300), {}, Point2(0.05, 0.02), ROUNDING_SHIFT,
      "rounded", 1),
     # eps out of reach, a start just below the top edge: every steepest
     # step crosses the barrier, down to the default floor
-    (NewtonConfig(eps=1e-300), Point2(0.0, 0.85), 0.0, "step_floor", 31),
+    (NewtonConfig(eps=1e-300), {}, Point2(0.0, 0.85), 0.0, "step_floor", 31),
     # one accepted Newton step, then a full Newton step raises w: the
     # rejection halves the step below a floor of 1
-    (NewtonConfig(lambda_min=1.0), Point2(0.25, 0.63), 0.0, "step_floor", 2),
-    # j_max caps the loop at j_max + 1 iterations
-    (NewtonConfig(j_max=1), Point2(0.05, 0.02), 0.0, "j_max", 2),
+    (CFG, {"LAMBDA_MIN": 1.0}, Point2(0.25, 0.63), 0.0, "step_floor", 2),
+    # J_MAX caps the loop at J_MAX + 1 iterations
+    (CFG, {"J_MAX": 1}, Point2(0.05, 0.02), 0.0, "j_max", 2),
 ], ids=["converged", "stalled", "stalled-rounding", "rounded",
         "step_floor-eps", "step_floor-lambda", "j_max"])
-def test_stop_reason(cfg, center, shift, reason, iterations):
+def test_stop_reason(monkeypatch, cfg, bounds, center, shift, reason, iterations):
+    for name, value in bounds.items():
+        monkeypatch.setattr(osmot.newton, name, value)
     mesh = _shifted_hexagon(center, shift)
     ball = mesh.balls[0]
     start = mesh.position(0)

@@ -68,8 +68,8 @@ def fresh_copy(mesh: Mesh) -> Mesh:
         return parse_mesh_text(mesh_to_text(mesh))
     except ValidationError:
         return Mesh(nodes=list(mesh.nodes), triangles=list(mesh.triangles),
-                    balls=dict(mesh.balls), chains=list(mesh.chains),
-                    rref=dict(mesh.rref))
+                    stars=list(mesh.stars), balls=dict(mesh.balls),
+                    chains=list(mesh.chains), rref=dict(mesh.rref))
 
 
 def bits(value):
@@ -183,7 +183,7 @@ def test_read_evaluates_only_the_triangles_around_moved_nodes(monkeypatch):
         p = mesh.position(nid)
         mesh.set_position(nid, Point2(p.x + 0.01, p.y - 0.01))
     quality_report(mesh, QualityConfig(), 1.0, 1)
-    around = {tid for nid in moved for tid in table.incident[nid]}
+    around = {tid for nid in moved for tid, _n1, _n2 in mesh.stars[nid]}
     assert sorted(evaluated) == sorted(around)
     assert len(around) < len(mesh.triangles)
     evaluated.clear()
@@ -201,6 +201,17 @@ def test_read_mesh_builds_no_table(tmp_path):
     assert mesh._quality is None
     quality_report(mesh, QualityConfig(), 1.0, 0)
     assert mesh._quality is not None
+
+
+def test_uncoloured_render_after_a_move_builds_no_table():
+    mesh = MESHES["patch32"]()
+    mesh_to_svg(mesh, ColorBy.NONE)
+    nid = next(iter(mesh.balls))
+    p = mesh.position(nid)
+    mesh.set_position(nid, Point2(p.x + 0.01, p.y - 0.02))
+    text = mesh_to_svg(mesh, ColorBy.NONE)
+    assert mesh._quality is None
+    assert text == mesh_to_svg(fresh_copy(mesh), ColorBy.NONE)
 
 
 def test_table_is_not_part_of_equality_or_repr():
@@ -265,7 +276,9 @@ def table_row(table: QualityTable) -> tuple:
 @given(first=triangle_points(), second=triangle_points())
 def test_inlined_evaluation_matches_the_helpers(first, second):
     nodes = [Node(i, p, Mobility.FIXED) for i, p in enumerate(first)]
-    mesh = Mesh(nodes=nodes, triangles=[Triangle(0, (0, 1, 2))])
+    # the stars of the three nodes, which set_position's refresh reads
+    stars = [((0, 1, 2),), ((0, 2, 0),), ((0, 0, 1),)]
+    mesh = Mesh(nodes=nodes, triangles=[Triangle(0, (0, 1, 2))], stars=stars)
     table = mesh.quality_table()  # evaluated as the table is built
     assert table_row(table) == expected_row(first)
     for nid, p in enumerate(second):
