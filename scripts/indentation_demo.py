@@ -16,7 +16,7 @@ from osmot.driver import SmootherConfig, smooth
 from osmot.fixtures import (INDENTED_PITCH, INDENTED_ROWS, FixtureKind,
                             generate_fixture)
 from osmot.geometry import Point2
-from osmot.mesh import Mobility, Node, build_topology
+from osmot.mesh import Mobility, build_topology
 from osmot.svgout import ColorBy, render_svg
 
 
@@ -25,12 +25,12 @@ def build_box_with_die():
     die; they are moved by the script, not smoothed."""
     box = generate_fixture(FixtureKind.INDENTED_BOX)
     top = INDENTED_ROWS * INDENTED_PITCH
-    die_ids = [n.id for n in box.nodes
-               if n.position.y == top and n.position.x in {1.5, 2.0, 2.5}]
-    nodes = [Node(n.id, n.position,
-                  Mobility.FIXED if n.id in die_ids else n.mobility)
-             for n in box.nodes]
-    return build_topology(nodes, box.triangles), die_ids
+    positions = [box.position(n.id) for n in box.nodes]
+    die_ids = [nid for nid, p in enumerate(positions)
+               if p.y == top and p.x in {1.5, 2.0, 2.5}]
+    mobility = [Mobility.FIXED if n.id in die_ids else n.mobility
+                for n in box.nodes]
+    return build_topology(mobility, positions, box.triangles), die_ids
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,7 @@ import math
 import random
 
 from .geometry import Point2, signed_area
-from .mesh import Mesh, Mobility, Node, Triangle, build_topology
+from .mesh import Mesh, Mobility, Triangle, build_topology
 
 
 class FixtureKind(enum.Enum):
@@ -97,12 +97,12 @@ def _patch32(seed: int, distortion: float) -> Mesh:
     def nid(i: int, j: int) -> int:
         return j * (n + 1) + i
 
-    nodes: list[Node] = []
+    mobility, positions = [], []
     for j in range(n + 1):
         for i in range(n + 1):
             on_boundary = i in (0, n) or j in (0, n)
-            mobility = Mobility.FIXED if on_boundary else Mobility.INTERNAL
-            nodes.append(Node(nid(i, j), Point2(i * h, j * h), mobility))
+            mobility.append(Mobility.FIXED if on_boundary else Mobility.INTERNAL)
+            positions.append(Point2(i * h, j * h))
 
     tris = _lattice_triangles(n, n, nid, alternate=True)
     triangles = [Triangle(t, nodes_) for t, nodes_ in enumerate(tris)]
@@ -110,19 +110,18 @@ def _patch32(seed: int, distortion: float) -> Mesh:
     if distortion > 0.0:
         interior = [nid(i, j) for j in range(1, n) for i in range(1, n)]
         rng = random.Random(seed)
-        lattice = {k: nodes[k].position for k in interior}
+        lattice = {k: positions[k] for k in interior}
         area_floor = 1e-6 * h * h
         for _attempt in range(10_000):
             for k in interior:
                 angle = rng.uniform(0.0, 2.0 * math.pi)
                 base = lattice[k]
-                nodes[k] = Node(k, Point2(
+                positions[k] = Point2(
                     base.x + distortion * h * math.cos(angle),
                     base.y + distortion * h * math.sin(angle),
-                ), Mobility.INTERNAL)
+                )
             ok = all(
-                signed_area(nodes[a].position, nodes[b].position,
-                            nodes[c].position) > area_floor
+                signed_area(positions[a], positions[b], positions[c]) > area_floor
                 for a, b, c in tris
             )
             if ok:
@@ -130,7 +129,7 @@ def _patch32(seed: int, distortion: float) -> Mesh:
         else:
             raise RuntimeError("could not distort the patch without inverting it")
 
-    return build_topology(nodes, triangles)
+    return build_topology(mobility, positions, triangles)
 
 
 def patch32_lattice_positions() -> dict[int, Point2]:
@@ -149,7 +148,7 @@ def _graded_interface() -> Mesh:
     fine_rows = round(GRADED_HEIGHT / GRADED_FINE_PITCH)      # 4 cells
     coarse_rows = round(GRADED_HEIGHT / GRADED_COARSE_PITCH)  # 2 cells
 
-    nodes: list[Node] = []
+    mobility, positions = [], []
 
     def fine_id(i: int, j: int) -> int:
         return j * (fine_n + 1) + i
@@ -164,15 +163,15 @@ def _graded_interface() -> Mesh:
             x = i * GRADED_FINE_PITCH
             y = j * GRADED_FINE_PITCH
             on_hull = i == 0 or j in (0, fine_rows)
-            mobility = Mobility.FIXED if on_hull else Mobility.INTERNAL
-            nodes.append(Node(fine_id(i, j), Point2(x, y), mobility))
+            mobility.append(Mobility.FIXED if on_hull else Mobility.INTERNAL)
+            positions.append(Point2(x, y))
     for j in range(coarse_rows + 1):
         for i in range(GRADED_COARSE_COLS + 1):
             x = GRADED_COARSE_XMIN + i * GRADED_COARSE_PITCH
             y = j * GRADED_COARSE_PITCH
             on_hull = i == GRADED_COARSE_COLS or j in (0, coarse_rows)
-            mobility = Mobility.FIXED if on_hull else Mobility.INTERNAL
-            nodes.append(Node(coarse_id(i, j), Point2(x, y), mobility))
+            mobility.append(Mobility.FIXED if on_hull else Mobility.INTERNAL)
+            positions.append(Point2(x, y))
 
     tris = _lattice_triangles(fine_n, fine_rows, fine_id, alternate=False)
     # ladder strip joining the mismatched columns (5 fine nodes, 3 coarse)
@@ -189,7 +188,7 @@ def _graded_interface() -> Mesh:
     tris += _lattice_triangles(GRADED_COARSE_COLS, coarse_rows, coarse_id,
                                alternate=False)
     triangles = [Triangle(t, nodes_) for t, nodes_ in enumerate(tris)]
-    return build_topology(nodes, triangles)
+    return build_topology(mobility, positions, triangles)
 
 
 def graded_zone_ids(mesh: Mesh) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -218,14 +217,13 @@ def _horseshoe() -> Mesh:
     fan element while the barrier-guarded optimizer cannot.
     """
     ring = [(-2.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 0.8), (-2.0, 2.0)]
-    nodes = [Node(0, Point2(0.0, 0.4), Mobility.INTERNAL)]
-    nodes += [Node(i + 1, Point2(x, y), Mobility.FIXED)
-              for i, (x, y) in enumerate(ring)]
     k = len(ring)
+    mobility = [Mobility.INTERNAL] + [Mobility.FIXED] * k
+    positions = [Point2(0.0, 0.4)] + [Point2(x, y) for x, y in ring]
     triangles = [
         Triangle(t, (0, 1 + t, 1 + (t + 1) % k)) for t in range(k)
     ]
-    return build_topology(nodes, triangles)
+    return build_topology(mobility, positions, triangles)
 
 
 def _indented_box(distortion: float) -> Mesh:
@@ -247,30 +245,30 @@ def _indented_box(distortion: float) -> Mesh:
         t = (x - INDENTED_NOTCH_X) / INDENTED_NOTCH_WIDTH
         return depth * math.exp(-t * t)
 
-    nodes: list[Node] = []
+    mobility, positions = [], []
     for j in range(rows + 1):
         for i in range(cols + 1):
             x = i * h
             y = j * h * (height - notch(x)) / height
             if j == rows and 0 < i < cols:
-                mobility = Mobility.BOUNDARY
+                mobility.append(Mobility.BOUNDARY)
             elif i in (0, cols) or j in (0, rows):
-                mobility = Mobility.FIXED
+                mobility.append(Mobility.FIXED)
             else:
-                mobility = Mobility.INTERNAL
-            nodes.append(Node(nid(i, j), Point2(x, y), mobility))
+                mobility.append(Mobility.INTERNAL)
+            positions.append(Point2(x, y))
 
     tris = _lattice_triangles(cols, rows, nid, alternate=False)
     triangles = [Triangle(t, nodes_) for t, nodes_ in enumerate(tris)]
-    return build_topology(nodes, triangles)
+    return build_topology(mobility, positions, triangles)
 
 
 def freeze_boundary(mesh: Mesh) -> Mesh:
     """Copy of the mesh with every movable boundary node made fixed."""
-    nodes = [
-        Node(n.id, n.position,
-             Mobility.FIXED if n.mobility is Mobility.BOUNDARY else n.mobility)
+    mobility = [
+        Mobility.FIXED if n.mobility is Mobility.BOUNDARY else n.mobility
         for n in mesh.nodes
     ]
-    triangles = list(mesh.triangles)
-    return build_topology(nodes, triangles, mesh.rref)
+    # a copy, so that moving a node of one mesh never moves the other's
+    return build_topology(mobility, list(mesh._positions),
+                          list(mesh.triangles), mesh.rref)

@@ -6,25 +6,26 @@ the ball of elements around every internal node, and the movable boundary
 chains obtained by splitting the boundary at fixed nodes. Connectivity is
 immutable during smoothing; node positions are the only mutable state.
 
-``build_topology`` reads the coordinates into two lists, then the
-triangles once: each is checked for orientation, and its three directed
-edges (u, v), keyed as the int u * n_nodes + v, against those of the
-earlier triangles; it joins the star of each of its nodes. Then the nodes
-once: each star becomes a tuple and is checked for an orphan, against the
-node's mobility label and, off the boundary, for winding once around its
-node by ray crossings. The stars are kept as ``Mesh.stars``, the mesh's
-one node-to-triangle incidence, and the ball of an internal node wraps
-its star.
+``build_topology`` keeps the positions list it is given, reads the
+coordinates into two lists, then the triangles once: each is checked for
+orientation, and its three directed edges (u, v), keyed as the int
+u * n_nodes + v, against those of the earlier triangles; it joins the
+star of each of its nodes. Then the nodes once: each star becomes a tuple
+and is checked for an orphan, against the node's mobility label and, off
+the boundary, for winding once around its node by ray crossings. The
+stars are kept as ``Mesh.stars``, the mesh's one node-to-triangle
+incidence, and the ball of an internal node wraps its star. Each ``Node``
+is built once, after the chains, with its chain id.
 
 Per-triangle quality lives in one ``QualityTable`` per mesh, built on
 first use. The text of the last mesh-file write and SVG render is kept on
-the mesh as well (see ``meshio`` and ``svgout``). ``Node`` is frozen, so
-once the mesh is built a position changes only through
-``Mesh.set_position``, which puts in a new node and adds its id to the
-``moved`` set of each of the three caches the mesh holds. A cache's next
-read takes its own set and clears it: the table re-evaluates the
-triangles in the stars of those nodes, and the text caches format them
-again.
+the mesh as well (see ``meshio`` and ``svgout``). A ``Node`` is topology
+only. The positions are one list of ``Point2``, ``Mesh._positions``,
+which only ``Mesh.set_position`` writes: it stores the point and adds the
+node's id to the ``moved`` set of each of the three caches the mesh
+holds. A cache's next read takes its own set and clears it: the table
+re-evaluates the triangles in the stars of those nodes, and the text
+caches format them again.
 
 The table also keeps, by deltas over the triangles it re-evaluates, the
 q2 histogram, the number of inverted triangles and the set of triangles
@@ -53,47 +54,44 @@ if TYPE_CHECKING:
 class MeshError(Exception):
     """Base class for mesh validation errors."""
 
-    # the triangle or node the fault lies in, where one does; a reader
-    # names its file line
-    triangle_id: int | None = None
-    node_id: int | None = None
+    def __init__(self, message: str, *, triangle_id: int | None = None,
+                 node_id: int | None = None):
+        # the triangle or node the fault lies in, where one does; a reader
+        # names its file line
+        self.triangle_id = triangle_id
+        self.node_id = node_id
+        super().__init__(message)
 
 
 class NonManifoldError(MeshError):
-    def __init__(self, message: str, *, triangle_id: int | None = None,
-                 node_id: int | None = None):
-        self.triangle_id = triangle_id  # the triangle that repeats an edge
-        self.node_id = node_id  # the node that starts two boundary edges
-        super().__init__(message)
+    pass
 
 
 class InvertedElementError(MeshError):
     def __init__(self, triangle_id: int, area: float):
-        self.triangle_id = triangle_id
         self.area = area
         super().__init__(
-            f"triangle {triangle_id} has non-positive signed area {area:g}"
+            f"triangle {triangle_id} has non-positive signed area {area:g}",
+            triangle_id=triangle_id,
         )
 
 
 class OrphanNodeError(MeshError):
     def __init__(self, node_id: int):
-        self.node_id = node_id
-        super().__init__(f"node {node_id} belongs to no triangle")
+        super().__init__(f"node {node_id} belongs to no triangle", node_id=node_id)
 
 
 class InconsistentMobilityError(MeshError):
     def __init__(self, node_id: int, message: str):
-        self.node_id = node_id
-        super().__init__(message)
+        super().__init__(message, node_id=node_id)
 
 
 class TangledBallError(MeshError):
     def __init__(self, node_id: int, winding: int):
-        self.node_id = node_id
         self.winding = winding
         super().__init__(
-            f"triangles around interior node {node_id} wind {winding} times around it"
+            f"triangles around interior node {node_id} wind {winding} times around it",
+            node_id=node_id,
         )
 
 
@@ -110,9 +108,8 @@ class Mobility(enum.Enum):
 @dataclass(frozen=True, slots=True)
 class Node:
     id: int
-    position: Point2
     mobility: Mobility
-    chain_id: int | None = None  # set for BOUNDARY nodes during topology build
+    chain_id: int | None = None  # set for BOUNDARY nodes by build_topology
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,7 +207,7 @@ class QualityTable:
         ``q2_shape`` and ``size_radius``, in the same order, so the values
         are the same bits without building a ``TriangleGeometry``.
         """
-        nodes, triangles = mesh.nodes, mesh.triangles
+        positions, triangles = mesh._positions, mesh.triangles
         q2s, buckets, radii, inverted = (
             self.q2, self.bucket, self.circumradius, self.inverted)
         histogram, below, q_min = self.histogram, self._below, self._q_min
@@ -218,7 +215,7 @@ class QualityTable:
         top = HISTOGRAM_BUCKETS - 1
         for tid in tids:
             n0, n1, n2 = triangles[tid].nodes
-            p0, p1, p2 = nodes[n0].position, nodes[n1].position, nodes[n2].position
+            p0, p1, p2 = positions[n0], positions[n1], positions[n2]
             x0, y0, x1, y1, x2, y2 = p0.x, p0.y, p1.x, p1.y, p2.x, p2.y
             a = hypot(x1 - x0, y1 - y0)
             b = hypot(x2 - x1, y2 - y1)
@@ -252,17 +249,19 @@ class QualityTable:
 
 @dataclass(slots=True)
 class Mesh:
-    """Nodes, triangles and the topology derived from them.
+    """Nodes, triangles, node positions and the topology derived from them.
 
-    ``stars[nid]`` holds node nid's (triangle id, n1, n2) triples, as in
-    ``Ball.elements``, and is the one node-to-triangle incidence: the
-    quality table and the SVG text find the triangles around a moved node
-    there. A mesh assembled without ``build_topology`` passes the stars of
-    the nodes it moves, as it passes ``balls`` and ``chains``.
+    ``_positions[nid]`` is node nid's position, written only by
+    ``set_position``; ``stars[nid]`` holds its (triangle id, n1, n2)
+    triples, as in ``Ball.elements``, and is the one node-to-triangle
+    incidence: the quality table and the SVG text find the triangles around
+    a moved node there. A mesh assembled without ``build_topology`` passes
+    the stars of the nodes it moves, as it passes ``balls`` and ``chains``.
     """
 
     nodes: list[Node]
     triangles: list[Triangle]
+    _positions: list[Point2]
     stars: list[tuple[tuple[int, int, int], ...]] = field(default_factory=list)
     balls: dict[int, Ball] = field(default_factory=dict)
     chains: list[BoundaryChain] = field(default_factory=list)
@@ -276,12 +275,11 @@ class Mesh:
         default=None, init=False, compare=False, repr=False)
 
     def position(self, node_id: int) -> Point2:
-        return self.nodes[node_id].position
+        return self._positions[node_id]
 
     def set_position(self, node_id: int, p: Point2) -> None:
         """Move a node, and record it for each cache the mesh holds."""
-        node = self.nodes[node_id]
-        self.nodes[node_id] = Node(node_id, p, node.mobility, node.chain_id)
+        self._positions[node_id] = p
         for cache in (self._quality, self._file_text, self._svg_text):
             if cache is not None:
                 cache.moved.add(node_id)
@@ -300,8 +298,8 @@ class Mesh:
 
     def triangle_points(self, tri: Triangle) -> tuple[Point2, Point2, Point2]:
         n0, n1, n2 = tri.nodes
-        nodes = self.nodes
-        return nodes[n0].position, nodes[n1].position, nodes[n2].position
+        positions = self._positions
+        return positions[n0], positions[n1], positions[n2]
 
     def connectivity_key(self) -> tuple:
         """Hashable snapshot of everything smoothing must not change."""
@@ -309,30 +307,31 @@ class Mesh:
             tuple(t.nodes for t in self.triangles),
             tuple(sorted((b.vertex, b.elements) for b in self.balls.values())),
             tuple((c.chain_id, c.node_ids, c.closed) for c in self.chains),
-            tuple((n.mobility, n.chain_id) for n in self.nodes),
+            tuple(self.nodes),
         )
 
 
 def build_topology(
-    nodes: list[Node],
+    mobility: list[Mobility],
+    positions: list[Point2],
     triangles: list[Triangle],
     rref: dict[int, float] | None = None,
 ) -> Mesh:
     """Validate connectivity and derive balls and boundary chains.
 
-    Raises a MeshError subclass on invalid input: non-manifold edges or
-    vertices, non-positively oriented triangles, orphan nodes, mobility
-    labels that disagree with where a node actually sits, or an interior
-    node (internal, or fixed off the boundary) whose triangles do not wind
-    around it exactly once. Of several faulty nodes, the lowest id is
-    named.
+    Node i has ``mobility[i]`` and ``positions[i]``; the mesh keeps the
+    ``positions`` list itself. Raises a MeshError subclass on invalid
+    input: non-manifold edges or vertices, non-positively oriented
+    triangles, orphan nodes, mobility labels that disagree with where a
+    node actually sits, or an interior node (internal, or fixed off the
+    boundary) whose triangles do not wind around it exactly once. Of
+    several faulty nodes, the lowest id is named.
     """
-    n_nodes = len(nodes)
-    for i, node in enumerate(nodes):
-        if node.id != i:
-            raise MeshError(f"node ids must be dense 0..N-1, found {node.id} at {i}")
-    xs = [node.position.x for node in nodes]
-    ys = [node.position.y for node in nodes]
+    n_nodes = len(positions)
+    if len(mobility) != n_nodes:
+        raise MeshError(f"{len(mobility)} mobility labels for {n_nodes} nodes")
+    xs = [p.x for p in positions]
+    ys = [p.y for p in positions]
 
     # Each triangle contributes its three directed edges (u, v), interior
     # on the left, keyed as u * n_nodes + v once its nodes are known to be
@@ -349,10 +348,12 @@ def build_topology(
             raise MeshError(f"triangle ids must be dense 0..M-1, found {tri.id} at {i}")
         a, b, c = tri.nodes
         if a == b or b == c or c == a:
-            raise MeshError(f"triangle {tri.id} has repeated nodes {tri.nodes}")
+            raise MeshError(f"triangle {tri.id} has repeated nodes {tri.nodes}",
+                            triangle_id=tri.id)
         if not (0 <= a < n_nodes and 0 <= b < n_nodes and 0 <= c < n_nodes):
             nid = next(nid for nid in tri.nodes if not 0 <= nid < n_nodes)
-            raise MeshError(f"triangle {tri.id} references unknown node {nid}")
+            raise MeshError(f"triangle {tri.id} references unknown node {nid}",
+                            triangle_id=tri.id)
         xa, ya = xs[a], ys[a]
         # signed_area's expression, so InvertedElementError prints its float
         area = 0.5 * ((xs[b] - xa) * (ys[c] - ya) - (xs[c] - xa) * (ys[b] - ya))
@@ -393,17 +394,17 @@ def build_topology(
     # Each star list is replaced by its tuple, so no two copies are held;
     # an INTERNAL node's ball wraps that tuple.
     balls: dict[int, Ball] = {}
-    for nid, node in enumerate(nodes):
+    for nid, mob in enumerate(mobility):
         star = stars[nid] = tuple(stars[nid])
         if not star:
             raise OrphanNodeError(nid)
         on_boundary = nid in boundary_next
-        if node.mobility is Mobility.BOUNDARY and not on_boundary:
+        if mob is Mobility.BOUNDARY and not on_boundary:
             raise InconsistentMobilityError(
                 nid,
                 f"node {nid} is marked movable-boundary but lies on no boundary edge",
             )
-        if node.mobility is Mobility.INTERNAL and on_boundary:
+        if mob is Mobility.INTERNAL and on_boundary:
             raise InconsistentMobilityError(
                 nid,
                 f"node {nid} is marked internal but lies on a boundary edge",
@@ -423,21 +424,19 @@ def build_topology(
                     winding -= side < 0.0
         if winding != 1:
             raise TangledBallError(nid, winding)
-        if node.mobility is Mobility.INTERNAL:
+        if mob is Mobility.INTERNAL:
             balls[nid] = Ball(vertex=nid, elements=star)
 
-    chains = _build_chains(nodes, boundary_next)
-    for chain in chains:
-        for nid in chain.node_ids:
-            node = nodes[nid]
-            if node.mobility is Mobility.BOUNDARY:
-                nodes[nid] = Node(nid, node.position, node.mobility, chain.chain_id)
-
-    return Mesh(nodes=nodes, triangles=triangles, stars=stars, balls=balls,
-                chains=chains, rref=dict(rref) if rref else {})
+    chains = _build_chains(mobility, boundary_next)
+    chain_of = {nid: chain.chain_id for chain in chains for nid in chain.node_ids
+                if mobility[nid] is Mobility.BOUNDARY}
+    nodes = [Node(nid, mob, chain_of.get(nid)) for nid, mob in enumerate(mobility)]
+    return Mesh(nodes=nodes, triangles=triangles, _positions=positions, stars=stars,
+                balls=balls, chains=chains, rref=dict(rref) if rref else {})
 
 
-def _build_chains(nodes: list[Node], boundary_next: dict[int, int]) -> list[BoundaryChain]:
+def _build_chains(mobility: list[Mobility], boundary_next: dict[int, int]
+                  ) -> list[BoundaryChain]:
     """Split the directed boundary loops at fixed nodes.
 
     Only chains containing at least one movable boundary node are kept;
@@ -448,13 +447,13 @@ def _build_chains(nodes: list[Node], boundary_next: dict[int, int]) -> list[Boun
 
     fixed_starts = sorted(
         nid for nid in boundary_next
-        if nodes[nid].mobility is not Mobility.BOUNDARY
+        if mobility[nid] is not Mobility.BOUNDARY
     )
     for start in fixed_starts:
         run = [start]
         cur = boundary_next[start]
         visited.add(start)
-        while nodes[cur].mobility is Mobility.BOUNDARY:
+        while mobility[cur] is Mobility.BOUNDARY:
             run.append(cur)
             visited.add(cur)
             cur = boundary_next[cur]

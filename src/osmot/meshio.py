@@ -15,7 +15,8 @@ Coordinates are written with 17 significant digits so that writing and
 re-reading a mesh reproduces the exact same doubles. Reading takes each
 section as one slice of the significant lines, validates the mesh
 (orientation, manifoldness, mobility consistency, balls that wind once)
-and reports the offending file line where one can be attributed.
+and reports the offending file line where one can be attributed. The
+positions list read is the mesh's own (``Mesh._positions``).
 
 Writing keeps the formatted text on the mesh (``Mesh._file_text``): one
 line per node, and the whole triangles section, which never changes
@@ -108,7 +109,7 @@ def parse_mesh_text(text: str) -> Mesh:
         raise ParseError(line_no, f"expected header {HEADER!r}, got {line!r}")
 
     n_nodes = _count(*next_line("'nodes <count>'"), "nodes")
-    nodes: list[Node] = []
+    mobility, positions = [], []
     for expected, (line_no, line) in enumerate(islice(lines, n_nodes)):
         parts = line.split()
         if len(parts) != 4:
@@ -121,11 +122,12 @@ def parse_mesh_text(text: str) -> Mesh:
             raise ParseError(line_no, f"bad node fields in {line!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(line_no, f"non-finite coordinates in {line!r}")
-        mobility = _MOBILITY.get(parts[3]) or _boundary_mobility(parts[3], line_no)
+        mob = _MOBILITY.get(parts[3]) or _boundary_mobility(parts[3], line_no)
         if nid != expected:
             raise ParseError(line_no, f"node ids must be dense, expected {expected}")
-        nodes.append(Node(nid, Point2(x, y), mobility))
-    if len(nodes) < n_nodes:
+        mobility.append(mob)
+        positions.append(Point2(x, y))
+    if len(positions) < n_nodes:
         raise ParseError(0, "unexpected end of file, expected a node line")
 
     n_triangles = _count(*next_line("'triangles <count>'"), "triangles")
@@ -172,7 +174,7 @@ def parse_mesh_text(text: str) -> Mesh:
     # no line is kept while the topology is built, the peak of a load; an
     # error that names a triangle or node reads the lines again
     try:
-        return build_topology(nodes, triangles, rref)
+        return build_topology(mobility, positions, triangles, rref)
     except MeshError as err:
         line_no = None
         if err.triangle_id is not None:
@@ -194,20 +196,20 @@ class FileText:
 
     def __init__(self, mesh: Mesh) -> None:
         self.moved: set[int] = set()
-        self.node_lines = [_node_line(node) for node in mesh.nodes]
+        self.node_lines = list(map(_node_line, mesh.nodes, mesh._positions))
         self.triangles = f"triangles {len(mesh.triangles)}\n" + "".join(
             f"{tri.id} {tri.nodes[0]} {tri.nodes[1]} {tri.nodes[2]}\n"
             for tri in mesh.triangles)
 
 
-def _node_line(node: Node) -> str:
+def _node_line(node: Node, p: Point2) -> str:
     if node.mobility is Mobility.BOUNDARY:
         # a mesh that never went through build_topology has no chain ids;
         # the reader renumbers chains, so any integer will do
         mob = f"B{0 if node.chain_id is None else node.chain_id}"
     else:
         mob = node.mobility.value
-    return f"{node.id} {node.position.x:.17g} {node.position.y:.17g} {mob}\n"
+    return f"{node.id} {p.x:.17g} {p.y:.17g} {mob}\n"
 
 
 def _mesh_sections(mesh: Mesh) -> tuple[str, str, str, str]:
@@ -216,10 +218,10 @@ def _mesh_sections(mesh: Mesh) -> tuple[str, str, str, str]:
     text = mesh._file_text
     if text is None:
         text = mesh._file_text = FileText(mesh)
-    nodes = mesh.nodes
+    nodes, positions = mesh.nodes, mesh._positions
     lines = text.node_lines
     for nid in text.moved:
-        lines[nid] = _node_line(nodes[nid])
+        lines[nid] = _node_line(nodes[nid], positions[nid])
     text.moved.clear()
     rref = mesh.rref
     rref_section = ""

@@ -133,13 +133,13 @@ def _frame_element(tid: int | None, x1: float, y1: float, x2: float, y2: float,
 
 def freeze_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams) -> BallFrame:
     """The frame of a ball at the current neighbour positions."""
-    nodes = mesh.nodes
+    positions = mesh._positions
     rref = mesh.rref
     r_ref = params.r_ref
     elements = []
     for tid, n1, n2 in ball.elements:
-        p1 = nodes[n1].position
-        p2 = nodes[n2].position
+        p1 = positions[n1]
+        p2 = positions[n2]
         elements.append(_frame_element(tid, p1.x, p1.y, p2.x, p2.y,
                                        rref.get(tid, r_ref)))
     return BallFrame(ball.vertex, tuple(elements))

@@ -2,7 +2,8 @@
 
 A report reads the mesh's per-triangle quality table (``Mesh.quality_table``),
 which re-evaluates only the triangles around the nodes moved since its
-last read. Positions change only through ``Mesh.set_position``, which
+last read. The positions live in one list on the mesh
+(``Mesh._positions``), which only ``Mesh.set_position`` writes; it
 records each moved node for the table.
 
 The flagged and inverted counts and the histogram are the ones the table

@@ -8,14 +8,14 @@ radius ratio changes only with the position of one of its nodes.
 Rendering keeps its text on the mesh (``Mesh._svg_text``): the ``.6g``
 coordinates of every node, and each triangle's polygon element up to its
 stroke attributes. The stroke width and the viewBox follow the bounding
-box, which is taken from ``Mesh.nodes``, so they are formatted on every
-render and never cached inside a polygon. Positions change only through
-``Mesh.set_position``, which records the node in the text's ``moved``
-set, so a later render formats again the coordinates of the nodes moved
-since the previous render and the polygons of the triangles in their
-stars (``Mesh.stars``, the mesh's one node-to-triangle incidence). A
-render in the other colouring formats every polygon again; only the Q2
-colouring reads the quality table.
+box of the mesh's one list of positions (``Mesh._positions``), so they
+are formatted on every render and never cached inside a polygon.
+Positions change only through ``Mesh.set_position``, which records the
+node in the text's ``moved`` set, so a later render formats again the
+coordinates of the nodes moved since the previous render and the
+polygons of the triangles in their stars (``Mesh.stars``, the mesh's one
+node-to-triangle incidence). A render in the other colouring formats
+every polygon again; only the Q2 colouring reads the quality table.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class SvgText:
 
     def __init__(self, mesh: Mesh) -> None:
         self.moved: set[int] = set()
-        self.coords = [_coords(node.position) for node in mesh.nodes]
+        self.coords = list(map(_coords, mesh._positions))
         self.polygons = [""] * len(mesh.triangles)
         self.color_by: ColorBy | None = None  # colouring of the polygons
 
@@ -60,11 +60,11 @@ def _update(mesh: Mesh, color_by: ColorBy) -> SvgText:
     text = mesh._svg_text
     if text is None:
         text = mesh._svg_text = SvgText(mesh)
-    nodes, triangles = mesh.nodes, mesh.triangles
+    positions, triangles = mesh._positions, mesh.triangles
     coords = text.coords
     moved = text.moved
     for nid in moved:
-        coords[nid] = _coords(nodes[nid].position)
+        coords[nid] = _coords(positions[nid])
 
     table = mesh.quality_table() if color_by is ColorBy.Q2 else None
     if text.color_by is not color_by:
@@ -89,9 +89,9 @@ def _svg_sections(mesh: Mesh, color_by: ColorBy) -> tuple[str, str, str]:
     joined by their common stroke attributes, and the footer, which ends
     the last polygon."""
     text = _update(mesh, color_by)
-    if mesh.nodes:
-        xs = [node.position.x for node in mesh.nodes]
-        ys = [node.position.y for node in mesh.nodes]
+    if mesh._positions:
+        xs = [p.x for p in mesh._positions]
+        ys = [p.y for p in mesh._positions]
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
     else:

@@ -36,21 +36,16 @@ def random_ball_mesh(rng: random.Random) -> Mesh:
             for r, t in zip(radii, angles)]
     # small offset keeps the start strictly inside the kernel of the fan
     start = Point2(0.05 * (rng.random() - 0.5), 0.05 * (rng.random() - 0.5))
-    nodes = [Node(0, start, Mobility.INTERNAL)]
-    nodes += [Node(i + 1, p, Mobility.FIXED) for i, p in enumerate(ring)]
+    mobility = [Mobility.INTERNAL] + [Mobility.FIXED] * k
     triangles = [Triangle(t, (0, 1 + t, 1 + (t + 1) % k)) for t in range(k)]
-    return build_topology(nodes, triangles)
+    return build_topology(mobility, [start] + ring, triangles)
 
 
 def regular_hexagon_mesh(center: Point2 = Point2(0.0, 0.0)) -> Mesh:
     """Six unit equilateral triangles around one internal vertex."""
-    nodes = [Node(0, center, Mobility.INTERNAL)]
-    for i in range(6):
-        t = i * math.pi / 3.0
-        nodes.append(Node(i + 1, Point2(math.cos(t), math.sin(t)),
-                          Mobility.FIXED))
-    triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % 6)) for i in range(6)]
-    return build_topology(nodes, triangles)
+    mobility, positions, triangles = hexagon_fan()
+    positions[0] = center
+    return build_topology(mobility, positions, triangles)
 
 
 def synthetic_single_ball(vertex_pos: Point2, neighbors: list[Point2]) -> Mesh:
@@ -59,24 +54,29 @@ def synthetic_single_ball(vertex_pos: Point2, neighbors: list[Point2]) -> Mesh:
     Used to exercise ball-level operations on configurations a valid mesh
     cannot represent (e.g. a one-triangle ball with an internal vertex).
     """
-    nodes = [Node(0, vertex_pos, Mobility.INTERNAL)]
-    nodes += [Node(i + 1, p, Mobility.FIXED) for i, p in enumerate(neighbors)]
     k = len(neighbors)
+    nodes = [Node(0, Mobility.INTERNAL)] + [Node(i + 1, Mobility.FIXED) for i in range(k)]
     triangles = [Triangle(t, (0, 1 + t, 1 + (t + 1) % k))
                  for t in range(max(k - 1, 1))]
     elements = tuple((t.id, t.nodes[1], t.nodes[2]) for t in triangles)
     balls = {0: Ball(vertex=0, elements=elements)}
-    return Mesh(nodes=nodes, triangles=triangles, balls=balls, chains=[])
+    return Mesh(nodes=nodes, triangles=triangles, _positions=[vertex_pos, *neighbors],
+                balls=balls, chains=[])
 
+
+# The helpers below return the node columns and triangles that
+# build_topology takes: (mobility, positions, triangles), with node i's
+# mobility and position at index i.
 
 def hexagon_fan(center_mobility=Mobility.INTERNAL, ring_mobility=Mobility.FIXED):
     """Regular 6-triangle ball: unit hexagon ring around the origin."""
-    nodes = [Node(0, Point2(0.0, 0.0), center_mobility)]
+    mobility = [center_mobility] + [ring_mobility] * 6
+    positions = [Point2(0.0, 0.0)]
     for i in range(6):
         t = i * math.pi / 3.0
-        nodes.append(Node(i + 1, Point2(math.cos(t), math.sin(t)), ring_mobility))
+        positions.append(Point2(math.cos(t), math.sin(t)))
     triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % 6)) for i in range(6)]
-    return nodes, triangles
+    return mobility, positions, triangles
 
 
 def wound_fan(centre_mobility, turns=2, centre=Point2(0.0, 0.0)):
@@ -85,24 +85,25 @@ def wound_fan(centre_mobility, turns=2, centre=Point2(0.0, 0.0)):
     overlap. The first ring node of each turn lies on the horizontal of a
     centre at the origin."""
     n = 7 * turns
-    nodes = [Node(0, centre, centre_mobility)]
+    mobility = [centre_mobility] + [Mobility.FIXED] * n
+    positions = [centre]
     for i in range(n):
         t = i * 2.0 * math.pi / 7.0
         r = 1.0 + i // 7
-        nodes.append(Node(i + 1, Point2(r * math.cos(t), r * math.sin(t)),
-                          Mobility.FIXED))
+        positions.append(Point2(r * math.cos(t), r * math.sin(t)))
     triangles = [Triangle(i, (0, 1 + i, 1 + (i + 1) % n)) for i in range(n)]
-    return nodes, triangles
+    return mobility, positions, triangles
 
 
-def hand_written_text(nodes, triangles):
-    """The mesh file of the nodes and triangles. mesh_to_text would write a
-    BOUNDARY node whose chain id is unset as ``BNone``, which the reader
-    rejects, so the labels are written here."""
+def hand_written_text(mobility, positions, triangles):
+    """The mesh file of the node columns and triangles, written without
+    building a mesh, so that a file of an invalid mesh can be read.
+    Every BOUNDARY node is labelled ``B0``, as ``mesh_to_text`` labels one
+    whose chain id is unset; the reader renumbers chains."""
     labels = {Mobility.FIXED: "F", Mobility.INTERNAL: "I", Mobility.BOUNDARY: "B0"}
-    lines = [HEADER, f"nodes {len(nodes)}"]
-    lines += [f"{n.id} {n.position.x!r} {n.position.y!r} {labels[n.mobility]}"
-              for n in nodes]
+    lines = [HEADER, f"nodes {len(positions)}"]
+    lines += [f"{i} {p.x!r} {p.y!r} {labels[mob]}"
+              for i, (mob, p) in enumerate(zip(mobility, positions))]
     lines.append(f"triangles {len(triangles)}")
     lines += [f"{t.id} {t.nodes[0]} {t.nodes[1]} {t.nodes[2]}" for t in triangles]
     return "\n".join(lines) + "\n"

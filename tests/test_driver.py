@@ -17,7 +17,7 @@ from osmot.newton import StopReason
 
 
 def positions(mesh):
-    return [(n.position.x, n.position.y) for n in mesh.nodes]
+    return [(p.x, p.y) for p in map(mesh.position, range(len(mesh.nodes)))]
 
 
 def test_optimal_mesh_is_a_fixpoint():

@@ -11,7 +11,6 @@ from osmot.mesh import (
     Ball,
     InvertedElementError,
     Mobility,
-    Node,
     NonManifoldError,
     TangledBallError,
     Triangle,
@@ -23,14 +22,14 @@ from osmot.meshio import ParseError, ValidationError, mesh_to_text, parse_mesh_t
 from conftest import hand_written_text, hexagon_fan, wound_fan
 
 
-def reference_winding(nodes, vertex, star):
+def reference_winding(positions, vertex, star):
     """Signed crossings of the ray from the vertex towards +x by the ring
     edges n1 -> n2: upward with the vertex on the left adds one, downward
     with it on the right subtracts one."""
-    p = nodes[vertex].position
+    p = positions[vertex]
     winding = 0
     for _tid, n1, n2 in star:
-        q1, q2 = nodes[n1].position, nodes[n2].position
+        q1, q2 = positions[n1], positions[n2]
         if q1.y <= p.y:
             if q2.y > p.y and signed_area(q1, q2, p) > 0.0:
                 winding += 1
@@ -39,14 +38,14 @@ def reference_winding(nodes, vertex, star):
     return winding
 
 
-def reference_topology(nodes, triangles):
+def reference_topology(mobility, positions, triangles):
     """The balls, boundary successors and windings of a valid mesh, from
     (u, v) tuple edges, ``signed_area`` and a membership test per edge."""
     edges = set()
-    stars = [[] for _ in nodes]
+    stars = [[] for _ in positions]
     for tri in triangles:
         a, b, c = tri.nodes
-        pa, pb, pc = (nodes[n].position for n in tri.nodes)
+        pa, pb, pc = (positions[n] for n in tri.nodes)
         assert signed_area(pa, pb, pc) > 0.0
         for edge in ((a, b), (b, c), (c, a)):
             assert edge not in edges
@@ -56,26 +55,30 @@ def reference_topology(nodes, triangles):
         stars[c].append((tri.id, a, b))
     boundary_next = {u: v for u, v in edges if (v, u) not in edges}
     balls, windings = {}, {}
-    for node, star in zip(nodes, stars):
-        if node.id not in boundary_next:
-            windings[node.id] = reference_winding(nodes, node.id, star)
-            if node.mobility is Mobility.INTERNAL:
-                balls[node.id] = Ball(node.id, tuple(star))
+    for nid, (mob, star) in enumerate(zip(mobility, stars)):
+        if nid not in boundary_next:
+            windings[nid] = reference_winding(positions, nid, star)
+            if mob is Mobility.INTERNAL:
+                balls[nid] = Ball(nid, tuple(star))
     return balls, boundary_next, windings
 
 
-def copies(nodes):
-    return [Node(n.id, n.position, n.mobility) for n in nodes]
+def columns(mesh):
+    """The (mobility, positions, triangles) that build the mesh again."""
+    return ([n.mobility for n in mesh.nodes],
+            [mesh.position(n.id) for n in mesh.nodes], mesh.triangles)
 
 
-def relabelled(nodes, triangles, rng):
+def relabelled(mobility, positions, triangles, rng):
     """The same mesh with shuffled node ids, shuffled triangle order and
     each triangle's nodes rotated."""
-    perm = list(range(len(nodes)))
+    perm = list(range(len(positions)))
     rng.shuffle(perm)
-    new_nodes = [None] * len(nodes)
-    for node in nodes:
-        new_nodes[perm[node.id]] = Node(perm[node.id], node.position, node.mobility)
+    new_mobility = [None] * len(positions)
+    new_positions = [None] * len(positions)
+    for nid, (mob, p) in enumerate(zip(mobility, positions)):
+        new_mobility[perm[nid]] = mob
+        new_positions[perm[nid]] = p
     order = list(triangles)
     rng.shuffle(order)
     new_triangles = []
@@ -83,13 +86,14 @@ def relabelled(nodes, triangles, rng):
         ids = [perm[n] for n in tri.nodes]
         k = rng.randrange(3)
         new_triangles.append(Triangle(tid, tuple(ids[k:] + ids[:k])))
-    return new_nodes, new_triangles
+    return new_mobility, new_positions, new_triangles
 
 
 def with_pinned_interior(mesh):
     pinned = set(sorted(mesh.balls)[::3])
-    return [Node(n.id, n.position, Mobility.FIXED if n.id in pinned else n.mobility)
-            for n in mesh.nodes], mesh.triangles
+    mobility, positions, triangles = columns(mesh)
+    return ([Mobility.FIXED if nid in pinned else mob for nid, mob in enumerate(mobility)],
+            positions, triangles)
 
 
 def valid_meshes():
@@ -97,9 +101,9 @@ def valid_meshes():
     for kind in FixtureKind:
         for seed, distortion in ((0, 0.0), (1, 0.45), (3, 0.9)):
             mesh = generate_fixture(kind, seed, distortion)
-            cases[f"{kind.value}-{seed}-{distortion}"] = (mesh.nodes, mesh.triangles)
+            cases[f"{kind.value}-{seed}-{distortion}"] = columns(mesh)
     box = generate_fixture(FixtureKind.INDENTED_BOX, 2, 0.6)
-    cases["indentedbox-frozen"] = (freeze_boundary(box).nodes, box.triangles)
+    cases["indentedbox-frozen"] = columns(freeze_boundary(box))
     patch = generate_fixture(FixtureKind.PATCH32, 2, 0.6)
     cases["patch32-pinned"] = with_pinned_interior(patch)
     cases["hexagon-closed-chain"] = hexagon_fan(ring_mobility=Mobility.BOUNDARY)
@@ -115,40 +119,40 @@ VALID = valid_meshes()
 
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_topology_matches_reference(name):
-    nodes, triangles = VALID[name]
-    mesh = build_topology(copies(nodes), triangles)
-    balls, boundary_next, windings = reference_topology(nodes, triangles)
+    mobility, positions, triangles = VALID[name]
+    mesh = build_topology(mobility, positions, triangles)
+    balls, boundary_next, windings = reference_topology(mobility, positions, triangles)
     assert set(windings.values()) == {1}
     assert mesh.balls == balls
-    assert mesh.chains == _build_chains(nodes, boundary_next)
-    assert [n.mobility for n in mesh.nodes] == [n.mobility for n in nodes]
+    assert mesh.chains == _build_chains(mobility, boundary_next)
+    assert [n.id for n in mesh.nodes] == list(range(len(positions)))
+    assert [n.mobility for n in mesh.nodes] == mobility
     chain_of = {nid: chain.chain_id for chain in mesh.chains for nid in chain.node_ids}
     assert [n.chain_id for n in mesh.nodes] == [
-        chain_of[n.id] if n.mobility is Mobility.BOUNDARY else None for n in nodes]
+        chain_of[nid] if mob is Mobility.BOUNDARY else None
+        for nid, mob in enumerate(mobility)]
 
 
 @pytest.mark.parametrize("name", ["patch32-1-0.45", "indentedbox-3-0.9", "graded-0-0.0"])
 def test_inverted_element_carries_signed_area(name):
-    nodes, triangles = VALID[name]
+    mobility, positions, triangles = VALID[name]
     for tid, tri in enumerate(triangles):
         a, b, c = tri.nodes
         flipped = list(triangles)
         flipped[tid] = Triangle(tid, (a, c, b))
         with pytest.raises(InvertedElementError) as err:
-            build_topology(copies(nodes), flipped)
-        want = signed_area(nodes[a].position, nodes[c].position, nodes[b].position)
+            build_topology(mobility, positions, flipped)
+        want = signed_area(positions[a], positions[c], positions[b])
         assert err.value.triangle_id == tid
         assert err.value.area.hex() == want.hex()
         assert str(err.value) == f"triangle {tid} has non-positive signed area {want:g}"
 
 
 def test_collinear_element_area_is_zero():
-    nodes = [Node(0, Point2(0.0, 0.0), Mobility.FIXED),
-             Node(1, Point2(0.5, 0.5), Mobility.FIXED),
-             Node(2, Point2(1.0, 1.0), Mobility.FIXED)]
+    positions = [Point2(0.0, 0.0), Point2(0.5, 0.5), Point2(1.0, 1.0)]
     with pytest.raises(InvertedElementError) as err:
-        build_topology(nodes, [Triangle(0, (0, 1, 2))])
-    want = signed_area(*(n.position for n in nodes))
+        build_topology([Mobility.FIXED] * 3, positions, [Triangle(0, (0, 1, 2))])
+    want = signed_area(*positions)
     assert err.value.area.hex() == want.hex() == (0.0).hex()
 
 
@@ -156,10 +160,10 @@ def test_collinear_element_area_is_zero():
 @pytest.mark.parametrize("mobility", [Mobility.INTERNAL, Mobility.FIXED])
 @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.1, -0.05), (-0.2, 0.15)])
 def test_tangled_winding_matches_reference(turns, mobility, centre):
-    nodes, triangles = wound_fan(mobility, turns, Point2(*centre))
-    _balls, _next, windings = reference_topology(nodes, triangles)
+    fan = wound_fan(mobility, turns, Point2(*centre))
+    _balls, _next, windings = reference_topology(*fan)
     with pytest.raises(TangledBallError) as err:
-        build_topology(nodes, triangles)
+        build_topology(*fan)
     assert err.value.node_id == 0
     assert err.value.winding == windings[0] == turns
 
@@ -167,22 +171,22 @@ def test_tangled_winding_matches_reference(turns, mobility, centre):
 def pinched_strip(n_triangles):
     """Triangles along the x axis, each meeting the next only at one node:
     every shared node starts two boundary edges."""
-    nodes = [Node(k, Point2(float(k), 0.0), Mobility.FIXED) for k in range(n_triangles + 1)]
-    nodes += [Node(n_triangles + 1 + k, Point2(k + 0.5, 1.0), Mobility.FIXED)
-              for k in range(n_triangles)]
+    positions = [Point2(float(k), 0.0) for k in range(n_triangles + 1)]
+    positions += [Point2(k + 0.5, 1.0) for k in range(n_triangles)]
     triangles = [Triangle(k, (k, k + 1, n_triangles + 1 + k)) for k in range(n_triangles)]
-    return nodes, triangles, set(range(1, n_triangles))
+    return [Mobility.FIXED] * len(positions), positions, triangles, set(range(1, n_triangles))
 
 
 @pytest.mark.parametrize("n_triangles", [3, 4])
 def test_pinched_vertices_name_the_lowest(n_triangles):
-    nodes, triangles, pinched = pinched_strip(n_triangles)
+    mobility, positions, triangles, pinched = pinched_strip(n_triangles)
     rng = random.Random(n_triangles)
     for _ in range(40):
-        perm = list(range(len(nodes)))
+        perm = list(range(len(positions)))
         rng.shuffle(perm)
-        new_nodes = sorted((Node(perm[n.id], n.position, n.mobility) for n in nodes),
-                           key=lambda n: n.id)
+        new_positions = [None] * len(positions)
+        for nid, p in enumerate(positions):
+            new_positions[perm[nid]] = p
         order = list(triangles)
         rng.shuffle(order)
         new_triangles = [Triangle(tid, tuple(perm[n] for n in tri.nodes))
@@ -190,7 +194,7 @@ def test_pinched_vertices_name_the_lowest(n_triangles):
         lowest = min(perm[n] for n in pinched)
         with pytest.raises(NonManifoldError,
                            match=f"^node {lowest} has more than one outgoing boundary edge$") as err:
-            build_topology(new_nodes, new_triangles)
+            build_topology(mobility, new_positions, new_triangles)
         assert (err.value.node_id, err.value.triangle_id) == (lowest, None)
 
 
@@ -222,7 +226,7 @@ def fault_flipped(rng):
     a, b, c = mesh.triangles[tid].nodes
     at = triangle_line(lines, tid)
     lines[at] = f"{tid} {a} {c} {b}"
-    p = [mesh.nodes[n].position for n in (a, c, b)]
+    p = [mesh.position(n) for n in (a, c, b)]
     return lines, at, ValidationError, f"triangle {tid} has non-positive signed area {signed_area(*p):g}"
 
 
@@ -234,6 +238,26 @@ def fault_repeated_edge(rng):
     lines.append(f"{m} {b} {c} {a}")
     return (lines, len(lines) - 1, ValidationError,
             f"directed edge ({b}, {c}) belongs to more than one triangle")
+
+
+def fault_repeated_node(rng):
+    mesh, lines = base_lines()
+    tid = rng.randrange(len(mesh.triangles))
+    a, b, _c = mesh.triangles[tid].nodes
+    nodes = rng.choice([(a, a, b), (a, b, b), (a, b, a)])
+    at = triangle_line(lines, tid)
+    lines[at] = f"{tid} {nodes[0]} {nodes[1]} {nodes[2]}"
+    return lines, at, ValidationError, f"triangle {tid} has repeated nodes {nodes}"
+
+
+def fault_unknown_node(rng):
+    mesh, lines = base_lines()
+    tid = rng.randrange(len(mesh.triangles))
+    a, b, _c = mesh.triangles[tid].nodes
+    unknown = rng.choice([len(mesh.nodes), len(mesh.nodes) + 7, -1])
+    at = triangle_line(lines, tid)
+    lines[at] = f"{tid} {a} {b} {unknown}"
+    return lines, at, ValidationError, f"triangle {tid} references unknown node {unknown}"
 
 
 def fault_orphan(rng):
@@ -270,8 +294,8 @@ def fault_tangled(rng):
 
 
 def fault_pinched(rng):
-    nodes, triangles, pinched = pinched_strip(rng.choice([3, 4]))
-    lines = hand_written_text(nodes, triangles).splitlines()
+    mobility, positions, triangles, pinched = pinched_strip(rng.choice([3, 4]))
+    lines = hand_written_text(mobility, positions, triangles).splitlines()
     lowest = min(pinched)
     return (lines, node_line(lowest), ValidationError,
             f"node {lowest} has more than one outgoing boundary edge")
@@ -299,9 +323,9 @@ def fault_truncated(rng):
     return lines[:cut], EOF, ParseError, f"unexpected end of file, expected {expect}"
 
 
-FAULTS = [fault_flipped, fault_repeated_edge, fault_orphan, fault_internal_on_boundary,
-          fault_boundary_off_boundary, fault_tangled, fault_pinched, fault_bad_token,
-          fault_truncated]
+FAULTS = [fault_flipped, fault_repeated_edge, fault_repeated_node, fault_unknown_node,
+          fault_orphan, fault_internal_on_boundary, fault_boundary_off_boundary,
+          fault_tangled, fault_pinched, fault_bad_token, fault_truncated]
 
 
 def with_noise(lines, rng, faulty=None):

@@ -1,13 +1,14 @@
+import math
+
 import pytest
 
-from osmot.fixtures import FixtureKind, generate_fixture
+from osmot.fixtures import FixtureKind, freeze_boundary, generate_fixture
 from osmot.geometry import Point2, signed_area
 from osmot.mesh import (
     InconsistentMobilityError,
     InvertedElementError,
     MeshError,
     Mobility,
-    Node,
     NonManifoldError,
     NotBoundaryError,
     OrphanNodeError,
@@ -17,19 +18,15 @@ from osmot.mesh import (
     build_topology,
     flag_nodes,
 )
-from osmot.meshio import ValidationError, parse_mesh_text
+from osmot.meshio import ValidationError, mesh_to_text, parse_mesh_text
 from osmot.quality import QualityConfig
 
 from conftest import hand_written_text, hexagon_fan, wound_fan
 
 
 def single_triangle(mobility=Mobility.FIXED):
-    nodes = [
-        Node(0, Point2(0, 0), mobility),
-        Node(1, Point2(1, 0), mobility),
-        Node(2, Point2(0, 1), mobility),
-    ]
-    return nodes, [Triangle(0, (0, 1, 2))]
+    positions = [Point2(0, 0), Point2(1, 0), Point2(0, 1)]
+    return [mobility] * 3, positions, [Triangle(0, (0, 1, 2))]
 
 
 def test_single_triangle_all_fixed():
@@ -76,8 +73,8 @@ def test_ball_rotation_puts_vertex_first():
             assert rotated in cyclic_rotations(tri)
             # cyclic rotation preserves the signed area; on the dyadic
             # lattice coordinates this is bit-exact
-            pts = [mesh.nodes[n].position for n in tri]
-            rpts = [mesh.nodes[n].position for n in rotated]
+            pts = [mesh.position(n) for n in tri]
+            rpts = [mesh.position(n) for n in rotated]
             assert signed_area(*rpts) == signed_area(*pts)
 
 
@@ -88,8 +85,8 @@ def test_ball_rotation_sign_on_distorted_mesh():
             tri = mesh.triangles[tid].nodes
             rotated = (ball.vertex, n1, n2)
             assert rotated in cyclic_rotations(tri)
-            pts = [mesh.nodes[n].position for n in tri]
-            rpts = [mesh.nodes[n].position for n in rotated]
+            pts = [mesh.position(n) for n in tri]
+            rpts = [mesh.position(n) for n in rotated]
             a0 = signed_area(*pts)
             a1 = signed_area(*rpts)
             assert a1 > 0.0
@@ -97,8 +94,7 @@ def test_ball_rotation_sign_on_distorted_mesh():
 
 
 def test_closed_chain_on_hexagon():
-    nodes, triangles = hexagon_fan(ring_mobility=Mobility.BOUNDARY)
-    mesh = build_topology(nodes, triangles)
+    mesh = build_topology(*hexagon_fan(ring_mobility=Mobility.BOUNDARY))
     assert len(mesh.chains) == 1
     chain = mesh.chains[0]
     assert chain.closed
@@ -164,9 +160,9 @@ def test_chain_covers_every_boundary_edge(build):
 def test_single_fixed_node_loop_chain():
     # a boundary loop with exactly one fixed node yields one open chain
     # that starts and ends at that node
-    nodes, triangles = hexagon_fan(ring_mobility=Mobility.BOUNDARY)
-    nodes[3] = Node(3, nodes[3].position, Mobility.FIXED)
-    mesh = build_topology(nodes, triangles)
+    mobility, positions, triangles = hexagon_fan(ring_mobility=Mobility.BOUNDARY)
+    mobility[3] = Mobility.FIXED
+    mesh = build_topology(mobility, positions, triangles)
     assert len(mesh.chains) == 1
     chain = mesh.chains[0]
     assert not chain.closed
@@ -178,8 +174,7 @@ def test_single_fixed_node_loop_chain():
 
 
 def test_not_boundary_error_for_internal():
-    nodes, triangles = hexagon_fan()
-    mesh = build_topology(nodes, triangles)
+    mesh = build_topology(*hexagon_fan())
     with pytest.raises(NotBoundaryError):
         boundary_neighbors(mesh, 0)
 
@@ -187,13 +182,8 @@ def test_not_boundary_error_for_internal():
 def test_nonmanifold_edge_rejected():
     # CCW triangles stacked on the same side of one edge all use it in the
     # same direction, which no manifold, consistently oriented mesh does
-    nodes = [
-        Node(0, Point2(0, 0), Mobility.FIXED),
-        Node(1, Point2(1, 0), Mobility.FIXED),
-        Node(2, Point2(0.5, 1), Mobility.FIXED),
-        Node(3, Point2(0.5, 2), Mobility.FIXED),
-        Node(4, Point2(0.5, 3), Mobility.FIXED),
-    ]
+    positions = [Point2(0, 0), Point2(1, 0), Point2(0.5, 1), Point2(0.5, 2),
+                 Point2(0.5, 3)]
     triangles = [
         Triangle(0, (0, 1, 2)),
         Triangle(1, (0, 1, 3)),
@@ -201,21 +191,17 @@ def test_nonmanifold_edge_rejected():
     ]
     for n_stacked in (2, 3):
         with pytest.raises(NonManifoldError, match=r"directed edge \(0, 1\)"):
-            build_topology(nodes[:n_stacked + 2], triangles[:n_stacked])
+            build_topology([Mobility.FIXED] * (n_stacked + 2),
+                           positions[:n_stacked + 2], triangles[:n_stacked])
 
 
 def test_pinched_boundary_vertex_rejected():
     # two triangles meeting only at node 0: it starts two boundary edges
-    nodes = [
-        Node(0, Point2(0, 0), Mobility.FIXED),
-        Node(1, Point2(1, 0), Mobility.FIXED),
-        Node(2, Point2(1, 1), Mobility.FIXED),
-        Node(3, Point2(-1, 0), Mobility.FIXED),
-        Node(4, Point2(-1, -1), Mobility.FIXED),
-    ]
+    positions = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(-1, 0),
+                 Point2(-1, -1)]
     triangles = [Triangle(0, (0, 1, 2)), Triangle(1, (0, 3, 4))]
     with pytest.raises(NonManifoldError, match="node 0 has more than one"):
-        build_topology(nodes, triangles)
+        build_topology([Mobility.FIXED] * 5, positions, triangles)
 
 
 def test_doubly_wound_ball_rejected():
@@ -239,32 +225,29 @@ def test_fixed_interior_node_loads():
     # wind once, and they leave the balls
     mesh = generate_fixture(FixtureKind.PATCH32, 1, 0.45)
     pinned = sorted(mesh.balls)[::2]
-    nodes = [Node(n.id, n.position,
-                  Mobility.FIXED if n.id in pinned else n.mobility)
-             for n in mesh.nodes]
-    rebuilt = build_topology(nodes, mesh.triangles)
+    mobility = [Mobility.FIXED if n.id in pinned else n.mobility
+                for n in mesh.nodes]
+    positions = [mesh.position(n.id) for n in mesh.nodes]
+    rebuilt = build_topology(mobility, positions, mesh.triangles)
     assert sorted(rebuilt.balls) == sorted(set(mesh.balls) - set(pinned))
 
 
 def test_inverted_element_rejected():
-    nodes, triangles = single_triangle()
-    nodes[1], nodes[2] = (
-        Node(1, Point2(0, 1), Mobility.FIXED),
-        Node(2, Point2(1, 0), Mobility.FIXED),
-    )
+    mobility, positions, triangles = single_triangle()
+    positions[1], positions[2] = Point2(0, 1), Point2(1, 0)
     with pytest.raises(InvertedElementError) as err:
-        build_topology(nodes, triangles)
+        build_topology(mobility, positions, triangles)
     assert "triangle 0" in str(err.value)
 
 
-def with_orphan(nodes, triangles):
-    return nodes + [Node(len(nodes), Point2(5, 5), Mobility.FIXED)], triangles
+def with_orphan(mobility, positions, triangles):
+    return mobility + [Mobility.FIXED], positions + [Point2(5, 5)], triangles
 
 
-def with_internal(node_id, nodes, triangles):
-    nodes = list(nodes)
-    nodes[node_id] = Node(node_id, nodes[node_id].position, Mobility.INTERNAL)
-    return nodes, triangles
+def with_internal(node_id, mobility, positions, triangles):
+    mobility = list(mobility)
+    mobility[node_id] = Mobility.INTERNAL
+    return mobility, positions, triangles
 
 
 @pytest.mark.parametrize("build, error, node_id", [
@@ -280,10 +263,10 @@ def with_internal(node_id, nodes, triangles):
 ], ids=["orphan", "internal-on-boundary", "boundary-label-off-boundary",
         "tangled-internal", "tangled-fixed", "lower-id-of-two-faults"])
 def test_node_fault_names_the_node(build, error, node_id):
-    nodes, triangles = build()
-    text = hand_written_text(nodes, triangles)
+    columns = build()
+    text = hand_written_text(*columns)
     with pytest.raises(error) as err:
-        build_topology(nodes, triangles)
+        build_topology(*columns)
     assert err.value.node_id == node_id
     with pytest.raises(ValidationError) as err:
         parse_mesh_text(text)
@@ -293,26 +276,21 @@ def test_node_fault_names_the_node(build, error, node_id):
 def test_shared_edge_endpoints_marked_internal_rejected():
     # two triangles sharing an edge: every node is on the boundary strip,
     # so marking the shared-edge endpoints internal is inconsistent
-    nodes = [
-        Node(0, Point2(0, 0), Mobility.INTERNAL),
-        Node(1, Point2(1, 0), Mobility.INTERNAL),
-        Node(2, Point2(1, 1), Mobility.FIXED),
-        Node(3, Point2(0, -1), Mobility.FIXED),
-    ]
+    mobility = [Mobility.INTERNAL, Mobility.INTERNAL, Mobility.FIXED, Mobility.FIXED]
+    positions = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, -1)]
     triangles = [Triangle(0, (0, 1, 2)), Triangle(1, (0, 3, 1))]
     with pytest.raises(InconsistentMobilityError):
-        build_topology(nodes, triangles)
+        build_topology(mobility, positions, triangles)
 
 
 def test_closed_chain_of_length_four():
     # square ring around one internal node: a 4-node closed chain with
     # cyclic neighbor lookups
-    nodes = [Node(0, Point2(0.0, 0.0), Mobility.INTERNAL)]
     ring = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    nodes += [Node(i + 1, Point2(x, y), Mobility.BOUNDARY)
-              for i, (x, y) in enumerate(ring)]
+    positions = [Point2(0.0, 0.0)] + [Point2(x, y) for x, y in ring]
     triangles = [Triangle(t, (0, 1 + t, 1 + (t + 1) % 4)) for t in range(4)]
-    mesh = build_topology(nodes, triangles)
+    mesh = build_topology([Mobility.INTERNAL] + [Mobility.BOUNDARY] * 4,
+                          positions, triangles)
     assert len(mesh.chains) == 1
     chain = mesh.chains[0]
     assert chain.closed and len(chain.node_ids) == 4
@@ -323,20 +301,24 @@ def test_closed_chain_of_length_four():
 
 
 def test_unknown_node_reference_rejected():
-    nodes, _ = single_triangle()
+    mobility, positions, _ = single_triangle()
     with pytest.raises(MeshError):
-        build_topology(nodes, [Triangle(0, (0, 1, 99))])
+        build_topology(mobility, positions, [Triangle(0, (0, 1, 99))])
+
+
+def test_mobility_and_positions_of_different_lengths_rejected():
+    mobility, positions, triangles = single_triangle()
+    with pytest.raises(MeshError, match="4 mobility labels for 3 nodes"):
+        build_topology(mobility + [Mobility.FIXED], positions, triangles)
 
 
 def test_flag_nodes_empty_when_all_good():
-    nodes, triangles = hexagon_fan()
-    mesh = build_topology(nodes, triangles)
+    mesh = build_topology(*hexagon_fan())
     assert flag_nodes(mesh, QualityConfig(q_min=0.9)) == set()
 
 
 def test_flag_nodes_degenerate_element():
-    nodes, triangles = hexagon_fan()
-    mesh = build_topology(nodes, triangles)
+    mesh = build_topology(*hexagon_fan())
     # collapse one element after the build: its three nodes get flagged
     mesh.set_position(0, Point2(1.0, 0.0))
     flagged = flag_nodes(mesh, QualityConfig(q_min=0.5))
@@ -365,3 +347,35 @@ def test_connectivity_key_stable_under_position_change():
     key = mesh.connectivity_key()
     mesh.set_position(6, Point2(0.3, 0.3))
     assert mesh.connectivity_key() == key
+
+
+def test_set_position_replaces_no_node():
+    mesh = generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.5)
+    before = list(mesh.nodes)
+    # an internal, a movable boundary and a fixed node
+    for nid in (next(iter(mesh.balls)), mesh.chains[0].node_ids[1], 0):
+        p = mesh.position(nid)
+        mesh.set_position(nid, Point2(p.x + 0.01, p.y))
+    assert len(mesh.nodes) == len(before)
+    assert all(node is old for node, old in zip(mesh.nodes, before))
+
+
+def test_moving_a_frozen_copy_leaves_the_original():
+    text = mesh_to_text(generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.5))
+    mesh = generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.5)
+    frozen = freeze_boundary(mesh)
+    for nid in (next(iter(frozen.balls)), mesh.chains[0].node_ids[1]):
+        p = frozen.position(nid)
+        frozen.set_position(nid, Point2(p.x + 0.01, p.y - 0.01))
+        assert mesh.position(nid) == p
+    assert mesh_to_text(mesh) == text
+
+
+def test_meshes_differing_in_one_coordinate_are_unequal():
+    mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.3)
+    other = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.3)
+    assert mesh == other
+    p = other.position(6)
+    other.set_position(6, Point2(p.x, math.nextafter(p.y, math.inf)))
+    assert mesh != other
+    assert mesh.connectivity_key() == other.connectivity_key()

@@ -51,8 +51,8 @@ def test_roundtrip_identity_on_fixtures(tmp_path, kind, seed, distortion):
     text = path.read_text()
     back = read_mesh(str(path))
     assert mesh_to_text(back) == text
-    assert [(n.position.x, n.position.y) for n in back.nodes] == \
-           [(n.position.x, n.position.y) for n in mesh.nodes]
+    assert [(back.position(n.id).x, back.position(n.id).y) for n in back.nodes] == \
+           [(mesh.position(n.id).x, mesh.position(n.id).y) for n in mesh.nodes]
     assert [t.nodes for t in back.triangles] == [t.nodes for t in mesh.triangles]
     assert [n.mobility for n in back.nodes] == [n.mobility for n in mesh.nodes]
 
@@ -143,15 +143,16 @@ def test_hand_made_boundary_nodes_roundtrip():
     # a Mesh assembled without build_topology has no chain ids on its
     # boundary nodes; its text must still read back
     ring = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    nodes = [Node(0, Point2(0.5, 0.5), Mobility.INTERNAL)]
-    nodes += [Node(i + 1, Point2(*p), Mobility.BOUNDARY)
-              for i, p in enumerate(ring)]
+    positions = [Point2(0.5, 0.5)] + [Point2(*p) for p in ring]
+    nodes = [Node(0, Mobility.INTERNAL)]
+    nodes += [Node(i + 1, Mobility.BOUNDARY) for i in range(len(ring))]
     triangles = [Triangle(t, (0, 1 + t, 1 + (t + 1) % 4)) for t in range(4)]
-    mesh = Mesh(nodes=nodes, triangles=triangles, balls={}, chains=[])
+    mesh = Mesh(nodes=nodes, triangles=triangles, _positions=list(positions),
+                balls={}, chains=[])
     text = mesh_to_text(mesh)
     back = parse_mesh_text(text)
     assert mesh_to_text(back) == text
-    assert [(n.position, n.mobility) for n in back.nodes] == \
-           [(n.position, n.mobility) for n in nodes]
+    assert [(back.position(n.id), n.mobility) for n in back.nodes] == \
+           [(positions[n.id], n.mobility) for n in nodes]
     assert [t.nodes for t in back.triangles] == [t.nodes for t in triangles]
     assert len(back.chains) == 1 and list(back.balls) == [0]

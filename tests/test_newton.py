@@ -10,7 +10,7 @@ from conftest import random_ball_mesh, regular_hexagon_mesh
 from osmot.driver import SmootherConfig, smooth
 from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.geometry import Point2, signed_area
-from osmot.mesh import Mesh, Mobility, Node, Triangle, build_topology
+from osmot.mesh import Mesh, Mobility, Triangle, build_topology
 from osmot.newton import (
     DegenerateStartError,
     NewtonConfig,
@@ -366,16 +366,16 @@ def _jittered_lattice_mesh(rng: random.Random, cells: int = 8,
     coordinate and the boundary fixed (the shape of the jitter64
     benchmark input, smaller)."""
     h = 1.0 / cells
-    nodes = []
+    mobility, positions = [], []
     for j in range(cells + 1):
         for i in range(cells + 1):
             if 0 < i < cells and 0 < j < cells:
-                p = Point2((i + amplitude * rng.uniform(-1, 1)) * h,
-                           (j + amplitude * rng.uniform(-1, 1)) * h)
-                nodes.append(Node(len(nodes), p, Mobility.INTERNAL))
+                positions.append(Point2((i + amplitude * rng.uniform(-1, 1)) * h,
+                                        (j + amplitude * rng.uniform(-1, 1)) * h))
+                mobility.append(Mobility.INTERNAL)
             else:
-                nodes.append(Node(len(nodes), Point2(i * h, j * h),
-                                  Mobility.FIXED))
+                positions.append(Point2(i * h, j * h))
+                mobility.append(Mobility.FIXED)
     tris = []
     for j in range(cells):
         for i in range(cells):
@@ -385,7 +385,8 @@ def _jittered_lattice_mesh(rng: random.Random, cells: int = 8,
                 tris += [(n00, n10, n01), (n10, n11, n01)]
             else:
                 tris += [(n00, n10, n11), (n00, n11, n01)]
-    return build_topology(nodes, [Triangle(t, v) for t, v in enumerate(tris)])
+    return build_topology(mobility, positions,
+                          [Triangle(t, v) for t, v in enumerate(tris)])
 
 
 def _bits(p: Point2) -> tuple[str, str]:
@@ -579,7 +580,7 @@ def _shifted_hexagon(center: Point2, shift: float):
     """regular_hexagon_mesh(center) with every node moved by (shift, shift)."""
     mesh = regular_hexagon_mesh(center)
     for node in mesh.nodes:
-        p = node.position
+        p = mesh.position(node.id)
         mesh.set_position(node.id, Point2(p.x + shift, p.y + shift))
     return mesh
 

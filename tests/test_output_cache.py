@@ -30,7 +30,8 @@ def reference_text(mesh: Mesh) -> str:
             mob = f"B{node.chain_id}"
         else:
             mob = node.mobility.value
-        out.append(f"{node.id} {node.position.x:.17g} {node.position.y:.17g} {mob}")
+        p = mesh.position(node.id)
+        out.append(f"{node.id} {p.x:.17g} {p.y:.17g} {mob}")
     out.append(f"triangles {len(mesh.triangles)}")
     for tri in mesh.triangles:
         out.append(f"{tri.id} {tri.nodes[0]} {tri.nodes[1]} {tri.nodes[2]}")
@@ -42,8 +43,9 @@ def reference_text(mesh: Mesh) -> str:
 
 
 def reference_svg(mesh: Mesh, color_by: ColorBy) -> str:
-    xs = [n.position.x for n in mesh.nodes]
-    ys = [n.position.y for n in mesh.nodes]
+    points = [mesh.position(n.id) for n in mesh.nodes]
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     width = xmax - xmin
@@ -57,7 +59,7 @@ def reference_svg(mesh: Mesh, color_by: ColorBy) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" '
         f'width="800" height="{800 * (height + 2 * margin) / max(width + 2 * margin, 1e-30):.6g}">',
     ]
-    coords = [f"{n.position.x:.6g},{-n.position.y:.6g}" for n in mesh.nodes]
+    coords = [f"{p.x:.6g},{-p.y:.6g}" for p in points]
     stroke_attrs = f'stroke="black" stroke-width="{stroke:.6g}"'
     for tri in mesh.triangles:
         fill = "white"
@@ -181,7 +183,7 @@ def test_written_files_equal_the_returned_text(tmp_path):
 
 
 def test_zero_triangle_meshes(tmp_path):
-    empty = Mesh(nodes=[], triangles=[])
+    empty = Mesh(nodes=[], triangles=[], _positions=[])
     assert mesh_to_text(empty) == reference_text(empty) == f"{HEADER}\nnodes 0\ntriangles 0\n"
     path = tmp_path / "empty.svg"
     render_svg(empty, str(path))
@@ -191,8 +193,8 @@ def test_zero_triangle_meshes(tmp_path):
     assert len(root) == 0
 
     # nodes but no triangles: framed by the nodes, with no polygon
-    lone = Mesh(nodes=[Node(0, Point2(0.0, 0.0), Mobility.FIXED),
-                       Node(1, Point2(2.0, 1.0), Mobility.FIXED)], triangles=[])
+    lone = Mesh(nodes=[Node(0, Mobility.FIXED), Node(1, Mobility.FIXED)], triangles=[],
+                _positions=[Point2(0.0, 0.0), Point2(2.0, 1.0)])
     assert mesh_to_text(lone) == reference_text(lone)
     for color_by in ColorBy:
         assert mesh_to_svg(lone, color_by) == reference_svg(lone, color_by)

@@ -62,12 +62,13 @@ def fresh_copy(mesh: Mesh) -> Mesh:
     """The mesh rebuilt from its text, with no quality table yet.
 
     A mesh with an inverted element fails validation on parse; it is
-    rebuilt from the same (frozen) nodes and topology instead.
+    rebuilt from the same (frozen) nodes, positions and topology instead.
     """
     try:
         return parse_mesh_text(mesh_to_text(mesh))
     except ValidationError:
         return Mesh(nodes=list(mesh.nodes), triangles=list(mesh.triangles),
+                    _positions=[mesh.position(n.id) for n in mesh.nodes],
                     stars=list(mesh.stars), balls=dict(mesh.balls),
                     chains=list(mesh.chains), rref=dict(mesh.rref))
 
@@ -159,11 +160,13 @@ def test_report_after_each_loop_sees_the_moves_of_that_loop():
 
 
 def test_direct_position_write_raises():
-    # set_position is the only way to move a node, so no cache misses one
+    # a node holds no position and its fields are frozen: set_position is
+    # the only way to move a node, so no cache misses one
     mesh = MESHES["patch32"]()
     nid = next(iter(mesh.balls))
+    assert "position" not in {f.name for f in dataclasses.fields(Node)}
     with pytest.raises(dataclasses.FrozenInstanceError):
-        mesh.nodes[nid].position = Point2(0.5, 0.5)
+        mesh.nodes[nid].mobility = Mobility.FIXED
 
 
 def test_read_evaluates_only_the_triangles_around_moved_nodes(monkeypatch):
@@ -275,10 +278,11 @@ def table_row(table: QualityTable) -> tuple:
 @settings(max_examples=300, deadline=None)
 @given(first=triangle_points(), second=triangle_points())
 def test_inlined_evaluation_matches_the_helpers(first, second):
-    nodes = [Node(i, p, Mobility.FIXED) for i, p in enumerate(first)]
+    nodes = [Node(i, Mobility.FIXED) for i in range(3)]
     # the stars of the three nodes, which set_position's refresh reads
     stars = [((0, 1, 2),), ((0, 2, 0),), ((0, 0, 1),)]
-    mesh = Mesh(nodes=nodes, triangles=[Triangle(0, (0, 1, 2))], stars=stars)
+    mesh = Mesh(nodes=nodes, triangles=[Triangle(0, (0, 1, 2))],
+                _positions=list(first), stars=stars)
     table = mesh.quality_table()  # evaluated as the table is built
     assert table_row(table) == expected_row(first)
     for nid, p in enumerate(second):
