@@ -44,7 +44,6 @@ from .meshio import ParseError, ValidationError, read_mesh, write_mesh
 from .newton import (
     DegenerateStartError,
     LocalStepTrace,
-    NewtonConfig,
     armijo_accept,
     descent_direction,
     optimize_ball,
@@ -60,7 +59,7 @@ from .objective import (
     element_objective,
 )
 from .quality import QualityConfig, q1_size, q2_shape, size_radius
-from .report import QualityReport, quality_report, write_report_csv
+from .report import QualityReport, q2_histogram, quality_report, write_report_csv
 from .svgout import ColorBy, render_svg
 
 __version__ = "0.1.0"

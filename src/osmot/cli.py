@@ -20,10 +20,9 @@ import sys
 from .driver import RunReport, SmootherConfig, SmootherKind, smooth
 from .fixtures import FixtureKind, generate_fixture
 from .meshio import ParseError, ValidationError, read_mesh, write_mesh
-from .newton import NewtonConfig
 from .objective import ObjectiveParams
 from .quality import QualityConfig
-from .report import quality_report, write_report_csv
+from .report import q2_histogram, quality_report, write_report_csv
 from .svgout import ColorBy, render_svg
 
 
@@ -55,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_smooth.add_argument("--beta", type=float, default=defaults.objective.beta)
     p_smooth.add_argument("--gamma", type=float, default=defaults.objective.gamma)
     p_smooth.add_argument("--rref", type=float, default=defaults.objective.r_ref)
-    p_smooth.add_argument("--eps", type=float, default=defaults.newton.eps)
     p_smooth.add_argument("--smoother", default=defaults.smoother_kind.value,
                           choices=[k.value for k in SmootherKind])
     p_smooth.add_argument("--report", metavar="CSV",
@@ -98,7 +96,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"minQ2 {rep.min_q2:.6g} meanQ2 {rep.mean_q2:.6g} "
           f"minQ1 {rep.min_q1:.6g} flagged {rep.flagged_elements} "
           f"inverted {rep.inverted_elements}")
-    print("q2 histogram " + " ".join(str(b) for b in rep.histogram))
+    print("q2 histogram " + " ".join(map(str, q2_histogram(mesh))))
     return 0
 
 
@@ -109,7 +107,6 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
         quality=QualityConfig(q_min=args.qmin),
         objective=ObjectiveParams(beta=args.beta, gamma=args.gamma,
                                   r_ref=args.rref),
-        newton=NewtonConfig(eps=args.eps),
         reflag_each_loop=args.reflag,
         smoother_kind=SmootherKind(args.smoother),
         early_exit=not args.no_early_exit,

@@ -20,7 +20,7 @@ from typing import get_args
 from .boundary import BoundaryTriple, CoincidentNeighborsError, smooth_boundary_node
 from .geometry import Point2
 from .mesh import Mesh, Mobility, boundary_neighbors, flag_nodes
-from .newton import DegenerateStartError, NewtonConfig, StopReason, optimize_ball
+from .newton import DegenerateStartError, StopReason, optimize_ball
 from .objective import ObjectiveParams
 from .quality import QualityConfig
 from .report import QualityReport, quality_report
@@ -36,7 +36,6 @@ class SmootherConfig:
     i_max: int = 10
     quality: QualityConfig = field(default_factory=QualityConfig)
     objective: ObjectiveParams = field(default_factory=ObjectiveParams)
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
     reflag_each_loop: bool = False
     smoother_kind: SmootherKind = SmootherKind.OSMOT
     early_exit: bool = True
@@ -127,7 +126,7 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
             if cfg.smoother_kind is SmootherKind.OSMOT:
                 try:
                     new_pos, trace = optimize_ball(
-                        mesh, mesh.balls[nid], cfg.objective, cfg.newton)
+                        mesh, mesh.balls[nid], cfg.objective)
                 except DegenerateStartError:
                     skipped.append((nid, "degenerate-start"))
                     continue

@@ -27,10 +27,10 @@ holds. A cache's next read takes its own set and clears it: the table
 re-evaluates the triangles in the stars of those nodes, and the text
 caches format them again.
 
-The table also keeps, by deltas over the triangles it re-evaluates, the
-q2 histogram, the number of inverted triangles and the set of triangles
-below the last q_min asked, so ``flag_nodes`` and the report's integer
-outputs cost O(moved triangles).
+The table keeps only per-triangle values, and one thing by deltas over
+the triangles it re-evaluates: the set of triangles below the last q_min
+asked, so ``flag_nodes`` and the report's flagged count cost O(moved
+triangles).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from math import hypot, inf, nan
 from typing import TYPE_CHECKING
 
 from .geometry import DEGENERATE_AREA_FACTOR, Point2
-from .quality import HISTOGRAM_BUCKETS, QualityConfig
+from .quality import QualityConfig
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -147,35 +147,25 @@ class BoundaryChain:
 class QualityTable:
     """Flat per-triangle quality values, indexed by triangle id.
 
-    ``q2`` is the radius ratio (``q2_shape``) and ``bucket`` its index
-    among ``HISTOGRAM_BUCKETS`` uniform buckets over [0, 1];
-    ``circumradius`` is ``size_radius`` (R, or +inf where ``q1_size``
-    scores the triangle 0), so that r_ref / R is its size quality for any
-    positive r_ref; ``inverted`` is 1 where the signed area is not
-    positive. ``moved`` holds the nodes moved since the values were last
-    evaluated.
+    ``q2`` is the radius ratio (``q2_shape``); ``circumradius`` is
+    ``size_radius`` (R, or +inf where ``q1_size`` scores the triangle 0),
+    so that r_ref / R is its size quality for any positive r_ref;
+    ``inverted`` is 1 where the signed area is not positive. ``moved``
+    holds the nodes moved since the values were last evaluated.
 
-    ``histogram`` counts the triangles per bucket and ``n_inverted`` the
-    inverted ones. They, and the triangles below the last q_min asked of
-    ``below``, are kept by deltas: ``refresh`` takes each re-evaluated
-    triangle's old bucket, flag and membership out and puts the new ones
-    in.
+    The triangles below the last q_min asked of ``below`` are kept by
+    deltas: each re-evaluated triangle joins or leaves that set.
     """
 
-    __slots__ = ("moved", "q2", "bucket", "circumradius", "inverted",
-                 "histogram", "n_inverted", "_q_min", "_below")
+    __slots__ = ("moved", "q2", "circumradius", "inverted", "_q_min", "_below")
 
     def __init__(self, mesh: Mesh) -> None:
         self.moved: set[int] = set()
         n = len(mesh.triangles)
         self.q2 = array("d", [0.0]) * n
-        self.bucket = bytearray(n)
         self.circumradius = array("d", [0.0]) * n
         self.inverted = bytearray(n)
-        # every triangle starts in bucket 0, not inverted, and below no
-        # q_min (a comparison with NaN is false)
-        self.histogram = [n] + [0] * (HISTOGRAM_BUCKETS - 1)
-        self.n_inverted = 0
+        # no triangle is below a NaN q_min (a comparison with NaN is false)
         self._q_min = nan
         self._below: set[int] = set()
         self._evaluate(mesh, range(n))
@@ -201,18 +191,16 @@ class QualityTable:
         return self._below
 
     def _evaluate(self, mesh: Mesh, tids: Iterable[int]) -> None:
-        """Evaluate the triangles ``tids`` and move their counts.
+        """Evaluate the triangles ``tids`` and move them into or out of the
+        below set.
 
         The float operations are those of ``triangle_geometry``, then
         ``q2_shape`` and ``size_radius``, in the same order, so the values
         are the same bits without building a ``TriangleGeometry``.
         """
         positions, triangles = mesh._positions, mesh.triangles
-        q2s, buckets, radii, inverted = (
-            self.q2, self.bucket, self.circumradius, self.inverted)
-        histogram, below, q_min = self.histogram, self._below, self._q_min
-        n_inverted = self.n_inverted
-        top = HISTOGRAM_BUCKETS - 1
+        q2s, radii, inverted = self.q2, self.circumradius, self.inverted
+        below, q_min = self._below, self._q_min
         for tid in tids:
             n0, n1, n2 = triangles[tid].nodes
             p0, p1, p2 = positions[n0], positions[n1], positions[n2]
@@ -231,20 +219,13 @@ class QualityTable:
                     q2, big_r = 0.0, inf
                 else:
                     q2 = 2.0 * (area_abs / (0.5 * (a + b + c))) / big_r
-            bucket = min(int(q2 * HISTOGRAM_BUCKETS), top)
-            histogram[buckets[tid]] -= 1
-            histogram[bucket] += 1
-            flag = area <= 0.0
-            n_inverted += flag - inverted[tid]
             q2s[tid] = q2
-            buckets[tid] = bucket
             radii[tid] = big_r
-            inverted[tid] = flag
+            inverted[tid] = area <= 0.0
             if q2 < q_min:
                 below.add(tid)
             else:
                 below.discard(tid)
-        self.n_inverted = n_inverted
 
 
 @dataclass(slots=True)

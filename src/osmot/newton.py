@@ -42,7 +42,7 @@ section 9.5: both values that Armijo compares are rounded, so a decrease
 of a few ulps can be neither met reliably nor told apart from rounding
 error, and each bisection halves it again. The returned iterate is still
 the last accepted one, so the ball objective is never above its starting
-value, and ``converged`` still means the gradient norm fell below eps.
+value, and ``converged`` still means the gradient norm fell below ``EPS``.
 
 A trial point that rounds back onto the iterate (x + lambda d == x in
 both coordinates) ends the solve before its objective is evaluated: the
@@ -56,11 +56,14 @@ the ``stalled`` test first, this exit is reached only when the
 coordinates are large next to the ball.
 
 Each solve records why it stopped (``LocalStepTrace.stop_reason``):
-``converged`` (gradient norm below eps), ``stalled`` (the predicted
+``converged`` (gradient norm below ``EPS``), ``stalled`` (the predicted
 decrease is below what w can resolve), ``rounded`` (the trial step
 rounds back onto the iterate), ``step_floor`` (the step size fell below
 ``LAMBDA_MIN``) or ``j_max`` (the iteration cap: ``J_MAX`` + 1 Armijo
-trials). Both bounds are module constants; only eps is configured.
+trials). On hitting either bound the current (best) iterate is returned.
+The tolerance ``EPS`` (1e-8), both bounds, the direction tests ``DELTA``
+and ``ETA``, ``STALL_ULPS`` and the Armijo factors are module constants,
+not configuration.
 """
 
 from __future__ import annotations
@@ -97,33 +100,6 @@ class DegenerateStartError(Exception):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class NewtonConfig:
-    """Tolerance of the local optimizer.
-
-    eps is the gradient-norm termination tolerance. The other stops are
-    fixed module constants, not fields: a solve runs at most ``J_MAX`` + 1
-    inner iterations, each one Armijo trial, and stops as ``j_max`` after
-    the last; ``LAMBDA_MIN`` floors the bisected step size. On hitting
-    either bound the current (best) iterate is returned. A solve also
-    stops, as ``stalled``, before a trial whose predicted decrease
-    0.5 lambda |grad.d| is at most ``STALL_ULPS`` ulps of the ball
-    objective: that decrease is below the rounding error of the values
-    Armijo compares, so the trial could not be told from noise. The
-    direction tests (``DELTA``, ``ETA``) and the Armijo factors are
-    constants too: 1e-4 of lambda grad.d for a Newton direction, so that
-    the full Newton step is kept near the optimum, and 0.5 for the
-    steepest-descent fallback, whose unscaled full-length steps must not
-    be accepted on a token decrease.
-    """
-
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError("eps must be finite and positive")
-
-
 class IterationRecord(NamedTuple):
     """One inner iteration: state before the step and the Armijo outcome."""
 
@@ -137,7 +113,9 @@ class IterationRecord(NamedTuple):
 
 StopReason = Literal["converged", "stalled", "rounded", "step_floor", "j_max"]
 
-# the iteration cap (J_MAX + 1 Armijo trials) and the step-size floor
+# the gradient-norm termination tolerance, the iteration cap (J_MAX + 1
+# Armijo trials) and the step-size floor
+EPS = 1e-8
 J_MAX = 50
 LAMBDA_MIN = 2.0 ** -30
 # a trial whose predicted decrease 0.5 lambda |grad.d| is at most this many
@@ -208,8 +186,8 @@ def armijo_accept(w_old: float, w_new: float, step_size: float,
     return w_new - w_old <= c1 * step_size * grad_dot_d
 
 
-def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
-                  cfg: NewtonConfig) -> tuple[Point2, LocalStepTrace]:
+def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams
+                  ) -> tuple[Point2, LocalStepTrace]:
     """Relocate the ball vertex by damped Newton iteration.
 
     Returns the final position together with a trace of the run. The ball
@@ -235,7 +213,7 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams,
     while len(steps) <= J_MAX:
         # the gradient test and the direction change only with the iterate
         if new_iterate:
-            if grad_norm < cfg.eps:
+            if grad_norm < EPS:
                 stop_reason = "converged"
                 break
             dx, dy, steepest = descent_direction(gh)

@@ -6,13 +6,17 @@ last read. The positions live in one list on the mesh
 (``Mesh._positions``), which only ``Mesh.set_position`` writes; it
 records each moved node for the table.
 
-The flagged and inverted counts and the histogram are the ones the table
-keeps by deltas. Full passes over the triangles remain for min q2, for
-the mean q2 (``math.fsum``, correctly rounded, so the same bits on every
-Python version), and for min q1, which is formed here so that an edited
-``mesh.rref`` or another ``r_ref`` never reads a stale value: without
-rref overrides it is ``r_ref`` over the largest stored circumradius,
-otherwise the minimum of each element's rref over its circumradius.
+The flagged count is the size of the below-q_min set that the table
+keeps by deltas. Full passes over the triangles remain for the inverted
+count (``bytearray.count``), for min q2, for the mean q2 (``math.fsum``,
+correctly rounded, so the same bits on every Python version), and for
+min q1, which is formed here so that an edited ``mesh.rref`` or another
+``r_ref`` never reads a stale value: without rref overrides it is
+``r_ref`` over the largest stored circumradius, otherwise the minimum of
+each element's rref over its circumradius.
+
+``q2_histogram`` counts the table's q2 values in ``HISTOGRAM_BUCKETS``
+uniform buckets; ``osmot check`` prints it once per run.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ class QualityReport:
     min_q1: float
     flagged_elements: int
     inverted_elements: int
-    histogram: tuple[int, ...]  # counts of q2 in 10 uniform buckets over [0, 1]
 
     def csv_row(self) -> str:
         return (f"{self.loop},{self.min_q2:.12g},{self.mean_q2:.12g},"
@@ -55,7 +58,7 @@ def quality_report(mesh: Mesh, cfg: QualityConfig, r_ref: float,
     q2s = table.q2
     n = len(q2s)
     if not n:
-        return QualityReport(loop, 0.0, 0.0, 0.0, 0, 0, (0,) * HISTOGRAM_BUCKETS)
+        return QualityReport(loop, 0.0, 0.0, 0.0, 0, 0)
     if mesh.rref:
         rrefs = map(mesh.rref.get, range(n), repeat(r_ref))
         min_q1 = min(map(truediv, rrefs, table.circumradius))
@@ -69,9 +72,18 @@ def quality_report(mesh: Mesh, cfg: QualityConfig, r_ref: float,
         mean_q2=fsum(q2s) / n,
         min_q1=min_q1,
         flagged_elements=len(table.below(cfg.q_min)),
-        inverted_elements=table.n_inverted,
-        histogram=tuple(table.histogram),
+        inverted_elements=table.inverted.count(1),
     )
+
+
+def q2_histogram(mesh: Mesh) -> list[int]:
+    """Counts of the triangles' q2 in ``HISTOGRAM_BUCKETS`` uniform buckets
+    over [0, 1]; q2 = 1 falls in the last."""
+    top = HISTOGRAM_BUCKETS - 1
+    counts = [0] * HISTOGRAM_BUCKETS
+    for q2 in mesh.quality_table().q2:
+        counts[min(int(q2 * HISTOGRAM_BUCKETS), top)] += 1
+    return counts
 
 
 def write_report_csv(reports: list[QualityReport], path: str) -> None:

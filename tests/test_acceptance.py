@@ -23,7 +23,7 @@ from osmot.fixtures import (
 )
 from osmot.geometry import Point2, edge_lengths, signed_area
 from osmot.meshio import mesh_to_text, read_mesh, write_mesh
-from osmot.newton import NewtonConfig, optimize_ball
+from osmot.newton import optimize_ball
 from osmot.objective import (
     ObjectiveParams,
     ball_grad_hess,
@@ -90,7 +90,6 @@ def test_criterion_2_patch_test():
             i_max=10,
             quality=QualityConfig(q_min=0.6),
             objective=ObjectiveParams(beta=1.0, gamma=3.0, r_ref=1.0),
-            newton=NewtonConfig(eps=1e-8),
         )
         result = smooth(mesh, cfg)
         assert result.reports[-1].min_q2 >= 0.80
@@ -155,12 +154,11 @@ def test_criterion_5_local_optimizer_contract():
     with criterion(5, "local-optimizer-contract", 2.0):
         rng = random.Random(1234)
         params = ObjectiveParams()
-        cfg = NewtonConfig()
         converged_runs = 0
         for _ in range(200):
             mesh = random_ball_mesh(rng)
             ball = mesh.balls[0]
-            pos, trace = optimize_ball(mesh, ball, params, cfg)
+            pos, trace = optimize_ball(mesh, ball, params)
 
             accepted = [s.value for s in trace.steps if s.accepted]
             seq = accepted + [ball_objective(mesh, ball, pos, params)]

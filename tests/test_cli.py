@@ -4,6 +4,9 @@ import pytest
 
 from osmot.cli import _build_parser, main
 from osmot.driver import SmootherConfig
+from osmot.geometry import triangle_geometry
+from osmot.meshio import read_mesh
+from osmot.quality import q2_shape
 
 
 def run(args):
@@ -30,6 +33,32 @@ def test_gen_check_smooth_flow(tmp_path, capsys):
     assert final_min_q2 >= 0.80
 
 
+@pytest.mark.parametrize("kind, seed, distortion, expected", [
+    ("patch32", "1", "0.45", [0, 0, 1, 1, 2, 5, 3, 4, 10, 6]),
+    ("indentedbox", "0", "0.9", [5, 6, 4, 2, 2, 4, 1, 9, 29, 2]),
+])
+def test_check_prints_q2_histogram(tmp_path, capsys, kind, seed, distortion,
+                                   expected):
+    # the histogram line counts each triangle's radius ratio in ten
+    # uniform buckets over [0, 1], q2 = 1 in the last
+    path = tmp_path / f"{kind}.mesh"
+    assert run(["gen", "--kind", kind, "--seed", seed,
+                "--distortion", distortion, "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["check", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("q2 histogram ")
+    printed = [int(count) for count in lines[2].split()[2:]]
+
+    mesh = read_mesh(str(path))
+    counts = [0] * 10
+    for tri in mesh.triangles:
+        q2 = q2_shape(triangle_geometry(*mesh.triangle_points(tri)))
+        counts[min(int(q2 * 10), 9)] += 1
+    assert printed == counts == expected
+    assert lines[0].endswith(f"triangles {sum(counts)} chains {len(mesh.chains)}")
+
+
 def test_check_invalid_mesh_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.mesh"
     bad.write_text(
@@ -49,6 +78,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert run(["gen", "--kind", "nonsense", "--output", "x"]) == 2
     assert run(["smooth", "--input", "x", "--output", "y",
                 "--smoother", "none"]) == 2
+    # the gradient tolerance is a module constant, not an option
+    assert run(["smooth", "--input", "x", "--output", "y",
+                "--eps", "1e-6"]) == 2
     for option in ("--max-loops", "--svg-every"):
         for value in ("-1", "-2", "1.5", "x"):
             assert run(["smooth", "--input", "x", "--output", "y",
@@ -111,7 +143,7 @@ def test_custom_tolerances_accepted(tmp_path):
     run(["gen", "--kind", "patch32", "--seed", "2", "--distortion", "0.3",
          "--output", str(mesh)])
     assert run(["smooth", "--input", str(mesh), "--output", str(out),
-                "--qmin", "0.7", "--eps", "1e-6", "--rref", "0.5",
+                "--qmin", "0.7", "--rref", "0.5",
                 "--reflag"]) == 0
 
 
@@ -137,7 +169,7 @@ def test_rref_reaches_the_report(tmp_path):
     assert min_q1["2"] == pytest.approx(2.0 * min_q1["1"], rel=1e-11)
 
 
-@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--rref", "--eps"])
+@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--rref"])
 def test_non_finite_objective_parameter_exit_1(tmp_path, capsys, flag):
     mesh = tmp_path / "patch.mesh"
     out = tmp_path / "out.mesh"
@@ -190,6 +222,6 @@ def test_smooth_defaults_come_from_smoother_config():
         ["smooth", "--input", "in.mesh", "--output", "out.mesh"])
     cfg = SmootherConfig()
     assert (args.max_loops, args.qmin, args.beta, args.gamma, args.rref,
-            args.eps, args.smoother) == (
+            args.smoother) == (
         cfg.i_max, cfg.quality.q_min, cfg.objective.beta, cfg.objective.gamma,
-        cfg.objective.r_ref, cfg.newton.eps, cfg.smoother_kind.value)
+        cfg.objective.r_ref, cfg.smoother_kind.value)

@@ -13,7 +13,6 @@ from osmot.geometry import Point2, signed_area
 from osmot.mesh import Mesh, Mobility, Triangle, build_topology
 from osmot.newton import (
     DegenerateStartError,
-    NewtonConfig,
     armijo_accept,
     descent_direction,
     optimize_ball,
@@ -29,7 +28,6 @@ from osmot.objective import (
     freeze_ball,
 )
 
-CFG = NewtonConfig()
 PARAMS = ObjectiveParams()
 
 
@@ -38,7 +36,7 @@ def gh(gx, gy, hxx, hxy, hyy):
 
 
 def test_config_defaults_match_published_tolerances():
-    assert CFG.eps == 1e-8
+    assert osmot.newton.EPS == 1e-8
     assert osmot.newton.DELTA == 1e-6
     assert osmot.newton.ETA == 0.05
     assert osmot.newton.J_MAX == 50
@@ -101,7 +99,7 @@ def test_armijo_rejects_barrier_value():
 
 def test_optimize_centered_ball_converges_immediately():
     mesh = regular_hexagon_mesh()
-    pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
+    pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS)
     assert trace.converged
     assert trace.iterations == 0
     assert pos == Point2(0.0, 0.0)
@@ -117,7 +115,7 @@ def test_optimize_perturbed_ball_returns_to_center():
          for x in range(-20, 21) for y in range(-20, 21)),
     )
     assert (best[1], best[2]) == (0.0, 0.0)
-    pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+    pos, trace = optimize_ball(mesh, ball, PARAMS)
     assert math.hypot(pos.x, pos.y) < 1e-6
     assert ball_objective(mesh, ball, pos, PARAMS) <= ball_objective(
         mesh, ball, Point2(0.05, 0.02), PARAMS)
@@ -136,7 +134,7 @@ def test_optimizer_contract_on_random_balls():
         ball = mesh.balls[0]
         start = mesh.position(0)
         w_start = ball_objective(mesh, ball, start, PARAMS)
-        pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+        pos, trace = optimize_ball(mesh, ball, PARAMS)
 
         accepted_values = [s.value for s in trace.steps if s.accepted]
         final_w = ball_objective(mesh, ball, pos, PARAMS)
@@ -156,7 +154,7 @@ def test_optimizer_contract_on_random_balls():
         )
         if trace.converged:
             recomputed = ball_grad_hess(mesh, ball, pos, PARAMS).grad_norm
-            assert recomputed < CFG.eps
+            assert recomputed < osmot.newton.EPS
 
         # quadratic phase: the gradient norm after each full Newton step
         # taken once the norm is below 1e-2
@@ -177,7 +175,7 @@ def test_newton_keeps_the_full_step_on_a_smooth_ball(center):
     # no full Newton step of this solve is rejected: every step runs at
     # lambda = 1 and the gradient norm falls quadratically from the start
     mesh = regular_hexagon_mesh(center)
-    _pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
+    _pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS)
     assert trace.steps and trace.stop_reason in ("converged", "stalled")
     assert all(s.accepted and not s.steepest and s.step_size == 1.0
                for s in trace.steps)
@@ -203,7 +201,7 @@ def test_derivatives_once_per_iterate(monkeypatch):
         mesh = random_ball_mesh(rng)
         ball = mesh.balls[0]
         calls.clear()
-        pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+        pos, trace = optimize_ball(mesh, ball, PARAMS)
         assert len(calls) == 1 + trace.iterations
         assert len({(p.x, p.y) for p in calls}) == len(calls)
         iterates = [calls[0]] + [p for p, s in zip(calls[1:], trace.steps)
@@ -243,7 +241,7 @@ def test_one_frame_per_solve(monkeypatch):
         mesh = random_ball_mesh(rng)
         frozen.clear()
         seen.clear()
-        optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
+        optimize_ball(mesh, mesh.balls[0], PARAMS)
         assert len(frozen) == 1 and isinstance(frozen[0], BallFrame)
         assert seen and all(ball is frozen[0] for ball in seen)
 
@@ -295,7 +293,7 @@ def test_rejected_trials_do_not_move_the_iterate():
     rng = random.Random(30)
     mesh = random_ball_mesh(rng)
     ball = mesh.balls[0]
-    pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+    pos, trace = optimize_ball(mesh, ball, PARAMS)
     assert trace.armijo_rejections > 0
     for prev, nxt in zip(trace.steps, trace.steps[1:]):
         if not prev.accepted:
@@ -308,37 +306,32 @@ def test_degenerate_start_raises():
     # collapse the vertex onto a ring node after the build
     mesh.set_position(0, Point2(1.0, 0.0))
     with pytest.raises(DegenerateStartError) as err:
-        optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
+        optimize_ball(mesh, mesh.balls[0], PARAMS)
     assert err.value.node_id == 0
 
 
 def test_lambda_floor_terminates(monkeypatch):
     monkeypatch.setattr(osmot.newton, "LAMBDA_MIN", 0.25)
     mesh = regular_hexagon_mesh(center=Point2(0.31, -0.17))
-    pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS, CFG)
+    pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS)
     # the run ends; either converged or stopped by a bound, never worse
     assert ball_objective(mesh, mesh.balls[0], pos, PARAMS) <= ball_objective(
         mesh, mesh.balls[0], Point2(0.31, -0.17), PARAMS)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        NewtonConfig(eps=0.0)
-
-
-def _reference_optimize_ball(mesh, ball, params, cfg):
+def _reference_optimize_ball(mesh, ball, params):
     """The local solve without the rounded-trial exit: every trial point
     the stalled test lets through, also one that rounds back onto the
     iterate, is scored by ball_objective. Returns (position, converged,
-    final_grad_norm). The bounds are read from the module, as the solve
-    reads them."""
+    final_grad_norm). The tolerance and the bounds are read from the
+    module, as the solve reads them."""
     x = mesh.position(ball.vertex)
     gh = ball_grad_hess(mesh, ball, x, params)
     lam = 1.0
     steps = 0
     converged = False
     while steps <= osmot.newton.J_MAX:
-        if gh.grad_norm < cfg.eps:
+        if gh.grad_norm < osmot.newton.EPS:
             converged = True
             break
         dx, dy, steepest = descent_direction(gh)
@@ -394,9 +387,9 @@ def _bits(p: Point2) -> tuple[str, str]:
 
 
 def _assert_same_as_reference(mesh, ball, reasons):
-    pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+    pos, trace = optimize_ball(mesh, ball, PARAMS)
     ref_pos, ref_converged, ref_grad_norm = _reference_optimize_ball(
-        mesh, ball, PARAMS, CFG)
+        mesh, ball, PARAMS)
     assert _bits(pos) == _bits(ref_pos)
     assert trace.converged == ref_converged
     assert trace.final_grad_norm.hex() == ref_grad_norm.hex()
@@ -442,7 +435,7 @@ def test_objective_never_evaluated_at_the_iterate(monkeypatch):
 
     def solve(mesh, ball):
         points.clear()
-        pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+        pos, trace = optimize_ball(mesh, ball, PARAMS)
         counts["rounded"] += trace.stop_reason == "rounded"
         counts["trials"] += trace.iterations
         return pos
@@ -508,7 +501,7 @@ def test_trial_past_the_barrier_or_overflowing_is_rejected(
 
     monkeypatch.setattr(osmot.newton, "ball_grad_hess", tracked)
     mesh = regular_hexagon_mesh(center)
-    _pos, trace = optimize_ball(mesh, mesh.balls[0], params, CFG)
+    _pos, trace = optimize_ball(mesh, mesh.balls[0], params)
     assert outcomes[0] is None and len(outcomes) == 1 + trace.iterations
     assert case in outcomes
     assert not any(step.accepted for outcome, step
@@ -523,12 +516,12 @@ def test_overflow_at_the_start_raises(params):
     # where the solve starts, an overflowing w is an invalid parameter
     mesh = regular_hexagon_mesh()
     with pytest.raises(ValueError, match="overflows"):
-        optimize_ball(mesh, mesh.balls[0], params, CFG)
+        optimize_ball(mesh, mesh.balls[0], params)
 
 
 def _check_stalled_rule(mesh, ball, reasons):
     start_w = ball_objective(mesh, ball, mesh.position(ball.vertex), PARAMS)
-    pos, trace = optimize_ball(mesh, ball, PARAMS, CFG)
+    pos, trace = optimize_ball(mesh, ball, PARAMS)
     # no scored trial asked for a decrease that w cannot resolve, so no
     # solve bisected on to the floor or the cap past such a trial
     for s in trace.steps:
@@ -585,41 +578,41 @@ def _shifted_hexagon(center: Point2, shift: float):
     return mesh
 
 
-@pytest.mark.parametrize("cfg,bounds,center,shift,reason,iterations", [
+@pytest.mark.parametrize("bounds,center,shift,reason,iterations", [
     # the gradient at the symmetric centre is below eps from the start
-    (CFG, {}, Point2(0.0, 0.0), 0.0, "converged", 0),
+    ({}, Point2(0.0, 0.0), 0.0, "converged", 0),
     # two Newton steps leave a gradient above eps, but the next step would
     # ask for a decrease of at most 4 ulps of the objective
-    (CFG, {}, Point2(0.05, 0.02), 0.0, "stalled", 2),
+    ({}, Point2(0.05, 0.02), 0.0, "stalled", 2),
     # near (2**22, 2**22) the next trial would also round onto the iterate:
     # the stalled test comes first
-    (CFG, {}, Point2(0.31, -0.17), 2.0 ** 22, "stalled", 4),
+    ({}, Point2(0.31, -0.17), 2.0 ** 22, "stalled", 4),
     # eps out of reach: near (2**44, 2**44) the first step is already below
     # half an ulp of the coordinates and the trial rounds onto the iterate
-    (NewtonConfig(eps=1e-300), {}, Point2(0.05, 0.02), ROUNDING_SHIFT,
+    ({"EPS": 1e-300}, Point2(0.05, 0.02), ROUNDING_SHIFT,
      "rounded", 1),
     # eps out of reach, a start just below the top edge: every steepest
     # step crosses the barrier, down to the default floor
-    (NewtonConfig(eps=1e-300), {}, Point2(0.0, 0.85), 0.0, "step_floor", 31),
+    ({"EPS": 1e-300}, Point2(0.0, 0.85), 0.0, "step_floor", 31),
     # one accepted Newton step, then a full Newton step raises w: the
     # rejection halves the step below a floor of 1
-    (CFG, {"LAMBDA_MIN": 1.0}, Point2(0.25, 0.63), 0.0, "step_floor", 2),
+    ({"LAMBDA_MIN": 1.0}, Point2(0.25, 0.63), 0.0, "step_floor", 2),
     # J_MAX caps the loop at J_MAX + 1 iterations
-    (CFG, {"J_MAX": 1}, Point2(0.05, 0.02), 0.0, "j_max", 2),
+    ({"J_MAX": 1}, Point2(0.05, 0.02), 0.0, "j_max", 2),
 ], ids=["converged", "stalled", "stalled-rounding", "rounded",
         "step_floor-eps", "step_floor-lambda", "j_max"])
-def test_stop_reason(monkeypatch, cfg, bounds, center, shift, reason, iterations):
+def test_stop_reason(monkeypatch, bounds, center, shift, reason, iterations):
     for name, value in bounds.items():
         monkeypatch.setattr(osmot.newton, name, value)
     mesh = _shifted_hexagon(center, shift)
     ball = mesh.balls[0]
     start = mesh.position(0)
-    pos, trace = optimize_ball(mesh, ball, PARAMS, cfg)
+    pos, trace = optimize_ball(mesh, ball, PARAMS)
     assert trace.stop_reason == reason
     assert trace.converged == (reason == "converged")
     assert trace.iterations == iterations
     ref_pos, ref_converged, ref_grad_norm = _reference_optimize_ball(
-        mesh, ball, PARAMS, cfg)
+        mesh, ball, PARAMS)
     assert (_bits(pos), trace.converged, trace.final_grad_norm) == (
         _bits(ref_pos), ref_converged, ref_grad_norm)
     if reason in ("stalled", "rounded"):

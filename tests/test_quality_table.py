@@ -5,9 +5,10 @@ moves onto another node or onto the midpoint of two nodes, of internal,
 boundary and fixed nodes alike) and rref edits are interleaved with reads
 through ``quality_report``, ``flag_nodes`` and ``mesh_to_svg``. Every
 read must give the same bits as the same read on a fresh copy of the
-mesh, which builds its table from scratch. The counts the table keeps by deltas must
-equal a recount of its own arrays after every step, and a read must
-re-evaluate only the triangles around the nodes moved since the last one.
+mesh, which builds its table from scratch. The below-q_min set the table
+keeps by deltas must equal a recount of its own q2 array after every
+step, and a read must re-evaluate only the triangles around the nodes
+moved since the last one.
 
 The table's inlined evaluation gives the bits of ``triangle_geometry``
 with ``q2_shape`` and ``size_radius``, and the report's ``min_q1`` gives
@@ -27,7 +28,7 @@ from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.geometry import Point2, triangle_geometry
 from osmot.mesh import Mesh, Mobility, Node, QualityTable, Triangle, flag_nodes
 from osmot.meshio import ValidationError, mesh_to_text, parse_mesh_text, read_mesh, write_mesh
-from osmot.quality import HISTOGRAM_BUCKETS, QualityConfig, q2_shape, size_radius
+from osmot.quality import QualityConfig, q2_shape, size_radius
 from osmot.report import quality_report
 from osmot.svgout import ColorBy, mesh_to_svg
 
@@ -130,7 +131,7 @@ def test_table_reads_match_a_fresh_mesh(name, steps, triangle_nodes):
         else:
             apply(mesh, step)
         if mesh._quality is not None:
-            assert_kept_counts_match_arrays(mesh._quality)
+            assert_below_set_matches_q2(mesh._quality)
     final = fresh_copy(mesh)
     for r_ref in R_REFS:
         assert read(mesh, ("report", r_ref)) == read(final, ("report", r_ref))
@@ -139,10 +140,7 @@ def test_table_reads_match_a_fresh_mesh(name, steps, triangle_nodes):
     assert read(mesh, ("svg", ColorBy.Q2)) == read(final, ("svg", ColorBy.Q2))
 
 
-def assert_kept_counts_match_arrays(table: QualityTable) -> None:
-    assert table.histogram == [table.bucket.count(b)
-                               for b in range(HISTOGRAM_BUCKETS)]
-    assert table.n_inverted == table.inverted.count(1)
+def assert_below_set_matches_q2(table: QualityTable) -> None:
     assert table._below == {tid for tid, q2 in enumerate(table.q2)
                             if q2 < table._q_min}
 
@@ -265,14 +263,12 @@ def triangle_points(draw):
 def expected_row(points) -> tuple:
     geom = triangle_geometry(*points)
     q2 = q2_shape(geom)
-    bucket = min(int(q2 * HISTOGRAM_BUCKETS), HISTOGRAM_BUCKETS - 1)
-    return (q2.hex(), bucket, size_radius(geom).hex(),
+    return (q2.hex(), size_radius(geom).hex(),
             int(geom.area_signed <= 0.0))
 
 
 def table_row(table: QualityTable) -> tuple:
-    return (table.q2[0].hex(), table.bucket[0], table.circumradius[0].hex(),
-            table.inverted[0])
+    return (table.q2[0].hex(), table.circumradius[0].hex(), table.inverted[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,7 +285,7 @@ def test_inlined_evaluation_matches_the_helpers(first, second):
         mesh.set_position(nid, p)
     mesh.quality_table()  # evaluated again by a refresh
     assert table_row(table) == expected_row(second)
-    assert_kept_counts_match_arrays(table)
+    assert_below_set_matches_q2(table)
 
 
 radius = st.one_of(st.just(math.inf),
