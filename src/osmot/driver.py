@@ -8,6 +8,12 @@ using current neighbor positions), then optimizes the ball of every
 flagged internal node in ascending node id. Connectivity never
 changes; the run is deterministic. A loop that moves nothing makes every
 later loop a no-op, so the driver exits early by default.
+
+Since connectivity and mobility never change, a run walks each chain
+once, before the first loop, into the (previous, node, next) ids of its
+movable nodes (wrapping on a closed chain); every loop relocates from
+that list. The walk reads each node's mobility, not its chain id, so a
+hand-assembled mesh whose nodes carry no chain id smooths too.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ from typing import get_args
 
 from .boundary import BoundaryTriple, CoincidentNeighborsError, smooth_boundary_node
 from .geometry import Point2
+# boundary_neighbors is not called here, since the boundary pass walks each
+# chain once, but stays a name of this module: the benchmark tracer wraps
+# osmot.driver.boundary_neighbors by name, and every traced run fails
+# without it
 from .mesh import Mesh, Mobility, boundary_neighbors, flag_nodes
 from .newton import DegenerateStartError, StopReason, optimize_ball
 from .objective import ObjectiveParams
@@ -78,6 +88,21 @@ def laplacian_baseline_step(mesh: Mesh, node_id: int) -> Point2:
     return Point2(sx / n, sy / n)
 
 
+def _boundary_triples(mesh: Mesh) -> list[tuple[int, int, int]]:
+    """The (previous, node, next) ids of every movable boundary node, chains
+    in list order and nodes in chain order; a closed chain wraps around."""
+    nodes = mesh.nodes
+    triples = []
+    for chain in mesh.chains:
+        ids = chain.node_ids
+        if chain.closed:
+            ids = ids[-1:] + ids + ids[:1]
+        triples += [(prev_id, nid, next_id)
+                    for prev_id, nid, next_id in zip(ids, ids[1:], ids[2:])
+                    if nodes[nid].mobility is Mobility.BOUNDARY]
+    return triples
+
+
 def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     """Run the full smoothing procedure in place on the mesh.
 
@@ -94,6 +119,8 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     loops_run = 0
     early_exit_loop: int | None = None
     stop_reasons = dict.fromkeys(get_args(StopReason), 0)
+    chain_triples = _boundary_triples(mesh)
+    positions = mesh._positions
 
     for loop in range(1, cfg.i_max + 1):
         if loop == 1 or cfg.reflag_each_loop:
@@ -103,23 +130,18 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
             )
         moved = False
 
-        for chain in mesh.chains:
-            for nid in chain.node_ids:
-                if mesh.nodes[nid].mobility is not Mobility.BOUNDARY:
-                    continue
-                prev_id, next_id = boundary_neighbors(mesh, nid)
-                triple = BoundaryTriple(
-                    mesh.position(prev_id), mesh.position(nid),
-                    mesh.position(next_id))
-                try:
-                    new_pos = smooth_boundary_node(triple)
-                except CoincidentNeighborsError:
-                    skipped.append((nid, "coincident-neighbors"))
-                    continue
-                if new_pos != mesh.position(nid):
-                    mesh.set_position(nid, new_pos)
-                    moved = True
-                    relocations += 1
+        for prev_id, nid, next_id in chain_triples:
+            old = positions[nid]
+            try:
+                new_pos = smooth_boundary_node(BoundaryTriple(
+                    positions[prev_id], old, positions[next_id]))
+            except CoincidentNeighborsError:
+                skipped.append((nid, "coincident-neighbors"))
+                continue
+            if new_pos != old:
+                mesh.set_position(nid, new_pos)
+                moved = True
+                relocations += 1
 
         for nid in targets:
             old = mesh.position(nid)

@@ -30,13 +30,15 @@ caches format them again.
 The table keeps only per-triangle values, and one thing by deltas over
 the triangles it re-evaluates: the set of triangles below the last q_min
 asked, so ``flag_nodes`` and the report's flagged count cost O(moved
-triangles).
+triangles). Its q2 and circumradius are plain lists of floats, not
+``array('d')``: the report's full passes (``min``, ``fsum``, ``max``) read
+a list's float objects as they are, where an array would box a new float
+for every element read.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
 from dataclasses import dataclass, field
 from math import hypot, inf, nan
 from typing import TYPE_CHECKING
@@ -150,8 +152,11 @@ class QualityTable:
     ``q2`` is the radius ratio (``q2_shape``); ``circumradius`` is
     ``size_radius`` (R, or +inf where ``q1_size`` scores the triangle 0),
     so that r_ref / R is its size quality for any positive r_ref;
-    ``inverted`` is 1 where the signed area is not positive. ``moved``
-    holds the nodes moved since the values were last evaluated.
+    ``inverted`` is 1 where the signed area is not positive. ``q2`` and
+    ``circumradius`` are lists of floats, which the report's min, mean and
+    max passes read without boxing; ``inverted`` is a ``bytearray``, which
+    it counts with ``bytearray.count``. ``moved`` holds the nodes moved
+    since the values were last evaluated.
 
     The triangles below the last q_min asked of ``below`` are kept by
     deltas: each re-evaluated triangle joins or leaves that set.
@@ -162,8 +167,8 @@ class QualityTable:
     def __init__(self, mesh: Mesh) -> None:
         self.moved: set[int] = set()
         n = len(mesh.triangles)
-        self.q2 = array("d", [0.0]) * n
-        self.circumradius = array("d", [0.0]) * n
+        self.q2 = [0.0] * n
+        self.circumradius = [0.0] * n
         self.inverted = bytearray(n)
         # no triangle is below a NaN q_min (a comparison with NaN is false)
         self._q_min = nan
@@ -210,7 +215,10 @@ class QualityTable:
             c = hypot(x0 - x2, y0 - y2)
             area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
             area_abs = abs(area)
-            m = max(a, b, c)
+            # max(a, b, c), inlined as in _frame_grad_hess
+            m = a if a > b else b
+            if c > m:
+                m = c
             if area_abs <= DEGENERATE_AREA_FACTOR * m * m:
                 q2, big_r = 0.0, inf
             else:

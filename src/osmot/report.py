@@ -13,7 +13,8 @@ correctly rounded, so the same bits on every Python version), and for
 min q1, which is formed here so that an edited ``mesh.rref`` or another
 ``r_ref`` never reads a stale value: without rref overrides it is
 ``r_ref`` over the largest stored circumradius, otherwise the minimum of
-each element's rref over its circumradius.
+each element's rref over its circumradius. The table holds q2 and the
+circumradii as lists of floats, so these passes box no value.
 
 ``q2_histogram`` counts the table's q2 values in ``HISTOGRAM_BUCKETS``
 uniform buckets; ``osmot check`` prints it once per run.

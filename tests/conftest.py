@@ -79,6 +79,15 @@ def hexagon_fan(center_mobility=Mobility.INTERNAL, ring_mobility=Mobility.FIXED)
     return mobility, positions, triangles
 
 
+def square_ring():
+    """Square ring of four BOUNDARY nodes around one internal node: the
+    ring is a 4-node closed chain."""
+    ring = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    positions = [Point2(0.0, 0.0)] + [Point2(x, y) for x, y in ring]
+    triangles = [Triangle(t, (0, 1 + t, 1 + (t + 1) % 4)) for t in range(4)]
+    return [Mobility.INTERNAL] + [Mobility.BOUNDARY] * 4, positions, triangles
+
+
 def wound_fan(centre_mobility, turns=2, centre=Point2(0.0, 0.0)):
     """7 * turns CCW triangles around node 0 whose ring circles it ``turns``
     times: every edge is shared correctly, but the elements of the star

@@ -10,10 +10,12 @@ import hashlib
 
 import pytest
 
+from conftest import hexagon_fan, square_ring
 from osmot.cli import main
 from osmot.driver import SmootherConfig, smooth
 from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.geometry import Point2
+from osmot.mesh import Mobility, build_topology
 from osmot.meshio import write_mesh
 from osmot.svgout import ColorBy, render_svg
 
@@ -140,3 +142,25 @@ def test_rezone_rounds_write_the_same_mesh_bytes(tmp_path):
         write_mesh(mesh, str(tmp_path / f"round{rnd}.mesh"))
     written = {p.name: sha256(p) for p in sorted(tmp_path.iterdir())}
     assert written == REZONE_SHA
+
+
+# The two closed chains of the tests, smoothed through the library with the
+# default configuration: the hexagon's ring relocates (its cos and sin
+# leave the ring distances a few ulps apart), the square ring is a fixpoint.
+CLOSED_CHAINS = {
+    "hexagon": (lambda: hexagon_fan(ring_mobility=Mobility.BOUNDARY),
+                "bfc4334d5ea146732baa4adda23cc048a41356d966cfca5ebbd5ac62a83233fc"),
+    "square": (square_ring,
+               "9690cf127747cafb2eefec25423639e52a3f31d7232b748830fcfbad48e72801"),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_CHAINS))
+def test_closed_chain_bytes(tmp_path, name):
+    columns, mesh_sha = CLOSED_CHAINS[name]
+    mesh = build_topology(*columns())
+    assert [chain.closed for chain in mesh.chains] == [True]
+    smooth(mesh, SmootherConfig())
+    out = tmp_path / "out.mesh"
+    write_mesh(mesh, str(out))
+    assert sha256(out) == mesh_sha

@@ -21,7 +21,7 @@ from osmot.mesh import (
 from osmot.meshio import ValidationError, mesh_to_text, parse_mesh_text
 from osmot.quality import QualityConfig
 
-from conftest import hand_written_text, hexagon_fan, wound_fan
+from conftest import hand_written_text, hexagon_fan, square_ring, wound_fan
 
 
 def single_triangle(mobility=Mobility.FIXED):
@@ -284,13 +284,8 @@ def test_shared_edge_endpoints_marked_internal_rejected():
 
 
 def test_closed_chain_of_length_four():
-    # square ring around one internal node: a 4-node closed chain with
-    # cyclic neighbor lookups
-    ring = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    positions = [Point2(0.0, 0.0)] + [Point2(x, y) for x, y in ring]
-    triangles = [Triangle(t, (0, 1 + t, 1 + (t + 1) % 4)) for t in range(4)]
-    mesh = build_topology([Mobility.INTERNAL] + [Mobility.BOUNDARY] * 4,
-                          positions, triangles)
+    # cyclic neighbor lookups on a 4-node closed chain
+    mesh = build_topology(*square_ring())
     assert len(mesh.chains) == 1
     chain = mesh.chains[0]
     assert chain.closed and len(chain.node_ids) == 4

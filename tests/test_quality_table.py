@@ -6,7 +6,7 @@ boundary and fixed nodes alike) and rref edits are interleaved with reads
 through ``quality_report``, ``flag_nodes`` and ``mesh_to_svg``. Every
 read must give the same bits as the same read on a fresh copy of the
 mesh, which builds its table from scratch. The below-q_min set the table
-keeps by deltas must equal a recount of its own q2 array after every
+keeps by deltas must equal a recount of its own q2 list after every
 step, and a read must re-evaluate only the triangles around the nodes
 moved since the last one.
 
