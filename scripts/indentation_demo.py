@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 
+from osmot.cli import loop_count
 from osmot.driver import SmootherConfig, smooth
 from osmot.fixtures import (INDENTED_PITCH, INDENTED_ROWS, FixtureKind,
                             generate_fixture)
@@ -35,9 +36,9 @@ def build_box_with_die():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--rounds", type=loop_count, default=15)
     parser.add_argument("--increment", type=float, default=0.08)
-    parser.add_argument("--loops-per-round", type=int, default=5)
+    parser.add_argument("--loops-per-round", type=loop_count, default=5)
     parser.add_argument("--out-dir", default="indentation_svgs")
     args = parser.parse_args(argv)
 

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 
+from osmot.cli import loop_count
 from osmot.driver import SmootherConfig, SmootherKind, smooth
 from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.svgout import ColorBy, render_svg
@@ -35,7 +36,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--distortion", type=float, default=0.45)
-    parser.add_argument("--loops", type=int, default=10)
+    parser.add_argument("--loops", type=loop_count, default=10)
     parser.add_argument("--svg-dir", default=None,
                         help="write per-loop snapshots under this directory")
     args = parser.parse_args(argv)

@@ -26,8 +26,8 @@ from .report import q2_histogram, quality_report, write_report_csv
 from .svgout import ColorBy, render_svg
 
 
-def _loop_count(text: str) -> int:
-    """argparse type of a loop count: a non-negative integer."""
+def loop_count(text: str) -> int:
+    """argparse type of a loop or round count: a non-negative integer."""
     try:
         value = int(text)
         if value >= 0:
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_smooth = sub.add_parser("smooth", help="smooth a mesh file")
     p_smooth.add_argument("--input", required=True)
     p_smooth.add_argument("--output", required=True)
-    p_smooth.add_argument("--max-loops", type=_loop_count, default=defaults.i_max)
+    p_smooth.add_argument("--max-loops", type=loop_count, default=defaults.i_max)
     p_smooth.add_argument("--qmin", type=float, default=defaults.quality.q_min)
     p_smooth.add_argument("--beta", type=float, default=defaults.objective.beta)
     p_smooth.add_argument("--gamma", type=float, default=defaults.objective.gamma)
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=[k.value for k in SmootherKind])
     p_smooth.add_argument("--report", metavar="CSV",
                           help="write per-loop quality CSV")
-    p_smooth.add_argument("--svg-every", type=_loop_count, metavar="K", default=0,
+    p_smooth.add_argument("--svg-every", type=loop_count, metavar="K", default=0,
                           help="render an SVG snapshot every K loops")
     p_smooth.add_argument("--svg-dir", metavar="DIR",
                           help="directory for SVG snapshots")
@@ -143,6 +143,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if (args.command == "smooth" and args.svg_dir is not None
+                and args.svg_every == 0):
+            # snapshots are written only every K > 0 loops
+            parser.error("--svg-dir needs --svg-every K with K > 0")
     except SystemExit as err:
         return int(err.code or 0)
     try:

@@ -28,11 +28,16 @@ full-length step accepted on a token decrease moves the node too far.
 
 The ball's neighbour geometry is frozen once per solve into a
 ``BallFrame`` (see ``objective``), and every kernel call of the solve
-reads that frame; the iterate is kept as two floats, and a ``Point2`` is
-made only for each trial point handed to the kernel. The kernel is
-looked up as this module's ``ball_grad_hess`` and called with four
-positional arguments, so a caller can wrap it to count calls and
-elements.
+reads that frame. The solve runs on plain floats: the iterate is its two
+coordinates, and each kernel result is unpacked once into six locals,
+the value w, the gradient (gx, gy) and the Hessian entries (hxx, hxy,
+hyy). The gradient norm, the direction, grad.d, the stall threshold and
+every ``IterationRecord`` are taken from those locals; the direction
+and the stall threshold once per iterate. The kernel is looked up as
+this module's ``ball_grad_hess`` and called with four positional
+arguments, the third a ``Point2`` of the start or of the trial, so a
+caller can wrap it to count calls and elements; the ``Point2`` and the
+``GradHess`` each kernel call still makes are kept for that caller.
 
 Before a trial is evaluated, the solve ends as ``stalled`` once its
 predicted decrease 0.5 lambda |grad.d| is at most ``STALL_ULPS`` (4) ulps
@@ -79,7 +84,6 @@ from .mesh import Ball, Mesh
 # ball_grad_hess, and every traced run fails without it
 from .objective import (
     DegenerateElementError,
-    GradHess,
     ObjectiveOverflowError,
     ObjectiveParams,
     ball_grad_hess,
@@ -155,21 +159,23 @@ class LocalStepTrace:
         return sum(not s.accepted for s in self.steps)
 
 
-def descent_direction(gh: GradHess) -> tuple[float, float, bool]:
-    """Newton direction, or steepest descent when the determinant guard or
+def descent_direction(gx: float, gy: float, hxx: float, hxy: float,
+                      hyy: float) -> tuple[float, float, bool]:
+    """Newton direction of the gradient (gx, gy) and the Hessian entries
+    (hxx, hxy, hyy), or steepest descent when the determinant guard or
     the angle criterion rejects it, and whether steepest descent was
     substituted. Always satisfies grad . d < 0 for a nonzero gradient."""
-    det = gh.hxx * gh.hyy - gh.hxy * gh.hxy
+    det = hxx * hyy - hxy * hxy
     if det < DELTA:
-        return -gh.gx, -gh.gy, True
+        return -gx, -gy, True
     # 2x2 Newton solve H d = -grad by Cramer's rule
-    dx = -(gh.hyy * gh.gx - gh.hxy * gh.gy) / det
-    dy = -(gh.hxx * gh.gy - gh.hxy * gh.gx) / det
-    gnorm = math.hypot(gh.gx, gh.gy)
+    dx = -(hyy * gx - hxy * gy) / det
+    dy = -(hxx * gy - hxy * gx) / det
+    gnorm = math.hypot(gx, gy)
     dnorm = math.hypot(dx, dy)
-    cos_theta = -(gh.gx * dx + gh.gy * dy) / (gnorm * dnorm)
+    cos_theta = -(gx * dx + gy * dy) / (gnorm * dnorm)
     if cos_theta < ETA:
-        return -gh.gx, -gh.gy, True
+        return -gx, -gy, True
     return dx, dy, False
 
 
@@ -199,27 +205,30 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams
     frame = freeze_ball(mesh, ball, params)
     x = mesh.position(ball.vertex)
     try:
-        gh = ball_grad_hess(mesh, frame, x, params)
+        w, gx, gy, hxx, hxy, hyy = ball_grad_hess(mesh, frame, x, params)
     except DegenerateElementError as err:
         raise DegenerateStartError(ball.vertex, err.triangle_id) from None
 
     px, py = x.x, x.y
-    grad_norm = gh.grad_norm
+    grad_norm = math.hypot(gx, gy)
     new_iterate = True
     lam = 1.0
+    trials = 0
     steps: list[IterationRecord] = []
     stop_reason: StopReason = "j_max"
 
-    while len(steps) <= J_MAX:
-        # the gradient test and the direction change only with the iterate
+    while trials <= J_MAX:
+        # the gradient test, the direction and the stall threshold change
+        # only with the iterate
         if new_iterate:
             if grad_norm < EPS:
                 stop_reason = "converged"
                 break
-            dx, dy, steepest = descent_direction(gh)
-            grad_dot_d = gh.gx * dx + gh.gy * dy
+            dx, dy, steepest = descent_direction(gx, gy, hxx, hxy, hyy)
+            grad_dot_d = gx * dx + gy * dy
+            stall = STALL_ULPS * math.ulp(w)
             new_iterate = False
-        if 0.5 * lam * -grad_dot_d <= STALL_ULPS * math.ulp(gh.value):
+        if 0.5 * lam * -grad_dot_d <= stall:
             stop_reason = "stalled"
             break
         tx = px + lam * dx
@@ -230,16 +239,19 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams
         trial = Point2(tx, ty)
         try:
             trial_gh = ball_grad_hess(mesh, frame, trial, params)
-            accepted = armijo_accept(gh.value, trial_gh.value, lam,
-                                     grad_dot_d, steepest)
+            accepted = armijo_accept(w, trial_gh[0], lam, grad_dot_d, steepest)
         except (DegenerateElementError, ObjectiveOverflowError):
             # w_new = +inf, which Armijo always rejects
             accepted = False
-        steps.append(IterationRecord(gh.value, grad_norm, grad_dot_d,
-                                     lam, accepted, steepest))
+        # tuple.__new__ packs the record without the named-field
+        # constructor's Python-level call, as namedtuple's _make does
+        steps.append(tuple.__new__(IterationRecord, (
+            w, grad_norm, grad_dot_d, lam, accepted, steepest)))
+        trials += 1
         if accepted:
-            x, px, py, gh = trial, tx, ty, trial_gh
-            grad_norm = gh.grad_norm
+            x, px, py = trial, tx, ty
+            w, gx, gy, hxx, hxy, hyy = trial_gh
+            grad_norm = math.hypot(gx, gy)
             new_iterate = True
         else:
             lam *= 0.5

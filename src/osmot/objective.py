@@ -256,7 +256,9 @@ def ball_grad_hess(mesh: Mesh, ball: Ball | BallFrame, x0: Point2,
                    params: ObjectiveParams) -> GradHess:
     """Component-wise sums of element value/gradient/Hessian over a ball;
     the ball is a topology Ball, frozen first, or a frame of it."""
-    if isinstance(ball, Ball):
+    if type(ball) is Ball:
         ball = freeze_ball(mesh, ball, params)
-    return GradHess(*_frame_grad_hess(x0.x, x0.y, ball.elements,
-                                      params.beta, params.gamma))
+    # tuple.__new__ makes the kernel's tuple a GradHess without the
+    # named-field constructor's Python-level call, as namedtuple's _make does
+    return tuple.__new__(GradHess, _frame_grad_hess(
+        x0.x, x0.y, ball.elements, params.beta, params.gamma))

@@ -86,6 +86,14 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             assert run(["smooth", "--input", "x", "--output", "y",
                         option, value, "--svg-dir", str(tmp_path)]) == 2
     assert "expected a non-negative integer, got '-2'" in capsys.readouterr().err
+    # a snapshot directory with no K > 0 to write into it
+    svg_dir = tmp_path / "svgs"
+    for every in ([], ["--svg-every", "0"]):
+        assert run(["smooth", "--input", "x", "--output", "y",
+                    "--svg-dir", str(svg_dir), *every]) == 2
+        err = capsys.readouterr().err
+        assert "--svg-dir needs --svg-every K with K > 0" in err
+    assert not svg_dir.exists()
 
 
 def test_zero_loops_identity(tmp_path):

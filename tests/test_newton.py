@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -20,7 +21,6 @@ from osmot.newton import (
 from osmot.objective import (
     BallFrame,
     DegenerateElementError,
-    GradHess,
     ObjectiveOverflowError,
     ObjectiveParams,
     ball_grad_hess,
@@ -29,10 +29,6 @@ from osmot.objective import (
 )
 
 PARAMS = ObjectiveParams()
-
-
-def gh(gx, gy, hxx, hxy, hyy):
-    return GradHess(0.0, gx, gy, hxx, hxy, hyy)
 
 
 def test_config_defaults_match_published_tolerances():
@@ -44,31 +40,30 @@ def test_config_defaults_match_published_tolerances():
 
 
 def test_direction_identity_hessian_keeps_newton():
-    d = descent_direction(gh(2.0, 0.0, 1.0, 0.0, 1.0))
+    d = descent_direction(2.0, 0.0, 1.0, 0.0, 1.0)
     assert d == (-2.0, 0.0, False)
 
 
 def test_direction_negative_definite_falls_back():
     # det(-I) = 1 >= delta but the Newton direction is an ascent direction
-    d = descent_direction(gh(1.0, 0.0, -1.0, 0.0, -1.0))
+    d = descent_direction(1.0, 0.0, -1.0, 0.0, -1.0)
     assert d == (-1.0, 0.0, True)
 
 
 def test_direction_tiny_determinant_steepest():
-    d = descent_direction(gh(0.0, 1.0, 1e-9, 0.0, 1e-9))
+    d = descent_direction(0.0, 1.0, 1e-9, 0.0, 1e-9)
     assert d == (0.0, -1.0, True)
 
 
 def test_direction_always_descends():
     rng = random.Random(12)
     for _ in range(500):
-        g = gh(rng.uniform(-5, 5), rng.uniform(-5, 5),
-               rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if math.hypot(g.gx, g.gy) < 1e-12:
+        gx, gy, hxx, hxy, hyy = (rng.uniform(-5, 5) for _ in range(5))
+        if math.hypot(gx, gy) < 1e-12:
             continue
-        dx, dy, steepest = descent_direction(g)
-        assert g.gx * dx + g.gy * dy < 0.0
-        assert not steepest or (dx, dy) == (-g.gx, -g.gy)
+        dx, dy, steepest = descent_direction(gx, gy, hxx, hxy, hyy)
+        assert gx * dx + gy * dy < 0.0
+        assert not steepest or (dx, dy) == (-gx, -gy)
 
 
 def test_armijo_accepts_sufficient_decrease():
@@ -334,7 +329,7 @@ def _reference_optimize_ball(mesh, ball, params):
         if gh.grad_norm < osmot.newton.EPS:
             converged = True
             break
-        dx, dy, steepest = descent_direction(gh)
+        dx, dy, steepest = descent_direction(*gh[1:])
         grad_dot_d = gh.gx * dx + gh.gy * dy
         if 0.5 * lam * -grad_dot_d <= 4.0 * math.ulp(gh.value):
             break
@@ -558,7 +553,7 @@ def _untried_trial(mesh, ball, pos, trace):
         last = trace.steps[-1]
         lam = last.step_size if last.accepted else 0.5 * last.step_size
     gh_end = ball_grad_hess(mesh, ball, pos, PARAMS)
-    dx, dy, _ = descent_direction(gh_end)
+    dx, dy, _ = descent_direction(*gh_end[1:])
     predicted = 0.5 * lam * -(gh_end.gx * dx + gh_end.gy * dy)
     return lam, dx, dy, predicted, gh_end.value
 
@@ -624,3 +619,49 @@ def test_stop_reason(monkeypatch, bounds, center, shift, reason, iterations):
             assert (pos.x + lam * dx, pos.y + lam * dy) == (pos.x, pos.y)
     assert ball_objective(mesh, ball, pos, PARAMS) <= ball_objective(
         mesh, ball, start, PARAMS)
+
+
+def _trace_digest(hasher, trace) -> None:
+    """Feed every bit of one solve's trace to hasher: the stop reason, the
+    final gradient norm and each IterationRecord field, floats as hex."""
+    hasher.update(trace.stop_reason.encode())
+    hasher.update(trace.final_grad_norm.hex().encode())
+    for s in trace.steps:
+        hasher.update(" ".join((s.value.hex(), s.grad_norm.hex(),
+                                s.grad_dot_dir.hex(), s.step_size.hex(),
+                                str(s.accepted), str(s.steepest))).encode())
+    hasher.update(b"\n")
+
+
+# SHA-256 of every solve's trace in test_newton_traces_bit_for_bit,
+# recorded before the solve kept its derivatives in float locals
+NEWTON_TRACES_SHA = (
+    "793a254da0c7e71dfe11b42dc21ad35054d746cdb8ec57535bd8efb88d359fda")
+
+
+def test_newton_traces_bit_for_bit(monkeypatch):
+    # the golden mesh hashes see the solves only through final positions;
+    # this pins every trial: its value, gradient norm, g.d, step size,
+    # Armijo outcome and steepest flag, and each stop reason
+    hasher = hashlib.sha256()
+    solves = []
+
+    def traced_solve(*args):
+        pos, trace = optimize_ball(*args)
+        _trace_digest(hasher, trace)
+        solves.append(trace)
+        return pos, trace
+
+    monkeypatch.setattr(osmot.driver, "optimize_ball", traced_solve)
+    smooth(generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45),
+           SmootherConfig(i_max=10))
+    smooth(generate_fixture(FixtureKind.GRADED_INTERFACE),
+           SmootherConfig(objective=ObjectiveParams(beta=2.0, gamma=2.0)))
+    rng = random.Random(99)
+    for _ in range(60):
+        mesh = random_ball_mesh(rng)
+        traced_solve(mesh, mesh.balls[0], PARAMS)
+    assert {"converged", "stalled", "j_max"} <= {t.stop_reason for t in solves}
+    assert sum(t.armijo_rejections for t in solves) > 0
+    assert sum(t.used_steepest_count for t in solves) > 0
+    assert hasher.hexdigest() == NEWTON_TRACES_SHA

@@ -2,6 +2,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,3 +27,24 @@ def test_indentation_demo_runs(tmp_path):
     # no inversions within the scripted increments
     for line in out.stdout.splitlines()[1:]:
         assert line.split()[-1] == "0"
+
+
+@pytest.mark.parametrize("script,out_option,option,value", [
+    ("indentation_demo.py", "--out-dir", "--loops-per-round", "-1"),
+    ("indentation_demo.py", "--out-dir", "--rounds", "-1"),
+    ("patch_convergence.py", "--svg-dir", "--loops", "-2"),
+    ("patch_convergence.py", "--svg-dir", "--loops", "1.5"),
+])
+def test_bad_counts_are_usage_errors(tmp_path, script, out_option, option,
+                                     value):
+    # a count is parsed as a non-negative integer, like osmot smooth
+    # --max-loops: a usage message and exit 2, not a traceback
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), option, value,
+         out_option, str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "usage:" in out.stderr
+    assert f"expected a non-negative integer, got {value!r}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not any(tmp_path.iterdir())
