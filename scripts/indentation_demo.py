@@ -9,6 +9,7 @@ stays valid to large indentation depths. Writes one SVG per round.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -34,10 +35,21 @@ def build_box_with_die():
     return build_topology(mobility, positions, box.triangles), die_ids
 
 
+def finite_float(text: str) -> float:
+    """argparse type of the die increment: a finite number."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=loop_count, default=15)
-    parser.add_argument("--increment", type=float, default=0.08)
+    parser.add_argument("--increment", type=finite_float, default=0.08)
     parser.add_argument("--loops-per-round", type=loop_count, default=5)
     parser.add_argument("--out-dir", default="indentation_svgs")
     args = parser.parse_args(argv)

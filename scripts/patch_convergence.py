@@ -40,6 +40,11 @@ def main(argv=None) -> int:
     parser.add_argument("--svg-dir", default=None,
                         help="write per-loop snapshots under this directory")
     args = parser.parse_args(argv)
+    try:
+        # generate_fixture holds the one rule for --distortion
+        generate_fixture(FixtureKind.PATCH32, args.seed, args.distortion)
+    except ValueError as err:
+        parser.error(str(err))
 
     osmot_run = run(SmootherKind.OSMOT, args,
                     svg_dir=args.svg_dir and os.path.join(args.svg_dir, "osmot"))

@@ -50,7 +50,6 @@ from .newton import (
 )
 from .objective import (
     DegenerateElementError,
-    GradHess,
     ObjectiveOverflowError,
     ObjectiveParams,
     ball_grad_hess,

@@ -36,8 +36,8 @@ every ``IterationRecord`` are taken from those locals; the direction
 and the stall threshold once per iterate. The kernel is looked up as
 this module's ``ball_grad_hess`` and called with four positional
 arguments, the third a ``Point2`` of the start or of the trial, so a
-caller can wrap it to count calls and elements; the ``Point2`` and the
-``GradHess`` each kernel call still makes are kept for that caller.
+caller can wrap it to count calls and elements; the ``Point2`` each
+kernel call still makes is kept for that caller.
 
 Before a trial is evaluated, the solve ends as ``stalled`` once its
 predicted decrease 0.5 lambda |grad.d| is at most ``STALL_ULPS`` (4) ulps

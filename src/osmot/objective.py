@@ -24,10 +24,10 @@ smoother stable on non-convex configurations.
 Everything about an element that does not depend on the moving vertex
 (its neighbour coordinates, the opposite edge b, its reference radius
 and the constant area gradient) is frozen once per Newton solve into a
-``BallFrame``. ``ball_grad_hess`` takes either a topology ``Ball``,
-which it freezes first, or a frame, and runs the one kernel loop over
-the frame elements; ``element_grad_hess`` runs it over a one-element
-frame.
+``BallFrame`` by ``freeze_ball``. ``ball_grad_hess`` takes a frame and
+runs the one kernel loop over its elements; ``element_grad_hess`` runs
+it over a one-element frame. Both return the loop's six floats (w, wx,
+wy, wxx, wxy, wyy) as a plain tuple.
 
 The loop raises DegenerateElementError at the barrier and
 ObjectiveOverflowError, a ValueError, when a w overflows a float (one
@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import hypot, inf
-from typing import NamedTuple
 
 from .geometry import DEGENERATE_AREA_FACTOR, Point2
 from .mesh import Ball, Mesh
@@ -82,28 +81,10 @@ class ObjectiveParams:
             raise ValueError("beta, gamma and r_ref must be finite and positive")
 
 
-class GradHess(NamedTuple):
-    """Objective value, gradient and symmetric 2x2 Hessian at one point.
-
-    The Hessian is stored as its three distinct entries (hxx, hxy, hyy),
-    so symmetry holds by construction.
-    """
-
-    value: float
-    gx: float
-    gy: float
-    hxx: float
-    hxy: float
-    hyy: float
-
-    @property
-    def hess(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.hxx, self.hxy), (self.hxy, self.hyy))
-
-    @property
-    def grad_norm(self) -> float:
-        return math.hypot(self.gx, self.gy)
-
+# The value, gradient and Hessian of w at one point, (w, wx, wy, wxx, wxy,
+# wyy); the Hessian is its three distinct entries, so it is symmetric by
+# construction.
+Derivatives = tuple[float, float, float, float, float, float]
 
 # One frozen element: (triangle id, x1, y1, x2, y2, b, r_ref, hx, hy), where
 # (hx, hy) = ((y1 - y2)/2, (x2 - x1)/2) is the gradient of the signed area.
@@ -146,8 +127,7 @@ def freeze_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams) -> BallFrame:
 
 
 def _frame_grad_hess(px: float, py: float, elements: tuple[FrameElement, ...],
-                     beta: float, gamma: float
-                     ) -> tuple[float, float, float, float, float, float]:
+                     beta: float, gamma: float) -> Derivatives:
     """Sums of the exact (w, wx, wy, wxx, wxy, wyy) of the elements with
     respect to the vertex at (px, py).
 
@@ -228,37 +208,35 @@ def element_objective(p0: Point2, p1: Point2, p2: Point2,
     """Objective of one element with the movable vertex at p0: the value
     of ``element_grad_hess``, +inf past the barrier or when w overflows."""
     try:
-        return element_grad_hess(p0, p1, p2, params).value
+        return element_grad_hess(p0, p1, p2, params)[0]
     except (DegenerateElementError, ObjectiveOverflowError):
         return inf
 
 
 def element_grad_hess(p0: Point2, p1: Point2, p2: Point2,
-                      params: ObjectiveParams) -> GradHess:
+                      params: ObjectiveParams) -> Derivatives:
     """Objective value, gradient and Hessian with respect to p0."""
     element = _frame_element(None, p1.x, p1.y, p2.x, p2.y, params.r_ref)
-    return GradHess(*_frame_grad_hess(p0.x, p0.y, (element,),
-                                      params.beta, params.gamma))
+    return _frame_grad_hess(p0.x, p0.y, (element,), params.beta, params.gamma)
 
 
-def ball_objective(mesh: Mesh, ball: Ball | BallFrame, x0: Point2,
+# mesh is unused by both ball entry points but stays their first
+# parameter: the benchmark tracer wraps them and unpacks four positional
+# arguments
+def ball_objective(mesh: Mesh, frame: BallFrame, x0: Point2,
                    params: ObjectiveParams) -> float:
-    """Sum of element objectives over a ball with the vertex at x0: the
+    """Sum of element objectives over a frame with the vertex at x0: the
     value of ``ball_grad_hess``, +inf past the barrier of any element or
     when a w overflows."""
     try:
-        return ball_grad_hess(mesh, ball, x0, params).value
+        return ball_grad_hess(mesh, frame, x0, params)[0]
     except (DegenerateElementError, ObjectiveOverflowError):
         return inf
 
 
-def ball_grad_hess(mesh: Mesh, ball: Ball | BallFrame, x0: Point2,
-                   params: ObjectiveParams) -> GradHess:
-    """Component-wise sums of element value/gradient/Hessian over a ball;
-    the ball is a topology Ball, frozen first, or a frame of it."""
-    if type(ball) is Ball:
-        ball = freeze_ball(mesh, ball, params)
-    # tuple.__new__ makes the kernel's tuple a GradHess without the
-    # named-field constructor's Python-level call, as namedtuple's _make does
-    return tuple.__new__(GradHess, _frame_grad_hess(
-        x0.x, x0.y, ball.elements, params.beta, params.gamma))
+def ball_grad_hess(mesh: Mesh, frame: BallFrame, x0: Point2,
+                   params: ObjectiveParams) -> Derivatives:
+    """Component-wise sums of the element derivatives over a frame with
+    the vertex at x0."""
+    return _frame_grad_hess(x0.x, x0.y, frame.elements, params.beta,
+                            params.gamma)

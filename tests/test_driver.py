@@ -16,6 +16,7 @@ from osmot.fixtures import FixtureKind, freeze_boundary, generate_fixture
 from osmot.geometry import Point2, signed_area
 from osmot.mesh import Mesh, Mobility, Node, boundary_neighbors, build_topology
 from osmot.newton import StopReason
+from osmot.objective import ObjectiveParams
 from osmot.report import q2_histogram
 
 
@@ -293,3 +294,18 @@ def test_laplacian_run_counts_no_newton_solve():
         i_max=2, smoother_kind=SmootherKind.LAPLACIAN))
     assert result.relocations > 0
     assert set(result.stop_reasons.values()) == {0}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the Newton stop tests |grad w| < EPS and det H < DELTA are absolute, "
+    "so they do not scale with w"))
+def test_newton_stop_does_not_depend_on_the_objective_scale():
+    # a uniform r_ref multiplies every w by r_ref^-beta, so the minimiser,
+    # and the mesh the smoother reaches, cannot depend on it
+    final = []
+    for r_ref in (1.0, 1e9):
+        mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
+        result = smooth(mesh, SmootherConfig(
+            i_max=3, objective=ObjectiveParams(r_ref=r_ref)))
+        final.append(result.reports[-1].min_q2)
+    assert abs(final[0] - final[1]) <= 1e-3, final

@@ -103,17 +103,18 @@ def test_optimize_centered_ball_converges_immediately():
 def test_optimize_perturbed_ball_returns_to_center():
     mesh = regular_hexagon_mesh(center=Point2(0.05, 0.02))
     ball = mesh.balls[0]
+    frame = freeze_ball(mesh, ball, PARAMS)
     # oracle: dense scan confirms the center is the ball minimizer
     best = min(
-        ((ball_objective(mesh, ball, Point2(x * 0.01, y * 0.01), PARAMS),
+        ((ball_objective(mesh, frame, Point2(x * 0.01, y * 0.01), PARAMS),
           x * 0.01, y * 0.01)
          for x in range(-20, 21) for y in range(-20, 21)),
     )
     assert (best[1], best[2]) == (0.0, 0.0)
     pos, trace = optimize_ball(mesh, ball, PARAMS)
     assert math.hypot(pos.x, pos.y) < 1e-6
-    assert ball_objective(mesh, ball, pos, PARAMS) <= ball_objective(
-        mesh, ball, Point2(0.05, 0.02), PARAMS)
+    assert ball_objective(mesh, frame, pos, PARAMS) <= ball_objective(
+        mesh, frame, Point2(0.05, 0.02), PARAMS)
 
 
 # a full Newton step near a smooth minimum leaves a gradient norm of at
@@ -127,12 +128,13 @@ def test_optimizer_contract_on_random_balls():
     for _ in range(60):
         mesh = random_ball_mesh(rng)
         ball = mesh.balls[0]
+        frame = freeze_ball(mesh, ball, PARAMS)
         start = mesh.position(0)
-        w_start = ball_objective(mesh, ball, start, PARAMS)
+        w_start = ball_objective(mesh, frame, start, PARAMS)
         pos, trace = optimize_ball(mesh, ball, PARAMS)
 
         accepted_values = [s.value for s in trace.steps if s.accepted]
-        final_w = ball_objective(mesh, ball, pos, PARAMS)
+        final_w = ball_objective(mesh, frame, pos, PARAMS)
         seq = accepted_values + [final_w]
         assert all(b < a for a, b in zip(seq, seq[1:]))
         assert final_w <= w_start
@@ -148,8 +150,8 @@ def test_optimizer_contract_on_random_balls():
             signed_area(*mesh.triangle_points(t)) > 0.0 for t in mesh.triangles
         )
         if trace.converged:
-            recomputed = ball_grad_hess(mesh, ball, pos, PARAMS).grad_norm
-            assert recomputed < osmot.newton.EPS
+            _w, gx, gy, *_ = ball_grad_hess(mesh, frame, pos, PARAMS)
+            assert math.hypot(gx, gy) < osmot.newton.EPS
 
         # quadratic phase: the gradient norm after each full Newton step
         # taken once the norm is below 1e-2
@@ -202,8 +204,9 @@ def test_derivatives_once_per_iterate(monkeypatch):
         iterates = [calls[0]] + [p for p, s in zip(calls[1:], trace.steps)
                                  if s.accepted]
         assert iterates[-1] == pos
-        assert trace.final_grad_norm == ball_grad_hess(
-            mesh, ball, pos, PARAMS).grad_norm
+        _w, gx, gy, *_ = ball_grad_hess(
+            mesh, freeze_ball(mesh, ball, PARAMS), pos, PARAMS)
+        assert trace.final_grad_norm == math.hypot(gx, gy)
         rejections += trace.armijo_rejections
     assert rejections > 0
 
@@ -247,7 +250,9 @@ def test_kernel_calls_keep_the_tracer_contract(monkeypatch):
     # coordinates of the third; a smooth() run must keep every call in
     # that shape, or the per-layer benchmark counters read zero. Each
     # solve calls ball_grad_hess once at the start and once per trial,
-    # and never calls ball_objective
+    # and never calls ball_objective. The second argument is a BallFrame,
+    # the only ball the kernels take, and ball_grad_hess returns the
+    # kernel's plain tuple of six floats
     calls = {"ball_grad_hess": 0, "ball_objective": 0}
     solves = []
     mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
@@ -261,10 +266,15 @@ def test_kernel_calls_keep_the_tracer_contract(monkeypatch):
         def wrapper(*args, **kwargs):
             assert len(args) == 4 and not kwargs
             ball = args[1]
+            assert type(ball) is BallFrame
             assert len(ball.elements) == len(mesh.balls[ball.vertex].elements)
             assert isinstance(args[2], Point2)
             calls[name] += 1
-            return kernel(*args, **kwargs)
+            result = kernel(*args, **kwargs)
+            if name == "ball_grad_hess":
+                assert type(result) is tuple and len(result) == 6
+                assert all(type(v) is float for v in result)
+            return result
         return wrapper
 
     for name in calls:
@@ -310,8 +320,9 @@ def test_lambda_floor_terminates(monkeypatch):
     mesh = regular_hexagon_mesh(center=Point2(0.31, -0.17))
     pos, trace = optimize_ball(mesh, mesh.balls[0], PARAMS)
     # the run ends; either converged or stopped by a bound, never worse
-    assert ball_objective(mesh, mesh.balls[0], pos, PARAMS) <= ball_objective(
-        mesh, mesh.balls[0], Point2(0.31, -0.17), PARAMS)
+    frame = freeze_ball(mesh, mesh.balls[0], PARAMS)
+    assert ball_objective(mesh, frame, pos, PARAMS) <= ball_objective(
+        mesh, frame, Point2(0.31, -0.17), PARAMS)
 
 
 def _reference_optimize_ball(mesh, ball, params):
@@ -320,31 +331,32 @@ def _reference_optimize_ball(mesh, ball, params):
     iterate, is scored by ball_objective. Returns (position, converged,
     final_grad_norm). The tolerance and the bounds are read from the
     module, as the solve reads them."""
+    frame = freeze_ball(mesh, ball, params)
     x = mesh.position(ball.vertex)
-    gh = ball_grad_hess(mesh, ball, x, params)
+    w, gx, gy, hxx, hxy, hyy = ball_grad_hess(mesh, frame, x, params)
     lam = 1.0
     steps = 0
     converged = False
     while steps <= osmot.newton.J_MAX:
-        if gh.grad_norm < osmot.newton.EPS:
+        if math.hypot(gx, gy) < osmot.newton.EPS:
             converged = True
             break
-        dx, dy, steepest = descent_direction(*gh[1:])
-        grad_dot_d = gh.gx * dx + gh.gy * dy
-        if 0.5 * lam * -grad_dot_d <= 4.0 * math.ulp(gh.value):
+        dx, dy, steepest = descent_direction(gx, gy, hxx, hxy, hyy)
+        grad_dot_d = gx * dx + gy * dy
+        if 0.5 * lam * -grad_dot_d <= 4.0 * math.ulp(w):
             break
         trial = Point2(x.x + lam * dx, x.y + lam * dy)
-        w_new = ball_objective(mesh, ball, trial, params)
+        w_new = ball_objective(mesh, frame, trial, params)
         steps += 1
         c1 = 0.5 if steepest else 1e-4
-        if w_new - gh.value <= c1 * lam * grad_dot_d:
+        if w_new - w <= c1 * lam * grad_dot_d:
             x = trial
-            gh = ball_grad_hess(mesh, ball, x, params)
+            w, gx, gy, hxx, hxy, hyy = ball_grad_hess(mesh, frame, x, params)
         else:
             lam *= 0.5
             if lam < osmot.newton.LAMBDA_MIN:
                 break
-    return x, converged, gh.grad_norm
+    return x, converged, math.hypot(gx, gy)
 
 
 def _jittered_lattice_mesh(rng: random.Random, cells: int = 8,
@@ -515,7 +527,8 @@ def test_overflow_at_the_start_raises(params):
 
 
 def _check_stalled_rule(mesh, ball, reasons):
-    start_w = ball_objective(mesh, ball, mesh.position(ball.vertex), PARAMS)
+    frame = freeze_ball(mesh, ball, PARAMS)
+    start_w = ball_objective(mesh, frame, mesh.position(ball.vertex), PARAMS)
     pos, trace = optimize_ball(mesh, ball, PARAMS)
     # no scored trial asked for a decrease that w cannot resolve, so no
     # solve bisected on to the floor or the cap past such a trial
@@ -524,7 +537,7 @@ def _check_stalled_rule(mesh, ball, reasons):
     if trace.stop_reason == "stalled":
         _lam, _dx, _dy, predicted, w = _untried_trial(mesh, ball, pos, trace)
         assert predicted <= 4.0 * math.ulp(w)
-    assert ball_objective(mesh, ball, pos, PARAMS) <= start_w
+    assert ball_objective(mesh, frame, pos, PARAMS) <= start_w
     reasons.append(trace.stop_reason)
     return pos
 
@@ -552,10 +565,11 @@ def _untried_trial(mesh, ball, pos, trace):
     if trace.steps:
         last = trace.steps[-1]
         lam = last.step_size if last.accepted else 0.5 * last.step_size
-    gh_end = ball_grad_hess(mesh, ball, pos, PARAMS)
-    dx, dy, _ = descent_direction(*gh_end[1:])
-    predicted = 0.5 * lam * -(gh_end.gx * dx + gh_end.gy * dy)
-    return lam, dx, dy, predicted, gh_end.value
+    w, gx, gy, hxx, hxy, hyy = ball_grad_hess(
+        mesh, freeze_ball(mesh, ball, PARAMS), pos, PARAMS)
+    dx, dy, _ = descent_direction(gx, gy, hxx, hxy, hyy)
+    predicted = 0.5 * lam * -(gx * dx + gy * dy)
+    return lam, dx, dy, predicted, w
 
 
 # near (2**44, 2**44) an ulp of a coordinate is 2**-8, so a step near the
@@ -617,8 +631,9 @@ def test_stop_reason(monkeypatch, bounds, center, shift, reason, iterations):
         assert (predicted <= 4.0 * math.ulp(w)) == (reason == "stalled")
         if reason == "rounded":
             assert (pos.x + lam * dx, pos.y + lam * dy) == (pos.x, pos.y)
-    assert ball_objective(mesh, ball, pos, PARAMS) <= ball_objective(
-        mesh, ball, start, PARAMS)
+    frame = freeze_ball(mesh, ball, PARAMS)
+    assert ball_objective(mesh, frame, pos, PARAMS) <= ball_objective(
+        mesh, frame, start, PARAMS)
 
 
 def _trace_digest(hasher, trace) -> None:

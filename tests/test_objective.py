@@ -82,7 +82,7 @@ def test_gradient_matches_finite_differences():
     for _ in range(300):
         p0, p1, p2 = random_triangle(rng)
         params = ObjectiveParams(r_ref=1.0)
-        gh = element_grad_hess(p0, p1, p2, params)
+        _w, wx, wy, *_ = element_grad_hess(p0, p1, p2, params)
         h = 1e-6 * max(edge_lengths(p0, p1, p2))
 
         def f(x, y):
@@ -90,41 +90,42 @@ def test_gradient_matches_finite_differences():
 
         gx, gy = fd_gradient(f, p0.x, p0.y, h)
         scale = max(abs(gx), abs(gy), 1.0)
-        assert abs(gh.gx - gx) / scale < 1e-5
-        assert abs(gh.gy - gy) / scale < 1e-5
+        assert abs(wx - gx) / scale < 1e-5
+        assert abs(wy - gy) / scale < 1e-5
 
 
 def test_hessian_matches_finite_differences_of_gradient():
     rng = random.Random(43)
     for _ in range(300):
         p0, p1, p2 = random_triangle(rng)
-        gh = element_grad_hess(p0, p1, p2, PARAMS)
+        *_, hxx, hxy, hyy = element_grad_hess(p0, p1, p2, PARAMS)
         h = 1e-6 * max(edge_lengths(p0, p1, p2))
 
         def grad(x, y):
-            g = element_grad_hess(Point2(x, y), p1, p2, PARAMS)
-            return g.gx, g.gy
+            return element_grad_hess(Point2(x, y), p1, p2, PARAMS)[1:3]
 
         jac = fd_jacobian(grad, p0.x, p0.y, h)
         scale = max(abs(jac[0][0]), abs(jac[0][1]), abs(jac[1][1]), 1.0)
-        assert abs(gh.hxx - jac[0][0]) / scale < 1e-4
-        assert abs(gh.hyy - jac[1][1]) / scale < 1e-4
-        assert abs(gh.hxy - jac[0][1]) / scale < 1e-4
+        assert abs(hxx - jac[0][0]) / scale < 1e-4
+        assert abs(hyy - jac[1][1]) / scale < 1e-4
+        assert abs(hxy - jac[0][1]) / scale < 1e-4
 
 
 def test_hessian_symmetric_by_construction():
     p0, p1, p2 = random_triangle(random.Random(5))
     gh = element_grad_hess(p0, p1, p2, PARAMS)
-    assert gh.hess[0][1] == gh.hess[1][0]
+    # (w, wx, wy, wxx, wxy, wyy): six floats, one off-diagonal entry
+    assert type(gh) is tuple and len(gh) == 6
+    assert all(type(v) is float for v in gh)
 
 
 def test_rref_scales_value_and_derivatives():
     p0, p1, p2 = random_triangle(random.Random(11))
     g1 = element_grad_hess(p0, p1, p2, ObjectiveParams(r_ref=1.0))
     g2 = element_grad_hess(p0, p1, p2, ObjectiveParams(r_ref=2.0))
-    assert g2.value == pytest.approx(g1.value / 2.0, rel=1e-13)
-    assert g2.gx == pytest.approx(g1.gx / 2.0, rel=1e-13)
-    assert g2.hxy == pytest.approx(g1.hxy / 2.0, rel=1e-13)
+    assert g2[0] == pytest.approx(g1[0] / 2.0, rel=1e-13)
+    assert g2[1] == pytest.approx(g1[1] / 2.0, rel=1e-13)
+    assert g2[4] == pytest.approx(g1[4] / 2.0, rel=1e-13)
 
 
 def test_translation_invariance():
@@ -204,7 +205,7 @@ def test_minimum_on_perpendicular_bisector():
     # the gradient component along the bisector changes sign there
     lo = element_grad_hess(Point2(0.5, t_star - 0.05), p1, p2, PARAMS)
     hi = element_grad_hess(Point2(0.5, t_star + 0.05), p1, p2, PARAMS)
-    assert lo.gy < 0.0 < hi.gy
+    assert lo[2] < 0.0 < hi[2]
 
     # the shape factor alone is minimized at the equilateral altitude
     def shape(t):
@@ -234,52 +235,53 @@ def test_ball_objective_single_element():
         element_objective(x0, mesh.position(n1), mesh.position(n2), PARAMS)
         for _tid, n1, n2 in ball.elements
     )
-    assert ball_objective(mesh, ball, x0, PARAMS) == pytest.approx(total, rel=1e-14)
+    frame = freeze_ball(mesh, ball, PARAMS)
+    assert ball_objective(mesh, frame, x0, PARAMS) == pytest.approx(total, rel=1e-14)
 
 
 def test_regular_ball_value_and_stationarity():
     mesh = regular_hexagon_mesh()
-    ball = mesh.balls[0]
-    w = ball_objective(mesh, ball, Point2(0.0, 0.0), PARAMS)
+    frame = freeze_ball(mesh, mesh.balls[0], PARAMS)
+    w = ball_objective(mesh, frame, Point2(0.0, 0.0), PARAMS)
     assert w == pytest.approx(6 * 8.0 / SQRT3, rel=1e-12)
-    gh = ball_grad_hess(mesh, ball, Point2(0.0, 0.0), PARAMS)
-    assert math.hypot(gh.gx, gh.gy) < 1e-10
+    _w, gx, gy, hxx, hxy, hyy = ball_grad_hess(
+        mesh, frame, Point2(0.0, 0.0), PARAMS)
+    assert math.hypot(gx, gy) < 1e-10
     # positive definite at the symmetric minimum
-    assert gh.hxx > 0 and gh.hxx * gh.hyy - gh.hxy ** 2 > 0
+    assert hxx > 0 and hxx * hyy - hxy ** 2 > 0
 
 
 def test_ball_barrier_outside_kernel():
     mesh = random_ball_mesh(random.Random(8))
-    ball = mesh.balls[0]
-    assert ball_objective(mesh, ball, Point2(100.0, 100.0), PARAMS) == math.inf
+    frame = freeze_ball(mesh, mesh.balls[0], PARAMS)
+    assert ball_objective(mesh, frame, Point2(100.0, 100.0), PARAMS) == math.inf
 
 
 def test_ball_grad_hess_matches_finite_differences():
     rng = random.Random(17)
     for _ in range(25):
         mesh = random_ball_mesh(rng)
-        ball = mesh.balls[0]
+        frame = freeze_ball(mesh, mesh.balls[0], PARAMS)
         x0 = mesh.position(0)
-        gh = ball_grad_hess(mesh, ball, x0, PARAMS)
+        _w, wx, wy, hxx, hxy, hyy = ball_grad_hess(mesh, frame, x0, PARAMS)
         h = 1e-7
 
         def f(x, y):
-            return ball_objective(mesh, ball, Point2(x, y), PARAMS)
+            return ball_objective(mesh, frame, Point2(x, y), PARAMS)
 
         gx, gy = fd_gradient(f, x0.x, x0.y, h)
         scale = max(abs(gx), abs(gy), 1.0)
-        assert abs(gh.gx - gx) / scale < 1e-5
-        assert abs(gh.gy - gy) / scale < 1e-5
+        assert abs(wx - gx) / scale < 1e-5
+        assert abs(wy - gy) / scale < 1e-5
 
         def grad(x, y):
-            g = ball_grad_hess(mesh, ball, Point2(x, y), PARAMS)
-            return g.gx, g.gy
+            return ball_grad_hess(mesh, frame, Point2(x, y), PARAMS)[1:3]
 
         jac = fd_jacobian(grad, x0.x, x0.y, h)
         hscale = max(abs(jac[0][0]), abs(jac[1][1]), 1.0)
-        assert abs(gh.hxx - jac[0][0]) / hscale < 1e-4
-        assert abs(gh.hyy - jac[1][1]) / hscale < 1e-4
-        assert abs(gh.hxy - jac[0][1]) / hscale < 1e-4
+        assert abs(hxx - jac[0][0]) / hscale < 1e-4
+        assert abs(hyy - jac[1][1]) / hscale < 1e-4
+        assert abs(hxy - jac[0][1]) / hscale < 1e-4
 
 
 def test_ball_degenerate_propagates_triangle_id():
@@ -287,8 +289,9 @@ def test_ball_degenerate_propagates_triangle_id():
     ball = mesh.balls[0]
     # move the vertex onto a ring node: some element degenerates
     target = mesh.position(ball.elements[0][1])
+    frame = freeze_ball(mesh, ball, PARAMS)
     with pytest.raises(DegenerateElementError) as err:
-        ball_grad_hess(mesh, ball, target, PARAMS)
+        ball_grad_hess(mesh, frame, target, PARAMS)
     assert err.value.triangle_id is not None
 
 
@@ -296,10 +299,10 @@ def test_per_element_rref_override():
     mesh = random_ball_mesh(random.Random(21))
     ball = mesh.balls[0]
     x0 = mesh.position(0)
-    w_base = ball_objective(mesh, ball, x0, PARAMS)
+    w_base = ball_objective(mesh, freeze_ball(mesh, ball, PARAMS), x0, PARAMS)
     tid, n1, n2 = ball.elements[0]
     mesh.rref[tid] = 2.0
-    w_half = ball_objective(mesh, ball, x0, PARAMS)
+    w_half = ball_objective(mesh, freeze_ball(mesh, ball, PARAMS), x0, PARAMS)
     w_elem = element_objective(x0, mesh.position(n1), mesh.position(n2), PARAMS)
     assert w_half == pytest.approx(w_base - w_elem / 2.0, rel=1e-12)
 
@@ -316,8 +319,8 @@ def test_exact_derivatives_for_every_exponent_pair(beta, gamma):
     rng = random.Random(31)
     for _ in range(200):
         p0, p1, p2 = random_triangle(rng)
-        gh = element_grad_hess(p0, p1, p2, params)
-        assert gh.value == element_objective(p0, p1, p2, params)
+        w, wx, wy, hxx, hxy, hyy = element_grad_hess(p0, p1, p2, params)
+        assert w == element_objective(p0, p1, p2, params)
         h = 1e-6 * max(edge_lengths(p0, p1, p2))
 
         def f(x, y):
@@ -325,18 +328,17 @@ def test_exact_derivatives_for_every_exponent_pair(beta, gamma):
 
         gx, gy = fd_gradient(f, p0.x, p0.y, h)
         scale = max(abs(gx), abs(gy), 1.0)
-        assert abs(gh.gx - gx) / scale <= 1e-5
-        assert abs(gh.gy - gy) / scale <= 1e-5
+        assert abs(wx - gx) / scale <= 1e-5
+        assert abs(wy - gy) / scale <= 1e-5
 
         def grad(x, y):
-            g = element_grad_hess(Point2(x, y), p1, p2, params)
-            return g.gx, g.gy
+            return element_grad_hess(Point2(x, y), p1, p2, params)[1:3]
 
         jac = fd_jacobian(grad, p0.x, p0.y, h)
         hscale = max(abs(jac[0][0]), abs(jac[0][1]), abs(jac[1][1]), 1.0)
-        assert abs(gh.hxx - jac[0][0]) / hscale <= 1e-4
-        assert abs(gh.hxy - jac[0][1]) / hscale <= 1e-4
-        assert abs(gh.hyy - jac[1][1]) / hscale <= 1e-4
+        assert abs(hxx - jac[0][0]) / hscale <= 1e-4
+        assert abs(hxy - jac[0][1]) / hscale <= 1e-4
+        assert abs(hyy - jac[1][1]) / hscale <= 1e-4
 
 
 def _near_barrier(p1: Point2, p2: Point2, t: float, f: float) -> Point2:
@@ -365,7 +367,8 @@ def _near_barrier_balls():
 
 
 def _outcome(kernel, mesh, ball, x0, params):
-    """What a ball kernel returns, as float.hex strings, or what it raises."""
+    """What a ball kernel returns, as float.hex strings, or what it raises;
+    ball is what the kernel takes: a frame, or a Ball for a reference."""
     try:
         result = kernel(mesh, ball, x0, params)
     except (DegenerateElementError, ValueError) as err:
@@ -450,15 +453,14 @@ def _reference_ball_grad_hess(mesh, ball, x0, params):
 
 
 def _assert_kernels_match_reference(mesh, ball, x0, params):
-    """ball_objective and ball_grad_hess give the reference's bits, +inf or
-    exception, from a Ball and from its BallFrame alike."""
+    """ball_objective and ball_grad_hess on the ball's BallFrame give the
+    reference's bits, +inf or exception."""
     frame = freeze_ball(mesh, ball, params)
     assert isinstance(frame, BallFrame) and frame.vertex == ball.vertex
     assert len(frame.elements) == len(ball.elements)
     for kernel, reference in ((ball_objective, _reference_ball_objective),
                               (ball_grad_hess, _reference_ball_grad_hess)):
         expected = _outcome(reference, mesh, ball, x0, params)
-        assert _outcome(kernel, mesh, ball, x0, params) == expected
         assert _outcome(kernel, mesh, frame, x0, params) == expected
 
 
@@ -471,10 +473,11 @@ def test_ball_value_paths_agree_bitwise(beta, gamma):
     params = ObjectiveParams(beta=beta, gamma=gamma)
     outcomes = set()
     for mesh, ball, points in _near_barrier_balls():
+        frame = freeze_ball(mesh, ball, params)
         for x0 in points:
-            w = ball_objective(mesh, ball, x0, params)
+            w = ball_objective(mesh, frame, x0, params)
             try:
-                value = ball_grad_hess(mesh, ball, x0, params).value
+                value = ball_grad_hess(mesh, frame, x0, params)[0]
             except DegenerateElementError:
                 assert w == math.inf
                 outcomes.add("barrier")
@@ -491,9 +494,10 @@ def test_frame_and_ball_agree_bitwise(beta, gamma):
     params = ObjectiveParams(beta=beta, gamma=gamma)
     barrier = 0
     for mesh, ball, points in _near_barrier_balls():
+        frame = freeze_ball(mesh, ball, params)
         for x0 in points:
             _assert_kernels_match_reference(mesh, ball, x0, params)
-            barrier += ball_objective(mesh, ball, x0, params) == math.inf
+            barrier += ball_objective(mesh, frame, x0, params) == math.inf
     assert barrier > 0
 
 
@@ -524,10 +528,12 @@ def test_kernels_agree_near_the_barrier(scale, angle, offset, t, f, exponents):
         with pytest.raises(DegenerateElementError):
             element_grad_hess(p0, p1, p2, params)
     else:
-        assert element_grad_hess(p0, p1, p2, params).value.hex() == w.hex()
-    # the same element as a one-element ball, read from the mesh or frozen
+        assert element_grad_hess(p0, p1, p2, params)[0].hex() == w.hex()
+    # the same element as a one-element ball, frozen, and read from the
+    # mesh by the reference
     mesh = synthetic_single_ball(p0, [p1, p2])
-    assert ball_objective(mesh, mesh.balls[0], p0, params).hex() == w.hex()
+    frame = freeze_ball(mesh, mesh.balls[0], params)
+    assert ball_objective(mesh, frame, p0, params).hex() == w.hex()
     _assert_kernels_match_reference(mesh, mesh.balls[0], p0, params)
 
 
@@ -545,7 +551,8 @@ def test_overflow_scores_inf_and_derivatives_raise(params):
         element_grad_hess(*EQUILATERAL, params)
     mesh = regular_hexagon_mesh()
     ball = mesh.balls[0]
-    assert ball_objective(mesh, ball, Point2(0.0, 0.0), params) == math.inf
+    frame = freeze_ball(mesh, ball, params)
+    assert ball_objective(mesh, frame, Point2(0.0, 0.0), params) == math.inf
     with pytest.raises(ValueError, match="overflows"):
-        ball_grad_hess(mesh, ball, Point2(0.0, 0.0), params)
+        ball_grad_hess(mesh, frame, Point2(0.0, 0.0), params)
     _assert_kernels_match_reference(mesh, ball, Point2(0.0, 0.0), params)

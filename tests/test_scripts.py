@@ -48,3 +48,28 @@ def test_bad_counts_are_usage_errors(tmp_path, script, out_option, option,
     assert f"expected a non-negative integer, got {value!r}" in out.stderr
     assert "Traceback" not in out.stderr
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("script,out_option,option,value,message", [
+    ("indentation_demo.py", "--out-dir", "--increment", "nan",
+     "expected a finite number, got 'nan'"),
+    ("indentation_demo.py", "--out-dir", "--increment", "inf",
+     "expected a finite number, got 'inf'"),
+    ("patch_convergence.py", "--svg-dir", "--distortion", "1.5",
+     "distortion must be in [0, 1)"),
+    ("patch_convergence.py", "--svg-dir", "--distortion", "nan",
+     "distortion must be in [0, 1)"),
+], ids=["increment-nan", "increment-inf", "distortion-1.5", "distortion-nan"])
+def test_bad_floats_are_usage_errors(tmp_path, script, out_option, option,
+                                     value, message):
+    # the die increment must be finite and the distortion in [0, 1), as
+    # osmot gen takes it: a usage message and exit 2, not a traceback
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), option, value,
+         out_option, str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "usage:" in out.stderr
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not any(tmp_path.iterdir())
