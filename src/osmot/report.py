@@ -7,10 +7,13 @@ last read. The positions live in one list on the mesh
 records each moved node for the table.
 
 The flagged count is the size of the below-q_min set that the table
-keeps by deltas. Full passes over the triangles remain for the inverted
-count (``bytearray.count``), for min q2, for the mean q2 (``math.fsum``,
-correctly rounded, so the same bits on every Python version), and for
-min q1, which is formed here so that an edited ``mesh.rref`` or another
+keeps by deltas, and min q2 is the minimum over that set when it is not
+empty: every triangle outside it scores at least q_min and every one
+inside less, so the full pass over q2 runs only when no triangle is
+below q_min. Full passes over the triangles remain for the inverted
+count (``bytearray.count``), for the mean q2 (``math.fsum``, correctly
+rounded, so the same bits on every Python version), and for min q1,
+which is formed here so that an edited ``mesh.rref`` or another
 ``r_ref`` never reads a stale value: without rref overrides it is
 ``r_ref`` over the largest stored circumradius, otherwise the minimum of
 each element's rref over its circumradius. The table holds q2 and the
@@ -67,12 +70,13 @@ def quality_report(mesh: Mesh, cfg: QualityConfig, r_ref: float,
         # correctly rounded division is monotone, so the smallest
         # r_ref / R is exactly r_ref over the largest R
         min_q1 = r_ref / max(table.circumradius)
+    below = table.below(cfg.q_min)
     return QualityReport(
         loop=loop,
-        min_q2=min(q2s),
+        min_q2=min(map(q2s.__getitem__, below)) if below else min(q2s),
         mean_q2=fsum(q2s) / n,
         min_q1=min_q1,
-        flagged_elements=len(table.below(cfg.q_min)),
+        flagged_elements=len(below),
         inverted_elements=table.inverted.count(1),
     )
 

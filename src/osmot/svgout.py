@@ -15,7 +15,9 @@ node in the text's ``moved`` set, so a later render formats again the
 coordinates of the nodes moved since the previous render and the
 polygons of the triangles in their stars (``Mesh.stars``, the mesh's one
 node-to-triangle incidence). A render in the other colouring formats
-every polygon again; only the Q2 colouring reads the quality table.
+every polygon again; only the Q2 colouring reads the quality table. A
+fill colour is formatted once per (red, green) pair and kept for every
+later polygon and mesh.
 """
 
 from __future__ import annotations
@@ -47,12 +49,20 @@ def _coords(p: Point2) -> str:
     return f"{p.x:.6g},{-p.y:.6g}"
 
 
+# the fill string of each (red, green) formatted so far; an entry depends
+# only on its key, and red + green is 254, 255 or 256, so the dict stays
+# below 800 entries whatever meshes the process renders
+_FILLS: dict[tuple[int, int], str] = {}
+
+
 def _fill(q2: float) -> str:
     # linear red (0) -> green (1)
     q2 = min(max(q2, 0.0), 1.0)
-    red = round(255 * (1.0 - q2))
-    green = round(255 * q2)
-    return f"rgb({red},{green},0)"
+    key = round(255 * (1.0 - q2)), round(255 * q2)
+    fill = _FILLS.get(key)
+    if fill is None:
+        fill = _FILLS[key] = f"rgb({key[0]},{key[1]},0)"
+    return fill
 
 
 def _update(mesh: Mesh, color_by: ColorBy) -> SvgText:

@@ -5,7 +5,7 @@ import pytest
 import osmot.driver
 import osmot.mesh
 from conftest import hexagon_fan, regular_hexagon_mesh, square_ring, synthetic_single_ball
-from osmot.boundary import BoundaryTriple
+from osmot.boundary import BoundaryTriple, smooth_boundary_node
 from osmot.driver import (
     SmootherConfig,
     SmootherKind,
@@ -213,6 +213,57 @@ def test_boundary_pass_keeps_the_tracer_contract(monkeypatch):
     monkeypatch.setattr(osmot.driver, "smooth_boundary_node", traced)
     result = smooth(mesh, SmootherConfig(i_max=3))
     assert len(calls) == movable * result.loops_run > 0
+
+
+def flat_box():
+    return generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.0)
+
+
+def flat_box_with_one_chain_node_shifted():
+    mesh = flat_box()
+    movable = [nid for nid in mesh.chains[0].node_ids
+               if mesh.nodes[nid].mobility is Mobility.BOUNDARY]
+    nid = movable[len(movable) // 2]
+    p, q = mesh.position(nid), mesh.position(movable[len(movable) // 2 + 1])
+    mesh.set_position(nid, Point2(p.x + 0.25 * (q.x - p.x), p.y + 0.25 * (q.y - p.y)))
+    return mesh
+
+
+@pytest.mark.parametrize("build", [flat_box, flat_box_with_one_chain_node_shifted],
+                         ids=["fixpoint", "one-shifted"])
+def test_unmoved_boundary_node_counts_the_same_as_an_equal_copy(monkeypatch, build):
+    # the boundary pass skips the coordinate test when a relocation hands
+    # back the node's own Point2; an equal but distinct Point2 must give
+    # the same run: the same relocations, early exit and positions
+    def run(relocate):
+        mesh = build()
+        monkeypatch.setattr(osmot.driver, "smooth_boundary_node", relocate)
+        return smooth(mesh, SmootherConfig(i_max=5)), positions(mesh)
+
+    unmoved = []
+
+    def counted(triple):
+        new_pos = smooth_boundary_node(triple)
+        unmoved.append(new_pos is triple.p0)
+        return new_pos
+
+    def copied(triple):
+        new_pos = smooth_boundary_node(triple)
+        return Point2(new_pos.x, new_pos.y) if new_pos is triple.p0 else new_pos
+
+    expected, expected_positions = run(counted)
+    result, result_positions = run(copied)
+    assert result.relocations == expected.relocations
+    assert result.early_exit_loop == expected.early_exit_loop
+    assert result.reports == expected.reports
+    assert result_positions == expected_positions
+    assert any(unmoved)
+    if build is flat_box:
+        # every call hands back p0, so the first loop exits early
+        assert all(unmoved) and result.relocations == 0
+        assert result.early_exit_loop == 1
+    else:
+        assert not all(unmoved) and result.relocations > 0
 
 
 def test_skipped_node_reported_on_degenerate_start():

@@ -157,6 +157,28 @@ def test_report_after_each_loop_sees_the_moves_of_that_loop():
         quality_report(fresh_copy(mesh), QualityConfig(), 1.0, 1))
 
 
+@pytest.mark.parametrize("name", list(MESHES))
+@pytest.mark.parametrize("q_min, flag_q_min, any_below", [
+    (1e-9, None, False),  # the full pass
+    (0.6, None, True),  # the minimum over the below set
+    (0.6, 0.3, True),  # flag_nodes last asked another q_min
+], ids=["none-below", "some-below", "flagged-at-another-q_min"])
+def test_report_min_q2_is_the_minimum_of_every_triangle(name, q_min, flag_q_min,
+                                                        any_below):
+    mesh = MESHES[name]()
+    nid = next(n.id for n in mesh.nodes if n.id in mesh.balls)
+    for step in range(3):
+        if flag_q_min is not None:
+            flag_nodes(mesh, QualityConfig(q_min=flag_q_min))
+        report = quality_report(mesh, QualityConfig(q_min=q_min), 1.0, step)
+        q2s = mesh.quality_table().q2
+        assert report.min_q2.hex() == min(q2s).hex()
+        assert report.flagged_elements == sum(q2 < q_min for q2 in q2s)
+        assert (report.flagged_elements > 0) is any_below
+        p = mesh.position(nid)
+        mesh.set_position(nid, Point2(p.x + 0.01, p.y - 0.02))
+
+
 def test_direct_position_write_raises():
     # a node holds no position and its fields are frozen: set_position is
     # the only way to move a node, so no cache misses one

@@ -1,6 +1,10 @@
+import math
+
+import pytest
+
 from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.meshio import parse_mesh_text
-from osmot.svgout import ColorBy, mesh_to_svg, render_svg
+from osmot.svgout import ColorBy, _fill, mesh_to_svg, render_svg
 
 SINGLE = """\
 osmot-mesh v1
@@ -35,6 +39,30 @@ def test_color_none_gives_white_fills():
 def test_q2_color_scale():
     svg = mesh_to_svg(parse_mesh_text(SINGLE), ColorBy.Q2)
     assert 'fill="rgb(' in svg
+
+
+def unmemoised_fill(q2):
+    q2 = min(max(q2, 0.0), 1.0)
+    red = round(255 * (1.0 - q2))
+    green = round(255 * q2)
+    return f"rgb({red},{green},0)"
+
+
+# a dense sweep, the half-way ties of both channels, their neighbouring
+# floats, and values outside [0, 1]
+SWEEP = [k / 100_000 for k in range(100_001)]
+TIES = [(k + 0.5) / 255 for k in range(-2, 257)]
+NEAR_TIES = [math.nextafter(q2, d) for q2 in TIES for d in (-math.inf, math.inf)]
+OUTSIDE = [-math.inf, -1e300, -1.0, -0.0, -5e-324, 1.0 + 2**-52, 2.0, 1e300, math.inf]
+
+
+@pytest.mark.parametrize("values", [SWEEP, TIES, NEAR_TIES, OUTSIDE],
+                         ids=["sweep", "ties", "near-ties", "outside"])
+def test_memoised_fill_matches_the_formula(values):
+    for q2 in values:
+        assert _fill(q2) == unmemoised_fill(q2), q2
+    # a second call reads the kept string
+    assert [_fill(q2) for q2 in values] == list(map(unmemoised_fill, values))
 
 
 def test_determinism(tmp_path):
