@@ -14,6 +14,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -38,7 +39,12 @@ def loop_count(text: str) -> int:
         f"expected a non-negative integer, got {text!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. A parser and the
+    help formatters that building it makes are reference cycles, so a
+    parser built per call of ``main`` would leave garbage that only the
+    cyclic collector frees, and loads run with it paused."""
     parser = argparse.ArgumentParser(
         prog="osmot",
         description="Optimization-based smoothing of planar triangle meshes",

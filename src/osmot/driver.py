@@ -136,8 +136,8 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
         for prev_id, nid, next_id in chain_triples:
             old = positions[nid]
             try:
-                new_pos = smooth_boundary_node(BoundaryTriple(
-                    positions[prev_id], old, positions[next_id]))
+                new_pos = smooth_boundary_node(tuple.__new__(BoundaryTriple, (
+                    positions[prev_id], old, positions[next_id])))
             except CoincidentNeighborsError:
                 skipped.append((nid, "coincident-neighbors"))
                 continue

@@ -2,20 +2,25 @@
 
 All functions are pure functions of vertex coordinates. Nothing here caches
 by node identity; the optimizer re-evaluates at every trial position.
+
+``Point2`` is a ``typing.NamedTuple``, the tuple (x, y): a hot loop may
+unpack it (``x, y = p``), and code that builds points in bulk or per
+trial packs them with ``tuple.__new__(Point2, (x, y))``, which skips the
+named-field constructor's Python-level call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Relative degeneracy threshold: a triangle is degenerate when its absolute
 # area is at most DEGENERATE_AREA_FACTOR * (longest edge)^2.
 DEGENERATE_AREA_FACTOR = 1e-14
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
+class Point2(NamedTuple):
     """A point in the plane. Coordinates must be finite."""
 
     x: float

@@ -17,6 +17,11 @@ stars are kept as ``Mesh.stars``, the mesh's one node-to-triangle
 incidence, and the ball of an internal node wraps its star. Each ``Node``
 is built once, after the chains, with its chain id.
 
+``Triangle`` and ``Ball``, like ``Point2``, are ``typing.NamedTuple``
+records: a load builds thousands of them, and packs each with
+``tuple.__new__``. A ``Node`` stays a frozen dataclass, so that a
+direct write of its fields raises ``FrozenInstanceError``.
+
 Per-triangle quality lives in one ``QualityTable`` per mesh, built on
 first use. The text of the last mesh-file write and SVG render is kept on
 the mesh as well (see ``meshio`` and ``svgout``). A ``Node`` is topology
@@ -41,7 +46,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import hypot, inf, nan
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import DEGENERATE_AREA_FACTOR, Point2
 from .quality import QualityConfig
@@ -114,14 +119,12 @@ class Node:
     chain_id: int | None = None  # set for BOUNDARY nodes by build_topology
 
 
-@dataclass(frozen=True, slots=True)
-class Triangle:
+class Triangle(NamedTuple):
     id: int
     nodes: tuple[int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Ball:
+class Ball(NamedTuple):
     """All triangles sharing a vertex node.
 
     ``elements`` holds one (triangle id, n1, n2) triple per triangle, in
@@ -208,8 +211,9 @@ class QualityTable:
         below, q_min = self._below, self._q_min
         for tid in tids:
             n0, n1, n2 = triangles[tid].nodes
-            p0, p1, p2 = positions[n0], positions[n1], positions[n2]
-            x0, y0, x1, y1, x2, y2 = p0.x, p0.y, p1.x, p1.y, p2.x, p2.y
+            x0, y0 = positions[n0]
+            x1, y1 = positions[n1]
+            x2, y2 = positions[n2]
             a = hypot(x1 - x0, y1 - y0)
             b = hypot(x2 - x1, y2 - y1)
             c = hypot(x0 - x2, y0 - y2)
@@ -332,37 +336,37 @@ def build_topology(
     reverse: list[int] = []
     add_edge = edges.add
     stars: list[list[tuple[int, int, int]]] = [[] for _ in range(n_nodes)]
-    for i, tri in enumerate(triangles):
-        if tri.id != i:
-            raise MeshError(f"triangle ids must be dense 0..M-1, found {tri.id} at {i}")
-        a, b, c = tri.nodes
+    for i, (tid, tri_nodes) in enumerate(triangles):
+        if tid != i:
+            raise MeshError(f"triangle ids must be dense 0..M-1, found {tid} at {i}")
+        a, b, c = tri_nodes
         if a == b or b == c or c == a:
-            raise MeshError(f"triangle {tri.id} has repeated nodes {tri.nodes}",
-                            triangle_id=tri.id)
+            raise MeshError(f"triangle {tid} has repeated nodes {tri_nodes}",
+                            triangle_id=tid)
         if not (0 <= a < n_nodes and 0 <= b < n_nodes and 0 <= c < n_nodes):
-            nid = next(nid for nid in tri.nodes if not 0 <= nid < n_nodes)
-            raise MeshError(f"triangle {tri.id} references unknown node {nid}",
-                            triangle_id=tri.id)
+            nid = next(nid for nid in tri_nodes if not 0 <= nid < n_nodes)
+            raise MeshError(f"triangle {tid} references unknown node {nid}",
+                            triangle_id=tid)
         xa, ya = xs[a], ys[a]
         # signed_area's expression, so InvertedElementError prints its float
         area = 0.5 * ((xs[b] - xa) * (ys[c] - ya) - (xs[c] - xa) * (ys[b] - ya))
         if area <= 0.0:
-            raise InvertedElementError(tri.id, area)
+            raise InvertedElementError(tid, area)
         an, bn, cn = a * n_nodes, b * n_nodes, c * n_nodes
         ab, bc, ca = an + b, bn + c, cn + a
         if ab in edges or bc in edges or ca in edges:
             key = next(key for key in (ab, bc, ca) if key in edges)
             raise NonManifoldError(
                 f"directed edge {divmod(key, n_nodes)} belongs to more than one triangle",
-                triangle_id=tri.id,
+                triangle_id=tid,
             )
         add_edge(ab)
         add_edge(bc)
         add_edge(ca)
         reverse += (bn + a, cn + b, an + c)
-        stars[a].append((tri.id, b, c))
-        stars[b].append((tri.id, c, a))
-        stars[c].append((tri.id, a, b))
+        stars[a].append((tid, b, c))
+        stars[b].append((tid, c, a))
+        stars[c].append((tid, a, b))
 
     # Removing every reversed key leaves the boundary edges. Ascending keys
     # visit them by start node, so of several pinched nodes (two outgoing
@@ -414,7 +418,7 @@ def build_topology(
         if winding != 1:
             raise TangledBallError(nid, winding)
         if mob is Mobility.INTERNAL:
-            balls[nid] = Ball(vertex=nid, elements=star)
+            balls[nid] = tuple.__new__(Ball, (nid, star))
 
     chains = _build_chains(mobility, boundary_next)
     chain_of = {nid: chain.chain_id for chain in chains for nid in chain.node_ids

@@ -15,8 +15,12 @@ Coordinates are written with 17 significant digits so that writing and
 re-reading a mesh reproduces the exact same doubles. Reading takes each
 section as one slice of the significant lines, validates the mesh
 (orientation, manifoldness, mobility consistency, balls that wind once)
-and reports the offending file line where one can be attributed. The
-positions list read is the mesh's own (``Mesh._positions``).
+and reports the offending file line where one can be attributed; a
+file that ends early names the line after its last line. The positions
+list read is the mesh's own (``Mesh._positions``). Each position and
+triangle is packed with ``tuple.__new__`` (both are
+``typing.NamedTuple``), and the whole load runs with the cyclic garbage
+collector paused (see ``parse_mesh_text``).
 
 Writing keeps the formatted text on the mesh (``Mesh._file_text``): one
 line per node, and the whole triangles section, which never changes
@@ -32,6 +36,7 @@ plain dict that callers may edit.
 
 from __future__ import annotations
 
+import gc
 import math
 from itertools import islice
 
@@ -95,14 +100,38 @@ def _count(line_no: int, line: str, keyword: str) -> int:
     return count
 
 
+def _end_of_file(text: str, expect: str) -> ParseError:
+    """The error of a file that ends early: it names the line after the
+    file's last line."""
+    return ParseError(len(text.splitlines()) + 1,
+                      f"unexpected end of file, expected {expect}")
+
+
 def parse_mesh_text(text: str) -> Mesh:
+    """The validated mesh of an osmot-mesh v1 text.
+
+    The load runs with the cyclic garbage collector paused, and puts back
+    the state it found: it builds only acyclic containers (points,
+    triangles, star tuples, balls and nodes), so no collection during it
+    could free anything.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str) -> Mesh:
     lines = _significant_lines(text)
 
     def next_line(expect: str) -> tuple[int, str]:
         try:
             return next(lines)
         except StopIteration:
-            raise ParseError(0, f"unexpected end of file, expected {expect}") from None
+            raise _end_of_file(text, expect) from None
 
     line_no, line = next_line("header")
     if line != HEADER:
@@ -126,9 +155,11 @@ def parse_mesh_text(text: str) -> Mesh:
         if nid != expected:
             raise ParseError(line_no, f"node ids must be dense, expected {expected}")
         mobility.append(mob)
-        positions.append(Point2(x, y))
+        # tuple.__new__ packs the record without the named-field
+        # constructor's Python-level call, as namedtuple's _make does
+        positions.append(tuple.__new__(Point2, (x, y)))
     if len(positions) < n_nodes:
-        raise ParseError(0, "unexpected end of file, expected a node line")
+        raise _end_of_file(text, "a node line")
 
     n_triangles = _count(*next_line("'triangles <count>'"), "triangles")
     triangles: list[Triangle] = []
@@ -142,9 +173,9 @@ def parse_mesh_text(text: str) -> Mesh:
             raise ParseError(line_no, f"bad triangle fields in {line!r}") from None
         if tid != expected:
             raise ParseError(line_no, f"triangle ids must be dense, expected {expected}")
-        triangles.append(Triangle(tid, (a, b, c)))
+        triangles.append(tuple.__new__(Triangle, (tid, (a, b, c))))
     if len(triangles) < n_triangles:
-        raise ParseError(0, "unexpected end of file, expected a triangle line")
+        raise _end_of_file(text, "a triangle line")
 
     rref: dict[int, float] = {}
     trailing = list(lines)

@@ -36,8 +36,9 @@ every ``IterationRecord`` are taken from those locals; the direction
 and the stall threshold once per iterate. The kernel is looked up as
 this module's ``ball_grad_hess`` and called with four positional
 arguments, the third a ``Point2`` of the start or of the trial, so a
-caller can wrap it to count calls and elements; the ``Point2`` each
-kernel call still makes is kept for that caller.
+caller can wrap it to count calls and elements. The trial's ``Point2``
+is kept for that caller; it is a tuple packed with ``tuple.__new__``, as
+each ``IterationRecord`` is, and becomes the iterate when accepted.
 
 Before a trial is evaluated, the solve ends as ``stalled`` once its
 predicted decrease 0.5 lambda |grad.d| is at most ``STALL_ULPS`` (4) ulps
@@ -209,7 +210,7 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams
     except DegenerateElementError as err:
         raise DegenerateStartError(ball.vertex, err.triangle_id) from None
 
-    px, py = x.x, x.y
+    px, py = x
     grad_norm = math.hypot(gx, gy)
     new_iterate = True
     lam = 1.0
@@ -236,7 +237,7 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams
         if tx == px and ty == py:
             stop_reason = "rounded"
             break
-        trial = Point2(tx, ty)
+        trial = tuple.__new__(Point2, (tx, ty))
         try:
             trial_gh = ball_grad_hess(mesh, frame, trial, params)
             accepted = armijo_accept(w, trial_gh[0], lam, grad_dot_d, steepest)

@@ -24,10 +24,12 @@ smoother stable on non-convex configurations.
 Everything about an element that does not depend on the moving vertex
 (its neighbour coordinates, the opposite edge b, its reference radius
 and the constant area gradient) is frozen once per Newton solve into a
-``BallFrame`` by ``freeze_ball``. ``ball_grad_hess`` takes a frame and
-runs the one kernel loop over its elements; ``element_grad_hess`` runs
-it over a one-element frame. Both return the loop's six floats (w, wx,
-wy, wxx, wxy, wyy) as a plain tuple.
+``BallFrame`` by ``freeze_ball``, a ``typing.NamedTuple`` packed with
+``tuple.__new__``; points are unpacked (``x, y = p``) where they are
+read. ``ball_grad_hess`` takes a frame and runs the one kernel loop over
+its elements; ``element_grad_hess`` runs it over a one-element frame.
+Both return the loop's six floats (w, wx, wy, wxx, wxy, wyy) as a plain
+tuple.
 
 The loop raises DegenerateElementError at the barrier and
 ObjectiveOverflowError, a ValueError, when a w overflows a float (one
@@ -46,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import hypot, inf
+from typing import NamedTuple
 
 from .geometry import DEGENERATE_AREA_FACTOR, Point2
 from .mesh import Ball, Mesh
@@ -92,8 +95,7 @@ FrameElement = tuple[int | None, float, float, float, float, float, float,
                      float, float]
 
 
-@dataclass(frozen=True, slots=True)
-class BallFrame:
+class BallFrame(NamedTuple):
     """A ball's neighbour geometry, frozen for one Newton solve.
 
     ``elements`` holds one ``FrameElement`` per element of the ball, in
@@ -119,11 +121,10 @@ def freeze_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams) -> BallFrame:
     r_ref = params.r_ref
     elements = []
     for tid, n1, n2 in ball.elements:
-        p1 = positions[n1]
-        p2 = positions[n2]
-        elements.append(_frame_element(tid, p1.x, p1.y, p2.x, p2.y,
-                                       rref.get(tid, r_ref)))
-    return BallFrame(ball.vertex, tuple(elements))
+        x1, y1 = positions[n1]
+        x2, y2 = positions[n2]
+        elements.append(_frame_element(tid, x1, y1, x2, y2, rref.get(tid, r_ref)))
+    return tuple.__new__(BallFrame, (ball.vertex, tuple(elements)))
 
 
 def _frame_grad_hess(px: float, py: float, elements: tuple[FrameElement, ...],
@@ -238,5 +239,5 @@ def ball_grad_hess(mesh: Mesh, frame: BallFrame, x0: Point2,
                    params: ObjectiveParams) -> Derivatives:
     """Component-wise sums of the element derivatives over a frame with
     the vertex at x0."""
-    return _frame_grad_hess(x0.x, x0.y, frame.elements, params.beta,
-                            params.gamma)
+    px, py = x0
+    return _frame_grad_hess(px, py, frame.elements, params.beta, params.gamma)

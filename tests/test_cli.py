@@ -1,3 +1,4 @@
+import gc
 from xml.etree import ElementTree
 
 import pytest
@@ -67,6 +68,16 @@ def test_check_invalid_mesh_exit_1(tmp_path, capsys):
     assert run(["check", "--input", str(bad)]) == 1
     captured = capsys.readouterr()
     assert "triangle 0" in captured.err
+
+
+def test_truncated_file_names_the_line_after_the_last(tmp_path, capsys):
+    # a file that ends early has no line at fault; the error names the
+    # line where the missing one would start
+    short = tmp_path / "short.mesh"
+    short.write_text("osmot-mesh v1\nnodes 2\n0 0 0 F\n")
+    assert run(["check", "--input", str(short)]) == 1
+    err = capsys.readouterr().err
+    assert "line 4: unexpected end of file, expected a node line" in err
 
 
 def test_missing_file_exit_1(tmp_path):
@@ -233,3 +244,24 @@ def test_smooth_defaults_come_from_smoother_config():
             args.smoother) == (
         cfg.i_max, cfg.quality.q_min, cfg.objective.beta, cfg.objective.gamma,
         cfg.objective.r_ref, cfg.smoother_kind.value)
+
+
+@pytest.mark.parametrize("command", ["check", "smooth"])
+def test_repeated_main_leaves_no_cyclic_garbage(tmp_path, command):
+    # the parser is built once per process: a parser built per call is a
+    # web of reference cycles that only the cyclic collector frees
+    mesh = tmp_path / "patch.mesh"
+    argv = [command, "--input", str(mesh)]
+    if command == "smooth":
+        argv += ["--output", str(tmp_path / "out.mesh"), "--max-loops", "1"]
+    assert run(["gen", "--kind", "patch32", "--output", str(mesh)]) == 0
+    assert run(argv) == 0
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from osmot.boundary import BoundaryTriple
 from osmot.fixtures import FixtureKind, freeze_boundary, generate_fixture
 from osmot.geometry import Point2, signed_area
 from osmot.mesh import (
+    Ball,
     InconsistentMobilityError,
     InvertedElementError,
     MeshError,
@@ -19,6 +21,7 @@ from osmot.mesh import (
     flag_nodes,
 )
 from osmot.meshio import ValidationError, mesh_to_text, parse_mesh_text
+from osmot.objective import BallFrame
 from osmot.quality import QualityConfig
 
 from conftest import hand_written_text, hexagon_fan, square_ring, wound_fan
@@ -374,3 +377,30 @@ def test_meshes_differing_in_one_coordinate_are_unequal():
     other.set_position(6, Point2(p.x, math.nextafter(p.y, math.inf)))
     assert mesh != other
     assert mesh.connectivity_key() == other.connectivity_key()
+
+
+RECORDS = [
+    (Point2, ("x", "y"), (1.5, -2.0)),
+    (Triangle, ("id", "nodes"), (3, (0, 1, 2))),
+    (Ball, ("vertex", "elements"), (0, ((0, 1, 2), (4, 2, 3)))),
+    (BallFrame, ("vertex", "elements"),
+     (0, ((0, 1.0, 0.0, 0.0, 1.0, 1.4, 1.0, 0.5, 0.5),))),
+    (BoundaryTriple, ("p1", "p0", "p2"),
+     (Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(2.0, 0.5))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_fields_keep_their_order_and_are_read_only(cls, fields, values):
+    # the records are tuples in field order, built by name or packed with
+    # tuple.__new__ at the hot sites; neither can be written to
+    assert cls._fields == fields
+    for record in (cls(*values), cls(**dict(zip(fields, values))),
+                   tuple.__new__(cls, values)):
+        assert type(record) is cls
+        assert tuple(record) == values
+        for name, value in zip(fields, values):
+            assert getattr(record, name) is value
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)

@@ -1,8 +1,10 @@
+import gc
+
 import pytest
 
 from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.geometry import Point2
-from osmot.mesh import Mesh, Mobility, Node, Triangle
+from osmot.mesh import Ball, Mesh, Mobility, Node, Triangle
 from osmot.meshio import (
     ParseError,
     ValidationError,
@@ -82,8 +84,13 @@ def test_bad_mobility_token():
 
 
 def test_truncated_file():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_mesh_text("osmot-mesh v1\nnodes 2\n0 0 0 F\n")
+    assert err.value.line_no == 4
+    # without a final newline, and with a comment as the last line
+    with pytest.raises(ParseError) as err:
+        parse_mesh_text("osmot-mesh v1\nnodes 2\n0 0 0 F\n1 1 0 F\n# end")
+    assert err.value.line_no == 6
 
 
 def test_unknown_node_reference_is_validation_error():
@@ -156,3 +163,71 @@ def test_hand_made_boundary_nodes_roundtrip():
            [(positions[n.id], n.mobility) for n in nodes]
     assert [t.nodes for t in back.triangles] == [t.nodes for t in triangles]
     assert len(back.chains) == 1 and list(back.balls) == [0]
+
+
+@pytest.fixture
+def restore_gc():
+    enabled = gc.isenabled()
+    threshold = gc.get_threshold()
+    yield
+    gc.set_threshold(*threshold)
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("text, error", [
+    (SINGLE, None),
+    ("osmot-mesh v1\nnodes 2\n0 0 0 F\n", ParseError),
+    (SINGLE.replace("0 0 1 2", "0 0 2 1"), ValidationError),
+], ids=["valid", "parse-error", "validation-error"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_load_puts_back_the_collector_state(tmp_path, restore_gc, text, error,
+                                            enabled):
+    # a load pauses the cyclic collector and leaves it as it found it,
+    # whether the load returns or raises
+    path = tmp_path / "mesh.mesh"
+    path.write_text(text)
+    (gc.enable if enabled else gc.disable)()
+    for load, arg in ((parse_mesh_text, text), (read_mesh, str(path))):
+        if error is None:
+            load(arg)
+        else:
+            with pytest.raises(error):
+                load(arg)
+        assert gc.isenabled() is enabled
+
+
+def test_no_collection_starts_during_a_load(restore_gc):
+    text = mesh_to_text(generate_fixture(FixtureKind.INDENTED_BOX, 0, 0.6))
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    # with a threshold of 1, every new container would start a collection
+    gc.set_threshold(1)
+    gc.callbacks.append(on_gc)
+    try:
+        before = len(starts)
+        mesh = parse_mesh_text(text)
+        # len() allocates no container, so it starts no collection
+        during = len(starts) - before
+        # instances of a new class come from no free list, so each one
+        # counts towards the threshold
+        probe = [type("Probe", (), {})() for _ in range(10)]
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert mesh.triangles and mesh.balls
+    assert during == 0
+    # the same probe outside a load sees collections start
+    assert probe and len(starts) > before
+
+
+def test_read_mesh_builds_exact_record_types(tmp_path):
+    path = tmp_path / "box.mesh"
+    write_mesh(generate_fixture(FixtureKind.INDENTED_BOX, 0, 0.6), str(path))
+    mesh = read_mesh(str(path))
+    assert mesh._positions and all(type(p) is Point2 for p in mesh._positions)
+    assert mesh.triangles and all(type(t) is Triangle for t in mesh.triangles)
+    assert mesh.balls and all(type(b) is Ball for b in mesh.balls.values())
