@@ -4,6 +4,7 @@ from .boundary import (
     BoundaryTriple,
     CoincidentNeighborsError,
     boundary_quality,
+    guard_boundary_move,
     shape_functions,
     smooth_boundary_node,
 )

@@ -7,6 +7,16 @@ gives the natural coordinate that equalizes them; evaluating the curve
 there is the new node position. The node is already optimal (and returned
 bit-exactly) when the two distances are equal.
 
+The curve knows nothing of the triangles around the node, so a proposed
+move can squeeze or invert one of them. ``guard_boundary_move`` keeps
+the smoother's promise that a move never leaves the mesh worse: it halves
+the natural coordinate, up to ``GUARD_HALVINGS`` (12) times, until every
+triangle of the node's star has a signed area above its degeneracy
+threshold and the star's minimum radius ratio q2 is not below its value
+at the old position (``star_min_q2``). If no coordinate passes, the node
+stays. The driver runs the guard after ``smooth_boundary_node``, and only
+for a node that moved.
+
 ``BoundaryTriple`` is a ``typing.NamedTuple`` of three ``Point2``, which
 the driver packs with ``tuple.__new__`` for every node of every loop;
 the functions here unpack it and its points once.
@@ -18,6 +28,11 @@ import math
 from typing import NamedTuple
 
 from .geometry import Point2
+from .mesh import star_min_q2
+
+# the natural coordinate of a guarded boundary move is halved at most this
+# many times before the node stays where it is
+GUARD_HALVINGS = 12
 
 
 class CoincidentNeighborsError(Exception):
@@ -52,19 +67,69 @@ def _distances(x1: float, y1: float, x0: float, y0: float, x2: float,
     return math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0)
 
 
-def smooth_boundary_node(triple: BoundaryTriple) -> Point2:
-    """New position of the middle node that equalizes neighbor distances."""
-    (x1, y1), p0, (x2, y2) = triple
-    x0, y0 = p0
+def natural_coordinate(x1: float, y1: float, x0: float, y0: float,
+                       x2: float, y2: float) -> float:
+    """The coordinate xi in [-1, 1] that equalizes the distances from the
+    node (x0, y0) to its neighbors (x1, y1) and (x2, y2)."""
     d1, d2 = _distances(x1, y1, x0, y0, x2, y2)
     scale = max(abs(x0), abs(y0), abs(x1), abs(y1), abs(x2), abs(y2), 1.0)
     if d1 + d2 <= 1e-14 * scale:
         raise CoincidentNeighborsError("boundary triple has coincident points")
-    xi = (d2 - d1) / (d1 + d2)
+    return (d2 - d1) / (d1 + d2)
+
+
+def curve_point(x1: float, y1: float, x0: float, y0: float, x2: float,
+                y2: float, xi: float) -> Point2:
+    """The point at xi of the quadratic through the neighbors (at -1 and
+    +1) and the node (at 0)."""
+    n0, n1, n2 = shape_functions(xi)
+    return tuple.__new__(Point2, (n0 * x0 + n1 * x1 + n2 * x2,
+                                  n0 * y0 + n1 * y1 + n2 * y2))
+
+
+def smooth_boundary_node(triple: BoundaryTriple) -> Point2:
+    """New position of the middle node that equalizes neighbor distances."""
+    (x1, y1), p0, (x2, y2) = triple
+    x0, y0 = p0
+    xi = natural_coordinate(x1, y1, x0, y0, x2, y2)
     if xi == 0.0:
         return p0
-    n0, n1, n2 = shape_functions(xi)
-    return Point2(n0 * x0 + n1 * x1 + n2 * x2, n0 * y0 + n1 * y1 + n2 * y2)
+    return curve_point(x1, y1, x0, y0, x2, y2, xi)
+
+
+def guard_boundary_move(triple: BoundaryTriple, new_pos: Point2,
+                        positions: list[Point2],
+                        star: tuple[tuple[int, int, int], ...]) -> Point2:
+    """The first of ``new_pos`` (the move ``smooth_boundary_node`` proposes
+    for ``triple``) and the curve points at xi/2, xi/4, ..., xi/2^12 at
+    which no triangle of the node's ``star`` is at or below its degeneracy
+    area and the star's min q2 is not below its value at the old position
+    ``triple.p0``; ``triple.p0`` itself when none is.
+
+    ``positions`` holds the node's old position and its neighbors'. A
+    triangle scores q2 = 0 exactly when its signed area is at or below
+    its degeneracy threshold, so a point passes when its min q2 is
+    positive and at least the old one.
+    """
+    (x1, y1), p0, (x2, y2) = triple
+    x0, y0 = p0
+    q_old = star_min_q2(positions, star, x0, y0)
+    x, y = new_pos
+    q = star_min_q2(positions, star, x, y)
+    if q > 0.0 and q >= q_old:
+        return new_pos
+    xi = natural_coordinate(x1, y1, x0, y0, x2, y2)
+    for _ in range(GUARD_HALVINGS):
+        xi *= 0.5
+        candidate = curve_point(x1, y1, x0, y0, x2, y2, xi)
+        if candidate == p0:
+            # the move is below the coordinates' rounding: the node stays
+            break
+        x, y = candidate
+        q = star_min_q2(positions, star, x, y)
+        if q > 0.0 and q >= q_old:
+            return candidate
+    return p0
 
 
 def boundary_quality(triple: BoundaryTriple) -> float:

@@ -17,6 +17,16 @@ hand-assembled mesh whose nodes carry no chain id smooths too. A boundary
 node whose neighbours are already equidistant gets its own ``Point2``
 back from ``smooth_boundary_node``, so the pass tests identity before it
 compares coordinates.
+
+A boundary node that moved is guarded (``guard_boundary_move``): its
+move is shortened along the curve until no triangle of its star
+(``Mesh.stars``) is degenerate or inverted and the star's minimum q2 is
+not below its value before the move, or refused. So no boundary move
+lowers the least quality of the triangles it touches, as no Newton
+solve raises its ball's objective.
+The pass calls ``smooth_boundary_node`` once per node with one positional
+``BoundaryTriple``, and the guard after it reads the positions list and
+the node's star as they are.
 """
 
 from __future__ import annotations
@@ -26,7 +36,12 @@ import time
 from dataclasses import dataclass, field
 from typing import get_args
 
-from .boundary import BoundaryTriple, CoincidentNeighborsError, smooth_boundary_node
+from .boundary import (
+    BoundaryTriple,
+    CoincidentNeighborsError,
+    guard_boundary_move,
+    smooth_boundary_node,
+)
 from .geometry import Point2
 # boundary_neighbors is not called here, since the boundary pass walks each
 # chain once, but stays a name of this module: the benchmark tracer wraps
@@ -124,6 +139,7 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     stop_reasons = dict.fromkeys(get_args(StopReason), 0)
     chain_triples = _boundary_triples(mesh)
     positions = mesh._positions
+    stars = mesh.stars
 
     for loop in range(1, cfg.i_max + 1):
         if loop == 1 or cfg.reflag_each_loop:
@@ -135,14 +151,18 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
 
         for prev_id, nid, next_id in chain_triples:
             old = positions[nid]
+            triple = tuple.__new__(BoundaryTriple, (
+                positions[prev_id], old, positions[next_id]))
             try:
-                new_pos = smooth_boundary_node(tuple.__new__(BoundaryTriple, (
-                    positions[prev_id], old, positions[next_id])))
+                new_pos = smooth_boundary_node(triple)
             except CoincidentNeighborsError:
                 skipped.append((nid, "coincident-neighbors"))
                 continue
             # a node already at its place comes back as the same object
-            if new_pos is not old and new_pos != old:
+            if new_pos is old or new_pos == old:
+                continue
+            new_pos = guard_boundary_move(triple, new_pos, positions, stars[nid])
+            if new_pos is not old:
                 mesh.set_position(nid, new_pos)
                 moved = True
                 relocations += 1

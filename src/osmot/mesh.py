@@ -14,8 +14,10 @@ star of each of its nodes. Then the nodes once: each star becomes a tuple
 and is checked for an orphan, against the node's mobility label and, off
 the boundary, for winding once around its node by ray crossings. The
 stars are kept as ``Mesh.stars``, the mesh's one node-to-triangle
-incidence, and the ball of an internal node wraps its star. Each ``Node``
-is built once, after the chains, with its chain id.
+incidence, and the ball of an internal node wraps its star;
+``star_min_q2`` scores a star with its node at a trial position, for the
+guard on boundary moves. Each ``Node`` is built once, after the chains,
+with its chain id.
 
 ``Triangle`` and ``Ball``, like ``Point2``, are ``typing.NamedTuple``
 records: a load builds thousands of them, and packs each with
@@ -152,9 +154,10 @@ class BoundaryChain:
 class QualityTable:
     """Flat per-triangle quality values, indexed by triangle id.
 
-    ``q2`` is the radius ratio (``q2_shape``); ``circumradius`` is
-    ``size_radius`` (R, or +inf where ``q1_size`` scores the triangle 0),
-    so that r_ref / R is its size quality for any positive r_ref;
+    ``q2`` is the radius ratio (``q2_shape``), 0 for an inverted triangle;
+    ``circumradius`` is ``size_radius`` (R, or +inf where ``q1_size``
+    scores the triangle 0), so that r_ref / R is its size quality for any
+    positive r_ref;
     ``inverted`` is 1 where the signed area is not positive. ``q2`` and
     ``circumradius`` are lists of floats, which the report's min, mean and
     max passes read without boxing; ``inverted`` is a ``bytearray``, which
@@ -229,6 +232,9 @@ class QualityTable:
                 big_r = a * b * c / (4.0 * area_abs)
                 if big_r == 0.0:
                     q2, big_r = 0.0, inf
+                elif area <= 0.0:
+                    # an inverted triangle is the worst there is
+                    q2 = 0.0
                 else:
                     q2 = 2.0 * (area_abs / (0.5 * (a + b + c))) / big_r
             q2s[tid] = q2
@@ -302,6 +308,37 @@ class Mesh:
             tuple((c.chain_id, c.node_ids, c.closed) for c in self.chains),
             tuple(self.nodes),
         )
+
+
+def star_min_q2(positions: list[Point2],
+                star: tuple[tuple[int, int, int], ...],
+                px: float, py: float) -> float:
+    """The least radius ratio q2 over the (triangle id, n1, n2) triples of
+    a node's star, with the node at (px, py) and n1, n2 at ``positions``.
+
+    Each triangle is evaluated in the order (node, n1, n2) with the float
+    operations of ``triangle_geometry`` and ``q2_shape``. A triangle whose
+    signed area is at or below its degeneracy threshold scores 0, so the
+    result is positive exactly when no triangle of the star is degenerate
+    or inverted.
+    """
+    least = inf
+    for _tid, n1, n2 in star:
+        x1, y1 = positions[n1]
+        x2, y2 = positions[n2]
+        a = hypot(x1 - px, y1 - py)
+        b = hypot(x2 - x1, y2 - y1)
+        c = hypot(px - x2, py - y2)
+        area = 0.5 * ((x1 - px) * (y2 - py) - (x2 - px) * (y1 - py))
+        m = a if a > b else b
+        if c > m:
+            m = c
+        if area <= DEGENERATE_AREA_FACTOR * m * m:
+            return 0.0
+        q2 = 2.0 * (area / (0.5 * (a + b + c))) / (a * b * c / (4.0 * area))
+        if q2 < least:
+            least = q2
+    return least
 
 
 def build_topology(

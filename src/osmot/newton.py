@@ -4,27 +4,43 @@ The ball gradient and Hessian belong to the iterate. Every point the
 solve scores, the start and each trial, is evaluated once by
 ``ball_grad_hess``, and an accepted trial's derivatives become the
 iterate's without a second evaluation. Each iteration checks the
-gradient-norm termination test, picks a descent direction (Newton, or
-steepest descent when the Hessian determinant or the angle criterion
-disqualifies it), and runs one Armijo test on the value at the trial
-point: accept the trial point and keep the step size, or keep the point
-and bisect the step size. A trial past the barrier, or one whose w
-overflows, is rejected like a trial whose value is +inf; at the start
-the same conditions raise (see ``optimize_ball``). The step size
-persists across iterations; it is never reset or enlarged. The direction
-depends only on the iterate, so it is chosen once per iterate and reused
-by the trials that follow a rejection.
+gradient-norm termination test, picks a descent direction, and runs
+one Armijo test on the value at the trial point: accept the trial point
+and keep the step size, or keep the point and bisect the step size. A
+trial past the barrier, or one whose w overflows, is rejected like a
+trial whose value is +inf; at the start the same conditions raise (see
+``optimize_ball``). The step size persists across iterations; it is
+never reset or enlarged. The direction depends only on the iterate, so
+it is chosen once per iterate and reused by the trials that follow a
+rejection.
+
+The direction is d = -(H + tau I)^-1 grad, a Levenberg-style shift of
+the Hessian (Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
+section 3.4). With lambda_min and lambda_max the eigenvalues of H,
+tau = max(0, kappa max(|lambda_max|, |lambda_min|) - lambda_min) and
+kappa = ``KAPPA`` (1e-2): a Hessian whose eigenvalues are positive and
+within a factor 1/kappa of each other is not shifted, and the pure
+Newton step is kept; any other is shifted until its smallest eigenvalue
+is kappa times its largest magnitude, so the shifted matrix is positive
+definite with a condition number of at most (2 + kappa)/kappa (about
+201). The step stays scaled to the ball wherever H is indefinite or ill
+conditioned, so neither a step that overshoots into the barrier nor an
+unscaled -grad has to be bisected many times. Where its largest
+eigenvalue magnitude is far from 1, the 2x2 solve scales the shifted
+matrix by a power of two near its inverse, which is exact, so no
+determinant overflows or underflows and the direction does not depend on
+the scale of w (a uniform r_ref multiplies w, grad and H alike). Only a Hessian that is zero or not finite, or whose shifted
+determinant is not positive, falls back to d = -grad.
+``IterationRecord.steepest`` marks a step whose direction is not the
+pure Newton one: tau > 0 or the fallback.
 
 The Armijo test accepts a trial when w_new - w_old <= c1 lambda grad.d,
-and c1 depends on the direction (Nocedal & Wright, *Numerical
-Optimization*, 2nd ed., sections 3.1 and 3.5). A Newton direction uses
-``ARMIJO_NEWTON`` (1e-4): on a quadratic model the full Newton step
-decreases w by exactly 0.5 grad.d, so a factor of one half would reject
-lambda = 1 whenever cubic terms or rounding take a little of that, and
-since lambda never grows back, the rest of the solve would converge only
-linearly. The steepest-descent fallback keeps ``ARMIJO_STEEPEST`` (0.5):
-its direction -grad is not scaled to the ball, and near the barrier a
-full-length step accepted on a token decrease moves the node too far.
+with the one factor c1 = ``ARMIJO_C1`` (1e-4) for every direction
+(Nocedal & Wright, sections 3.1 and 3.5): on a quadratic model the full
+Newton step decreases w by exactly 0.5 grad.d, so a factor of one half
+would reject lambda = 1 whenever cubic terms or rounding take a little
+of that, and since lambda never grows back, the rest of the solve would
+converge only linearly.
 
 The ball's neighbour geometry is frozen once per solve into a
 ``BallFrame`` (see ``objective``), and every kernel call of the solve
@@ -42,13 +58,13 @@ each ``IterationRecord`` is, and becomes the iterate when accepted.
 
 Before a trial is evaluated, the solve ends as ``stalled`` once its
 predicted decrease 0.5 lambda |grad.d| is at most ``STALL_ULPS`` (4) ulps
-of the iterate's value w, whatever the direction's Armijo factor. This is
-the Newton-decrement stop of Boyd & Vandenberghe, *Convex Optimization*
-section 9.5: both values that Armijo compares are rounded, so a decrease
-of a few ulps can be neither met reliably nor told apart from rounding
-error, and each bisection halves it again. The returned iterate is still
-the last accepted one, so the ball objective is never above its starting
-value, and ``converged`` still means the gradient norm fell below ``EPS``.
+of the iterate's value w. This is the Newton-decrement stop of Boyd &
+Vandenberghe, *Convex Optimization* section 9.5: both values that
+Armijo compares are rounded, so a decrease of a few ulps can be neither
+met reliably nor told apart from rounding error, and each bisection
+halves it again. The returned iterate is still the last accepted one, so
+the ball objective is never above its starting value, and ``converged``
+still means the gradient norm fell below ``EPS``.
 
 A trial point that rounds back onto the iterate (x + lambda d == x in
 both coordinates) ends the solve before its objective is evaluated: the
@@ -67,9 +83,9 @@ decrease is below what w can resolve), ``rounded`` (the trial step
 rounds back onto the iterate), ``step_floor`` (the step size fell below
 ``LAMBDA_MIN``) or ``j_max`` (the iteration cap: ``J_MAX`` + 1 Armijo
 trials). On hitting either bound the current (best) iterate is returned.
-The tolerance ``EPS`` (1e-8), both bounds, the direction tests ``DELTA``
-and ``ETA``, ``STALL_ULPS`` and the Armijo factors are module constants,
-not configuration.
+The tolerance ``EPS`` (1e-8), both bounds, the shift factor ``KAPPA``,
+``STALL_ULPS`` and the Armijo factor are module constants, not
+configuration.
 """
 
 from __future__ import annotations
@@ -113,6 +129,9 @@ class IterationRecord(NamedTuple):
     grad_dot_dir: float
     step_size: float
     accepted: bool
+    # the direction is not the pure Newton one: the Hessian was shifted
+    # (tau > 0) or replaced by the identity (d = -grad); the name is the
+    # benchmark's newton.steepest_frac
     steepest: bool
 
 
@@ -126,14 +145,15 @@ LAMBDA_MIN = 2.0 ** -30
 # a trial whose predicted decrease 0.5 lambda |grad.d| is at most this many
 # ulps of the iterate's value is not evaluated: the solve ends as stalled
 STALL_ULPS = 4.0
-# the Newton direction is replaced by steepest descent when the Hessian
-# determinant is below DELTA or the cosine of its angle with -grad below ETA
-DELTA = 1e-6
-ETA = 0.05
-# Armijo factors c1 in w_new - w_old <= c1 lambda grad.d, per direction
-# (see the module docstring)
-ARMIJO_NEWTON = 1e-4
-ARMIJO_STEEPEST = 0.5
+# the Hessian is shifted by tau I until its smallest eigenvalue is at least
+# KAPPA times its largest magnitude (see the module docstring)
+KAPPA = 1e-2
+# the Armijo factor c1 in w_new - w_old <= c1 lambda grad.d
+ARMIJO_C1 = 1e-4
+# within these bounds on its largest eigenvalue magnitude, the shifted
+# Hessian's determinant and Cramer products are normal floats unscaled
+_UNSCALED_MIN = 2.0 ** -400
+_UNSCALED_MAX = 2.0 ** 400
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,6 +173,8 @@ class LocalStepTrace:
 
     @property
     def used_steepest_count(self) -> int:
+        """Steps whose direction is not the pure Newton one (see
+        ``IterationRecord.steepest``)."""
         return sum(s.steepest for s in self.steps)
 
     @property
@@ -162,35 +184,48 @@ class LocalStepTrace:
 
 def descent_direction(gx: float, gy: float, hxx: float, hxy: float,
                       hyy: float) -> tuple[float, float, bool]:
-    """Newton direction of the gradient (gx, gy) and the Hessian entries
-    (hxx, hxy, hyy), or steepest descent when the determinant guard or
-    the angle criterion rejects it, and whether steepest descent was
-    substituted. Always satisfies grad . d < 0 for a nonzero gradient."""
+    """The direction -(H + tau I)^-1 grad of the gradient (gx, gy) and the
+    Hessian entries (hxx, hxy, hyy), with the shift tau of the module
+    docstring, or -grad when H is zero or not finite or the shifted
+    determinant is not positive; and whether it differs from the pure
+    Newton direction (tau > 0, or -grad). Always satisfies grad . d < 0
+    for a nonzero gradient."""
+    # the eigenvalues of the symmetric 2x2 Hessian are mid -+ half_gap, so
+    # the larger magnitude is |mid| + half_gap
+    mid = 0.5 * (hxx + hyy)
+    half_gap = math.hypot(0.5 * (hxx - hyy), hxy)
+    big = abs(mid) + half_gap
+    if not 0.0 < big < math.inf:
+        return -gx, -gy, True
+    tau = KAPPA * big - (mid - half_gap)
+    shifted = tau > 0.0
+    if shifted:
+        hxx += tau
+        hyy += tau
+    scale = 1.0
+    if not _UNSCALED_MIN < big < _UNSCALED_MAX:
+        # scaled by the power of two nearest 1/big, the shifted matrix has
+        # entries of order one, so its determinant neither overflows nor
+        # underflows; the scaling is exact, so d has the bits of the
+        # unscaled solve wherever that one is finite
+        scale = math.ldexp(1.0, -math.frexp(big)[1])
+        hxx *= scale
+        hxy *= scale
+        hyy *= scale
     det = hxx * hyy - hxy * hxy
-    if det < DELTA:
+    if not det > 0.0:
         return -gx, -gy, True
-    # 2x2 Newton solve H d = -grad by Cramer's rule
-    dx = -(hyy * gx - hxy * gy) / det
-    dy = -(hxx * gy - hxy * gx) / det
-    gnorm = math.hypot(gx, gy)
-    dnorm = math.hypot(dx, dy)
-    cos_theta = -(gx * dx + gy * dy) / (gnorm * dnorm)
-    if cos_theta < ETA:
-        return -gx, -gy, True
-    return dx, dy, False
+    # 2x2 solve (H + tau I) d = -grad by Cramer's rule
+    dx = -(hyy * gx - hxy * gy) / det * scale
+    dy = -(hxx * gy - hxy * gx) / det * scale
+    return dx, dy, shifted
 
 
 def armijo_accept(w_old: float, w_new: float, step_size: float,
-                  grad_dot_d: float, steepest: bool) -> bool:
-    """Sufficient-decrease test w_new - w_old <= c1 lambda grad.d, with c1
-    ``ARMIJO_STEEPEST`` (0.5) for the steepest-descent fallback and
-    ``ARMIJO_NEWTON`` (1e-4) for a Newton direction. A full Newton step
-    meets 0.5 grad.d only on an exactly quadratic model, so the half factor
-    would reject it about half the time; the fallback keeps the half
-    factor because its direction is not scaled to the ball. An infinite
-    trial value always fails."""
-    c1 = ARMIJO_STEEPEST if steepest else ARMIJO_NEWTON
-    return w_new - w_old <= c1 * step_size * grad_dot_d
+                  grad_dot_d: float) -> bool:
+    """Sufficient-decrease test w_new - w_old <= c1 lambda grad.d with
+    c1 = ``ARMIJO_C1`` (1e-4). An infinite trial value always fails."""
+    return w_new - w_old <= ARMIJO_C1 * step_size * grad_dot_d
 
 
 def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams
@@ -240,7 +275,7 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams
         trial = tuple.__new__(Point2, (tx, ty))
         try:
             trial_gh = ball_grad_hess(mesh, frame, trial, params)
-            accepted = armijo_accept(w, trial_gh[0], lam, grad_dot_d, steepest)
+            accepted = armijo_accept(w, trial_gh[0], lam, grad_dot_d)
         except (DegenerateElementError, ObjectiveOverflowError):
             # w_new = +inf, which Armijo always rejects
             accepted = False

@@ -2,9 +2,9 @@
 
 Two measures: a size measure (reference radius over circumcircle radius)
 and the normalized radius ratio 2r/R, which is 1 for an equilateral
-triangle and 0 for a degenerate one. Flagging uses the radius ratio only;
-the size measure is report-only because the smoothing objective already
-accounts for element size.
+triangle and 0 for a degenerate or an inverted one. Flagging uses the
+radius ratio only; the size measure is report-only because the smoothing
+objective already accounts for element size.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ def q1_size(geom: TriangleGeometry, r_ref: float) -> float:
     return r_ref / size_radius(geom)
 
 def q2_shape(geom: TriangleGeometry) -> float:
-    """Normalized radius ratio 2r/R in [0, 1]; 0 for degenerate elements."""
-    if geom.degenerate or geom.R == 0.0:
+    """Normalized radius ratio 2r/R in [0, 1]; 0 for degenerate and for
+    inverted (negative signed area) elements."""
+    if geom.degenerate or geom.R == 0.0 or geom.area_signed <= 0.0:
         return 0.0
     return 2.0 * geom.r / geom.R
 

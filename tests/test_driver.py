@@ -347,9 +347,6 @@ def test_laplacian_run_counts_no_newton_solve():
     assert set(result.stop_reasons.values()) == {0}
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the Newton stop tests |grad w| < EPS and det H < DELTA are absolute, "
-    "so they do not scale with w"))
 def test_newton_stop_does_not_depend_on_the_objective_scale():
     # a uniform r_ref multiplies every w by r_ref^-beta, so the minimiser,
     # and the mesh the smoother reaches, cannot depend on it
@@ -360,3 +357,31 @@ def test_newton_stop_does_not_depend_on_the_objective_scale():
             i_max=3, objective=ObjectiveParams(r_ref=r_ref)))
         final.append(result.reports[-1].min_q2)
     assert abs(final[0] - final[1]) <= 1e-3, final
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the gradient test |grad w| < EPS is absolute: a larger w meets it "
+    "sooner, and at beta = 400 every ball of this mesh starts below it"))
+def test_newton_work_does_not_depend_on_the_objective_scale(monkeypatch):
+    # the direction does not depend on the scale of w, so neither should
+    # the solve's stop: the same mesh takes about as many Newton iterations
+    # at every uniform r_ref (132 at r_ref = 1 and 65 at 1e9 today), and
+    # a steep objective still moves the nodes of a distorted patch
+    iterations = []
+    solve = osmot.driver.optimize_ball
+
+    def counted(*args):
+        pos, trace = solve(*args)
+        iterations[-1] += trace.iterations
+        return pos, trace
+
+    monkeypatch.setattr(osmot.driver, "optimize_ball", counted)
+    for r_ref in (1.0, 1e9):
+        iterations.append(0)
+        mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
+        smooth(mesh, SmootherConfig(
+            i_max=3, objective=ObjectiveParams(r_ref=r_ref)))
+    mesh = generate_fixture(FixtureKind.PATCH32, seed=1, distortion=0.45)
+    steep = smooth(mesh, SmootherConfig(objective=ObjectiveParams(beta=400.0)))
+    assert abs(iterations[0] - iterations[1]) <= 0.1 * iterations[0], iterations
+    assert steep.relocations > 0

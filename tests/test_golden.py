@@ -23,20 +23,20 @@ CASES = {
     "patch32-10-loops": (
         ["--kind", "patch32", "--seed", "1", "--distortion", "0.45"],
         ["--max-loops", "10"],
-        "7f3cf37c4d4993fd4cd752a6d748daf6711f1b33cb3e1ef59ca2e9a5779d5591",
-        "54d23bbcf0d83c782611313550cfff399e655e20f9a164ef72a1d58f5e84c565",
+        "197c6cce7deb096dfbe7472a9d616564791be7ff1de0b7cdf7f4b7fc116ff575",
+        "3cd04cc5803c64ed1e40ade9aa8d0d13e77f96a4b3a4d0330c8121f216ad7774",
     ),
     "indentedbox-movable-chain": (
         ["--kind", "indentedbox", "--distortion", "0.6"],
         [],
-        "f657edc83f5aeb4fc9f2c741746cd60b24f13a1ce13c361db32edd7ee8a8909b",
-        "ad4c8caff38a4854fa166b99dd30d35384613936c1db973678995f51d7c66d83",
+        "ed9d153b7f8e7f24e54e4a90cde23e29f0275b5e7f619b3746a7d455d917df6d",
+        "f97e934dd2f49ac200fa86c45751fa1e8b28dcd49e75d3cb834fbe9076a2d704",
     ),
     "patch32-beta2-gamma2": (
         ["--kind", "patch32", "--seed", "1", "--distortion", "0.45"],
         ["--beta", "2", "--gamma", "2"],
-        "a8ba7b2894304a57b8b8395f5ac1c32141bdb3410a0d300a38198cccf7638b5a",
-        "90c3df4a5db18596237cf834bb546fb71e515fec0da72f973f3f8bd5a103e1fb",
+        "4ca07080cad8e3bed3beb5de6280c2462212f5aef12a0dd92e1d6e49ec070c32",
+        "1f19ebdab7aaa663bdc6629dff355116facae8366cb7b00b54c2b7a84f427e9b",
     ),
 }
 
@@ -60,20 +60,20 @@ def test_smooth_output_bytes(tmp_path, case):
 # indentedbox with its movable chain, reflagged every loop, with an SVG
 # snapshot after every loop: the report, flagging and SVG colouring all
 # read per-triangle quality after the nodes of a few triangles moved.
-REFLAG_SVG_MESH_SHA = "e6f51b371e73d5a6e8112980170312aae9d76e04facf0c8d9b83c8c11b1ca1a8"
-REFLAG_SVG_CSV_SHA = "664d309423db4ee6329ac332390a46613e4af684778a7252eb1a67ccc13dfe91"
+REFLAG_SVG_MESH_SHA = "e319e58a11c703abdb111c973bdb2bb6b9a193b4b356701cae46029bf3eed18b"
+REFLAG_SVG_CSV_SHA = "f3c9e852de90fb99234b815a6b4e5642b9a43d9a5dd3d1a2fa0f588dce3dfbe9"
 REFLAG_SVG_SNAPSHOT_SHA = {
     "loop0000.svg": "4e58b7c9f7903f87d4ce44d7c5f90854056021426c33c98e1e99a3147ed01e77",
-    "loop0001.svg": "d632ee71957d772f165791beee9d80ac17c8d725b6c0a841596ec63801d556b2",
-    "loop0002.svg": "f8275d9012feb506a2a8046ab0a6ba5faddde573c0134fa070aff1c28bcfc547",
-    "loop0003.svg": "5da3f48e75299d901ef74707f2dce50a73f5778c265a8fe97637ed6db80145ec",
-    "loop0004.svg": "d3cd7da9353cbb3b47bd454282a6f66bbf6fb625a644611b9c2bec1a16796150",
-    "loop0005.svg": "2bda014e38477e170e8bb4eedab470dbbf0518ab11f73a3b26825a1ccef6d10a",
-    "loop0006.svg": "3a4dd025d5ad5cd9dd1d9dba1cfd449ea92c2de2c937571229a1bdcfadb73465",
-    "loop0007.svg": "a1dce8b6b1befdab949600ad2f9da2969a6622d860f423056367cc6e5dad14db",
-    "loop0008.svg": "d08c7f86d84f36de0f2185bc3f49244b3fa32bf9eab4e2d6be705d3a75d0c10b",
-    "loop0009.svg": "161c95e45b169e8da6f6d7b8d506a8a08955532894e0b323f010174db8577c00",
-    "loop0010.svg": "e19a3ce219b2c15e3728d2d345af94cb37a4b320a42d7c456bbf9a1650a7b4d6",
+    "loop0001.svg": "0605f5bde238eee0c1e3b3a5df4e37ae47b1a1a19c30092b5fc1a6ba6a8e5e91",
+    "loop0002.svg": "f513144b3e46583a050949f5299a2b7160231e4f3febd4e050e2977d5b3645b4",
+    "loop0003.svg": "9e8d703891895828a28df29ca27e796277c916f66b22bc60ddcfc04b0f9d1b12",
+    "loop0004.svg": "431c1a934b407488bd9be9a1ead2abcca6e7580f10c2e0da29dfe27d7a044671",
+    "loop0005.svg": "191aed2e546adc410721b4ba9a8f8defa7019350ea3e6865d7d5354046d21bbe",
+    "loop0006.svg": "3879f1246b65d6292b1576e9ecde57293bab0df02e5f0de95c3023e9dfe79303",
+    "loop0007.svg": "c6288e7944e0159126087f017d1ad0e97e2aa87aa4083fb1b7478e99662e8e58",
+    "loop0008.svg": "ade7843c69378600c2d601d35146f84289283d97b9e1e532682e9352f22794bf",
+    "loop0009.svg": "8f3d51bd12c02e6db21300cf32aabbf48bf86a4cff33f75d8533511da02b15ca",
+    "loop0010.svg": "e37279b1a3269142a24089d01a2c1628b289f3daffcb7d0da9fda5788828f984",
 }
 
 
@@ -122,12 +122,12 @@ def test_per_element_rref_bytes(tmp_path):
 # some nodes moved since it was last written.
 REZONE_DIE_IDS = (39, 40, 41)
 REZONE_SHA = {
-    "round1.svg": "f6ca4988ca34ea53926b56420afe0a0e93c73274dc9e2795ff85be4471f1ec70",
-    "round1.mesh": "cbe04285b3f83227a5ee0d82ecfbe97c675f37a62a791c608495a4f23241591a",
-    "round2.svg": "0da832dbf7b97ce53bdf05c91331063fbb3da8852dca573015509fc1eb952459",
-    "round2.mesh": "d66306b5af82c6cec1864faf708b413d8093e8d2d52882e264423473528f76b5",
-    "round3.svg": "9e3b15586c46b979657e4da7e018962fb1ef5be3cf43a0d0078af32e3491da13",
-    "round3.mesh": "ffe0664225414086a65a742af7a45208098addeca31f98aa80e153dfad1ed7ad",
+    "round1.svg": "4706e87e1f212426e64bf98316b98d2339740e4c26a4b6248909c12aea060b8f",
+    "round1.mesh": "8b5e57c17e73eba40273f2e0505207c8c3f44f514d957e66a29e80c5594c656c",
+    "round2.svg": "07eb3a2e59f08083648871245e5fe7cb6f7f863fcdb6fc4138bd65ffb5ba42d9",
+    "round2.mesh": "b3b7ce3d1364cce8bf62b857305cd029988e871cd372085d3f4a1b3685af2605",
+    "round3.svg": "089cf3f5816360a14338f74b6fbfcabcd7e46883b1b56aa8efd902ef994ca360",
+    "round3.mesh": "bbc1f5d6de352caefdfced04229950b9482aa5e0bc75727ab1e4ddf9a1eb86ff",
 }
 
 
@@ -149,7 +149,7 @@ def test_rezone_rounds_write_the_same_mesh_bytes(tmp_path):
 # leave the ring distances a few ulps apart), the square ring is a fixpoint.
 CLOSED_CHAINS = {
     "hexagon": (lambda: hexagon_fan(ring_mobility=Mobility.BOUNDARY),
-                "bfc4334d5ea146732baa4adda23cc048a41356d966cfca5ebbd5ac62a83233fc"),
+                "68c81c1813fc989087b74d5e4411accb7ad69b0e575874e4428fa26478c75629"),
     "square": (square_ring,
                "9690cf127747cafb2eefec25423639e52a3f31d7232b748830fcfbad48e72801"),
 }

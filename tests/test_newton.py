@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -33,10 +34,10 @@ PARAMS = ObjectiveParams()
 
 def test_config_defaults_match_published_tolerances():
     assert osmot.newton.EPS == 1e-8
-    assert osmot.newton.DELTA == 1e-6
-    assert osmot.newton.ETA == 0.05
     assert osmot.newton.J_MAX == 50
     assert osmot.newton.LAMBDA_MIN == 2.0 ** -30
+    assert osmot.newton.KAPPA == 1e-2
+    assert osmot.newton.ARMIJO_C1 == 1e-4
 
 
 def test_direction_identity_hessian_keeps_newton():
@@ -45,51 +46,90 @@ def test_direction_identity_hessian_keeps_newton():
 
 
 def test_direction_negative_definite_falls_back():
-    # det(-I) = 1 >= delta but the Newton direction is an ascent direction
-    d = descent_direction(1.0, 0.0, -1.0, 0.0, -1.0)
-    assert d == (-1.0, 0.0, True)
+    # the Newton direction of -I is an ascent direction; tau = 1 + kappa
+    # shifts -I to kappa I, so d is -grad / kappa
+    dx, dy, steepest = descent_direction(1.0, 0.0, -1.0, 0.0, -1.0)
+    assert steepest and dy == 0.0
+    assert dx == pytest.approx(-1.0 / osmot.newton.KAPPA, rel=1e-12)
 
 
 def test_direction_tiny_determinant_steepest():
-    d = descent_direction(0.0, 1.0, 1e-9, 0.0, 1e-9)
-    assert d == (0.0, -1.0, True)
+    # a tiny but well-conditioned Hessian keeps its Newton step, scaled to
+    # the curvature; only a zero or non-finite Hessian falls back to -grad
+    assert descent_direction(0.0, 1.0, 1e-9, 0.0, 1e-9) == (0.0, -1e9, False)
+    assert descent_direction(0.0, 1.0, 0.0, 0.0, 0.0) == (-0.0, -1.0, True)
+    for bad in (math.inf, -math.inf, math.nan):
+        assert descent_direction(0.0, 1.0, bad, 0.0, 1.0) == (-0.0, -1.0, True)
+    # a determinant of the unscaled entries would overflow, or underflow
+    for scale in (1e300, 1e-300):
+        dx, dy, steepest = descent_direction(
+            3.0 * scale, 1.0 * scale, 2.0 * scale, 0.5 * scale, 1.0 * scale)
+        assert not steepest
+        assert (dx, dy) == pytest.approx((-2.5 / 1.75, -0.5 / 1.75), rel=1e-12)
 
 
 def test_direction_always_descends():
+    # every direction is -(H + tau I)^-1 grad with a positive definite
+    # H + tau I whose condition number is at most (2 + kappa)/kappa, so
+    # its angle with -grad is bounded away from 90 degrees: cos >= 2
+    # sqrt(c)/(1 + c) for condition number c. The flag is set exactly when
+    # H is shifted: indefinite, or positive definite with its smallest
+    # eigenvalue below kappa times its largest
+    kappa = osmot.newton.KAPPA
+    cond = (2.0 + kappa) / kappa
+    min_cos = 2.0 * math.sqrt(cond) / (1.0 + cond)
     rng = random.Random(12)
-    for _ in range(500):
+    shifted = 0
+    for _ in range(2000):
         gx, gy, hxx, hxy, hyy = (rng.uniform(-5, 5) for _ in range(5))
+        if rng.random() < 0.25:
+            # nearly singular, positive semi-definite: a rank-one H plus a
+            # small multiple of the identity
+            ux, uy, eps = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 0.1)
+            hxx, hxy, hyy = ux * ux + eps, ux * uy, uy * uy + eps
         if math.hypot(gx, gy) < 1e-12:
             continue
         dx, dy, steepest = descent_direction(gx, gy, hxx, hxy, hyy)
-        assert gx * dx + gy * dy < 0.0
-        assert not steepest or (dx, dy) == (-gx, -gy)
+        cos = -(gx * dx + gy * dy) / (math.hypot(gx, gy) * math.hypot(dx, dy))
+        assert cos >= min_cos * (1.0 - 1e-9)
+        half_gap = math.hypot(0.5 * (hxx - hyy), hxy)
+        lam_min = 0.5 * (hxx + hyy) - half_gap
+        big = max(abs(lam_min), abs(0.5 * (hxx + hyy) + half_gap))
+        assert steepest == (lam_min < kappa * big)
+        shifted += steepest
+        if not steepest:
+            # the pure Newton step: H d = -grad
+            assert hxx * dx + hxy * dy == pytest.approx(-gx, abs=1e-9)
+            assert hxy * dx + hyy * dy == pytest.approx(-gy, abs=1e-9)
+    assert 0 < shifted < 2000
 
 
 def test_armijo_accepts_sufficient_decrease():
-    assert armijo_accept(1.0, 0.4, 1.0, -1.0, steepest=True)
-    assert armijo_accept(1.0, 0.4, 1.0, -1.0, steepest=False)
+    assert armijo_accept(1.0, 0.4, 1.0, -1.0)
 
 
 def test_armijo_rejects_insufficient_decrease():
-    # the steepest-descent fallback asks for half the predicted decrease
-    assert not armijo_accept(1.0, 0.6, 1.0, -1.0, steepest=True)
+    # the decrease asked for is 1e-4 of lambda grad.d, so it halves with
+    # the step size: at lambda = 1/2 a decrease of 0.6e-4 passes and one
+    # of 0.4e-4 does not
+    assert armijo_accept(1.0, 1.0 - 0.6e-4, 0.5, -1.0)
+    assert not armijo_accept(1.0, 1.0 - 0.4e-4, 0.5, -1.0)
+    assert not armijo_accept(1.0, 1.5, 0.5, -1.0)
 
 
 def test_armijo_newton_factor_accepts_a_partial_decrease():
-    # a Newton direction asks for 1e-4 of it, so the same trial passes
-    assert armijo_accept(1.0, 0.6, 1.0, -1.0, steepest=False)
-    assert armijo_accept(1.0, 0.999, 1.0, -1.0, steepest=False)
+    # one factor for every direction, 1e-4 of the predicted decrease
+    assert armijo_accept(1.0, 0.6, 1.0, -1.0)
+    assert armijo_accept(1.0, 0.999, 1.0, -1.0)
 
 
 def test_armijo_newton_factor_rejects_a_token_decrease():
-    assert not armijo_accept(1.0, 1.0 - 0.5e-4, 1.0, -1.0, steepest=False)
-    assert not armijo_accept(1.0, 1.0, 1.0, -1.0, steepest=False)
+    assert not armijo_accept(1.0, 1.0 - 0.5e-4, 1.0, -1.0)
+    assert not armijo_accept(1.0, 1.0, 1.0, -1.0)
 
 
 def test_armijo_rejects_barrier_value():
-    for steepest in (True, False):
-        assert not armijo_accept(1.0, math.inf, 1.0, -1.0, steepest)
+    assert not armijo_accept(1.0, math.inf, 1.0, -1.0)
 
 
 def test_optimize_centered_ball_converges_immediately():
@@ -294,12 +334,14 @@ def test_newton_keeps_both_kernel_names():
 
 
 def test_rejected_trials_do_not_move_the_iterate():
-    # this ball rejects Newton trials and steepest-descent trials
-    rng = random.Random(30)
+    # this ball rejects two full Newton steps in a row, after two shifted
+    # steps are accepted
+    rng = random.Random(123)
     mesh = random_ball_mesh(rng)
     ball = mesh.balls[0]
     pos, trace = optimize_ball(mesh, ball, PARAMS)
-    assert trace.armijo_rejections > 0
+    assert [s.accepted for s in trace.steps[:5]] == [True, True, False, False, True]
+    assert trace.steps[0].steepest and not trace.steps[2].steepest
     for prev, nxt in zip(trace.steps, trace.steps[1:]):
         if not prev.accepted:
             assert (nxt.value, nxt.grad_norm) == (prev.value, prev.grad_norm)
@@ -341,15 +383,14 @@ def _reference_optimize_ball(mesh, ball, params):
         if math.hypot(gx, gy) < osmot.newton.EPS:
             converged = True
             break
-        dx, dy, steepest = descent_direction(gx, gy, hxx, hxy, hyy)
+        dx, dy, _shifted = descent_direction(gx, gy, hxx, hxy, hyy)
         grad_dot_d = gx * dx + gy * dy
         if 0.5 * lam * -grad_dot_d <= 4.0 * math.ulp(w):
             break
         trial = Point2(x.x + lam * dx, x.y + lam * dy)
         w_new = ball_objective(mesh, frame, trial, params)
         steps += 1
-        c1 = 0.5 if steepest else 1e-4
-        if w_new - w <= c1 * lam * grad_dot_d:
+        if w_new - w <= 1e-4 * lam * grad_dot_d:
             x = trial
             w, gx, gy, hxx, hxy, hyy = ball_grad_hess(mesh, frame, x, params)
         else:
@@ -480,16 +521,18 @@ def _overflow_case(frame, x0, params):
     return None
 
 
-@pytest.mark.parametrize("params,center,case", [
-    # steepest steps from just below the top edge cross the barrier
-    (PARAMS, Point2(0.0, 0.85), "barrier"),
-    # (R/r_ref)^beta overflows at trials near the barrier
-    (ObjectiveParams(beta=40.0, gamma=0.5), Point2(0.0, 0.8), "power"),
-    # both powers are finite at those trials but their product is not
-    (ObjectiveParams(beta=20.0, gamma=20.0), Point2(0.0, 0.6), "product"),
+@pytest.mark.parametrize("params,seed,case", [
+    # a shifted step of this random ball crosses the barrier
+    (PARAMS, 55, "barrier"),
+    # with r_ref small, (R/r_ref)^beta overflows at a trial near the
+    # barrier
+    (ObjectiveParams(beta=40.0, gamma=0.5, r_ref=1e-7), 353, "power"),
+    # a little larger, both powers are finite at that trial but their
+    # product is not
+    (ObjectiveParams(beta=40.0, gamma=0.5, r_ref=1.25e-7), 353, "product"),
 ], ids=["barrier", "power", "product"])
 def test_trial_past_the_barrier_or_overflowing_is_rejected(
-        monkeypatch, params, center, case):
+        monkeypatch, params, seed, case):
     # a trial the kernel cannot score, because it crosses the barrier or
     # its w overflows, scores +inf: a rejected IterationRecord, no error
     outcomes = []
@@ -507,12 +550,33 @@ def test_trial_past_the_barrier_or_overflowing_is_rejected(
         return result
 
     monkeypatch.setattr(osmot.newton, "ball_grad_hess", tracked)
-    mesh = regular_hexagon_mesh(center)
+    mesh = random_ball_mesh(random.Random(seed))
     _pos, trace = optimize_ball(mesh, mesh.balls[0], params)
     assert outcomes[0] is None and len(outcomes) == 1 + trace.iterations
     assert case in outcomes
     assert not any(step.accepted for outcome, step
                    in zip(outcomes[1:], trace.steps) if outcome is not None)
+
+
+@pytest.mark.parametrize("bounds", [{}, {"EPS": 1e-300}], ids=["eps", "no-eps"])
+def test_barrier_hugging_ball_moves(monkeypatch, bounds):
+    # the node starts just below the top edge of the hexagon, where w is
+    # steep and H ill conditioned: an unscaled -grad step crossed the
+    # barrier at every length down to the step floor, and the node never
+    # moved. The shifted step stays inside the ball, no trial is rejected,
+    # and the node reaches the centre
+    for name, value in bounds.items():
+        monkeypatch.setattr(osmot.newton, name, value)
+    start = Point2(0.0, 0.85)
+    mesh = regular_hexagon_mesh(start)
+    ball = mesh.balls[0]
+    pos, trace = optimize_ball(mesh, ball, PARAMS)
+    assert trace.stop_reason in ("converged", "stalled")
+    assert trace.armijo_rejections == 0
+    assert math.hypot(pos.x, pos.y) < 1e-9
+    frame = freeze_ball(mesh, ball, PARAMS)
+    assert ball_objective(mesh, frame, pos, PARAMS) < ball_objective(
+        mesh, frame, start, PARAMS)
 
 
 @pytest.mark.parametrize("params", [
@@ -587,33 +651,42 @@ def _shifted_hexagon(center: Point2, shift: float):
     return mesh
 
 
-@pytest.mark.parametrize("bounds,center,shift,reason,iterations", [
+def _seeded_ball(seed: int):
+    """random_ball_mesh of a fresh random.Random(seed)."""
+    return random_ball_mesh(random.Random(seed))
+
+
+@pytest.mark.parametrize("bounds,make_mesh,reason,iterations", [
     # the gradient at the symmetric centre is below eps from the start
-    ({}, Point2(0.0, 0.0), 0.0, "converged", 0),
+    ({}, partial(_shifted_hexagon, Point2(0.0, 0.0), 0.0), "converged", 0),
     # two Newton steps leave a gradient above eps, but the next step would
     # ask for a decrease of at most 4 ulps of the objective
-    ({}, Point2(0.05, 0.02), 0.0, "stalled", 2),
+    ({}, partial(_shifted_hexagon, Point2(0.05, 0.02), 0.0), "stalled", 2),
     # near (2**22, 2**22) the next trial would also round onto the iterate:
     # the stalled test comes first
-    ({}, Point2(0.31, -0.17), 2.0 ** 22, "stalled", 4),
+    ({}, partial(_shifted_hexagon, Point2(0.31, -0.17), 2.0 ** 22),
+     "stalled", 4),
     # eps out of reach: near (2**44, 2**44) the first step is already below
     # half an ulp of the coordinates and the trial rounds onto the iterate
-    ({"EPS": 1e-300}, Point2(0.05, 0.02), ROUNDING_SHIFT,
-     "rounded", 1),
-    # eps out of reach, a start just below the top edge: every steepest
-    # step crosses the barrier, down to the default floor
-    ({"EPS": 1e-300}, Point2(0.0, 0.85), 0.0, "step_floor", 31),
-    # one accepted Newton step, then a full Newton step raises w: the
+    ({"EPS": 1e-300}, partial(_shifted_hexagon, Point2(0.05, 0.02),
+                              ROUNDING_SHIFT), "rounded", 1),
+    # eps out of reach and a floor of 0.3: after two shifted steps, two
+    # full Newton steps in a row raise w, and the second rejection halves
+    # the step below the floor
+    ({"EPS": 1e-300, "LAMBDA_MIN": 0.3}, partial(_seeded_ball, 123),
+     "step_floor", 4),
+    # two accepted shifted steps, then a third crosses the barrier: the
     # rejection halves the step below a floor of 1
-    ({"LAMBDA_MIN": 1.0}, Point2(0.25, 0.63), 0.0, "step_floor", 2),
+    ({"LAMBDA_MIN": 1.0}, partial(_seeded_ball, 55), "step_floor", 3),
     # J_MAX caps the loop at J_MAX + 1 iterations
-    ({"J_MAX": 1}, Point2(0.05, 0.02), 0.0, "j_max", 2),
+    ({"J_MAX": 1}, partial(_shifted_hexagon, Point2(0.05, 0.02), 0.0),
+     "j_max", 2),
 ], ids=["converged", "stalled", "stalled-rounding", "rounded",
         "step_floor-eps", "step_floor-lambda", "j_max"])
-def test_stop_reason(monkeypatch, bounds, center, shift, reason, iterations):
+def test_stop_reason(monkeypatch, bounds, make_mesh, reason, iterations):
     for name, value in bounds.items():
         monkeypatch.setattr(osmot.newton, name, value)
-    mesh = _shifted_hexagon(center, shift)
+    mesh = make_mesh()
     ball = mesh.balls[0]
     start = mesh.position(0)
     pos, trace = optimize_ball(mesh, ball, PARAMS)
@@ -649,9 +722,9 @@ def _trace_digest(hasher, trace) -> None:
 
 
 # SHA-256 of every solve's trace in test_newton_traces_bit_for_bit,
-# recorded before the solve kept its derivatives in float locals
+# recorded when the direction became -(H + tau I)^-1 grad
 NEWTON_TRACES_SHA = (
-    "793a254da0c7e71dfe11b42dc21ad35054d746cdb8ec57535bd8efb88d359fda")
+    "6beb0747e1e05a158ae5629afe651670a35df343471816de92f3533f80a8d9a3")
 
 
 def test_newton_traces_bit_for_bit(monkeypatch):
@@ -676,6 +749,9 @@ def test_newton_traces_bit_for_bit(monkeypatch):
     for _ in range(60):
         mesh = random_ball_mesh(rng)
         traced_solve(mesh, mesh.balls[0], PARAMS)
+    # a ball whose solve reaches the iteration cap
+    mesh = _seeded_ball(123)
+    traced_solve(mesh, mesh.balls[0], PARAMS)
     assert {"converged", "stalled", "j_max"} <= {t.stop_reason for t in solves}
     assert sum(t.armijo_rejections for t in solves) > 0
     assert sum(t.used_steepest_count for t in solves) > 0

@@ -68,11 +68,30 @@ def test_q2_scale_invariant(t, k):
         q2_shape(triangle_geometry(*q)), abs=1e-12)
 
 
+def positively_oriented(t) -> tuple[Point2, Point2, Point2]:
+    p0, p1, p2 = Point2(t[0], t[1]), Point2(t[2], t[3]), Point2(t[4], t[5])
+    if signed_area(p0, p1, p2) < 0.0:
+        p1, p2 = p2, p1
+    return p0, p1, p2
+
+
 @given(triangles)
 def test_q2_orientation_invariant(t):
-    p0, p1, p2 = Point2(t[0], t[1]), Point2(t[2], t[3]), Point2(t[4], t[5])
-    assert q2_shape(triangle_geometry(p0, p1, p2)) == pytest.approx(
-        q2_shape(triangle_geometry(p0, p2, p1)), abs=1e-14)
+    # a positively oriented triangle scores the same from each of its
+    # three starting vertices, each of which keeps the orientation
+    p0, p1, p2 = positively_oriented(t)
+    q2 = q2_shape(triangle_geometry(p0, p1, p2))
+    assert q2 > 0.0
+    for rotation in ((p1, p2, p0), (p2, p0, p1)):
+        assert q2_shape(triangle_geometry(*rotation)) == pytest.approx(
+            q2, abs=1e-14)
+
+
+@given(triangles)
+def test_q2_reversed_triangle_scores_zero(t):
+    # an inverted triangle is the worst there is, not its mirror image
+    p0, p1, p2 = positively_oriented(t)
+    assert q2_shape(triangle_geometry(p0, p2, p1)) == 0.0
 
 
 @given(triangles, st.floats(min_value=1e-2, max_value=1e2, allow_nan=False))

@@ -258,6 +258,25 @@ def test_rref_edit_reaches_the_next_report():
     assert bits(quality_report(mesh, cfg, 1.0, 0)) == bits(first)
 
 
+def test_inverted_triangle_scores_zero_and_is_flagged():
+    # the horseshoe's node moved above the notch tip (0, 0.8) inverts the
+    # triangles on either side of the tip; each scores q2 = 0, so it is
+    # below every q_min, the report's min q2 is 0 and flag_nodes flags
+    # its nodes
+    mesh = generate_fixture(FixtureKind.HORSESHOE)
+    mesh.set_position(0, Point2(0.0, 1.5))
+    table = mesh.quality_table()
+    inverted = [tid for tid in range(len(mesh.triangles)) if table.inverted[tid]]
+    assert inverted
+    assert all(table.q2[tid] == 0.0 for tid in inverted)
+    report = quality_report(mesh, QualityConfig(q_min=0.01), 1.0, 0)
+    assert report.min_q2 == 0.0
+    assert report.inverted_elements == len(inverted)
+    assert report.flagged_elements >= len(inverted)
+    flagged = flag_nodes(mesh, QualityConfig(q_min=0.01))
+    assert all(set(mesh.triangles[tid].nodes) <= flagged for tid in inverted)
+
+
 # Coordinates of every sign and of very different sizes: tiny ones make
 # a*b*c underflow, huge ones make it overflow.
 scale = st.sampled_from([1.0, 2.0**-360, 2.0**340])
