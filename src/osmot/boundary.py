@@ -72,7 +72,7 @@ def natural_coordinate(x1: float, y1: float, x0: float, y0: float,
     """The coordinate xi in [-1, 1] that equalizes the distances from the
     node (x0, y0) to its neighbors (x1, y1) and (x2, y2)."""
     d1, d2 = _distances(x1, y1, x0, y0, x2, y2)
-    scale = max(abs(x0), abs(y0), abs(x1), abs(y1), abs(x2), abs(y2), 1.0)
+    scale = max(abs(x0), abs(y0), abs(x1), abs(y1), abs(x2), abs(y2))
     if d1 + d2 <= 1e-14 * scale:
         raise CoincidentNeighborsError("boundary triple has coincident points")
     return (d2 - d1) / (d1 + d2)
@@ -107,9 +107,9 @@ def guard_boundary_move(triple: BoundaryTriple, new_pos: Point2,
     ``triple.p0``; ``triple.p0`` itself when none is.
 
     ``positions`` holds the node's old position and its neighbors'. A
-    triangle scores q2 = 0 exactly when its signed area is at or below
-    its degeneracy threshold, so a point passes when its min q2 is
-    positive and at least the old one.
+    triangle scores q2 = 0 when its signed area is at or below its
+    degeneracy threshold, so a point passes when its min q2 is positive
+    and at least the old one.
     """
     (x1, y1), p0, (x2, y2) = triple
     x0, y0 = p0

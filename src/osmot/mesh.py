@@ -25,14 +25,15 @@ records: a load builds thousands of them, and packs each with
 direct write of its fields raises ``FrozenInstanceError``.
 
 Per-triangle quality lives in one ``QualityTable`` per mesh, built on
-first use. The text of the last mesh-file write and SVG render is kept on
-the mesh as well (see ``meshio`` and ``svgout``). A ``Node`` is topology
-only. The positions are one list of ``Point2``, ``Mesh._positions``,
-which only ``Mesh.set_position`` writes: it stores the point and adds the
-node's id to the ``moved`` set of each of the three caches the mesh
-holds. A cache's next read takes its own set and clears it: the table
-re-evaluates the triangles in the stars of those nodes, and the text
-caches format them again.
+first use. The table and ``star_min_q2`` score a triangle with the one
+function ``_score_triangle``. The text of the last mesh-file write and
+SVG render is kept on the mesh as well (see ``meshio`` and ``svgout``).
+A ``Node`` is topology only. The positions are one list of ``Point2``,
+``Mesh._positions``, which only ``Mesh.set_position`` writes: it stores
+the point and adds the node's id to the ``moved`` set of each of the
+three caches the mesh holds. A cache's next read takes its own set and
+clears it: the table re-evaluates the triangles in the stars of those
+nodes, and the text caches format them again.
 
 The table keeps only per-triangle values, and one thing by deltas over
 the triangles it re-evaluates: the set of triangles below the last q_min
@@ -151,6 +152,37 @@ class BoundaryChain:
     closed: bool
 
 
+def _score_triangle(x0: float, y0: float, x1: float, y1: float, x2: float,
+                    y2: float) -> tuple[float, float, float]:
+    """The signed area, the radius ratio q2 and the size radius of the
+    triangle (x0, y0), (x1, y1), (x2, y2).
+
+    The float operations are those of ``triangle_geometry``, then
+    ``q2_shape`` and ``size_radius``, in the same order, so the values are
+    the same bits without building a ``TriangleGeometry``. A degenerate
+    triangle, or one whose circumradius underflows to 0, has q2 = 0 and
+    radius +inf; an inverted one has q2 = 0 and its circumradius.
+    """
+    a = hypot(x1 - x0, y1 - y0)
+    b = hypot(x2 - x1, y2 - y1)
+    c = hypot(x0 - x2, y0 - y2)
+    area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+    area_abs = abs(area)
+    # max(a, b, c), inlined as in _frame_grad_hess
+    m = a if a > b else b
+    if c > m:
+        m = c
+    if area_abs <= DEGENERATE_AREA_FACTOR * m * m:
+        return area, 0.0, inf
+    big_r = a * b * c / (4.0 * area_abs)
+    if big_r == 0.0:
+        return area, 0.0, inf
+    if area <= 0.0:
+        # an inverted triangle is the worst there is
+        return area, 0.0, big_r
+    return area, 2.0 * (area_abs / (0.5 * (a + b + c))) / big_r, big_r
+
+
 class QualityTable:
     """Flat per-triangle quality values, indexed by triangle id.
 
@@ -202,13 +234,8 @@ class QualityTable:
         return self._below
 
     def _evaluate(self, mesh: Mesh, tids: Iterable[int]) -> None:
-        """Evaluate the triangles ``tids`` and move them into or out of the
-        below set.
-
-        The float operations are those of ``triangle_geometry``, then
-        ``q2_shape`` and ``size_radius``, in the same order, so the values
-        are the same bits without building a ``TriangleGeometry``.
-        """
+        """Score the triangles ``tids`` with ``_score_triangle`` and move
+        them into or out of the below set."""
         positions, triangles = mesh._positions, mesh.triangles
         q2s, radii, inverted = self.q2, self.circumradius, self.inverted
         below, q_min = self._below, self._q_min
@@ -217,26 +244,7 @@ class QualityTable:
             x0, y0 = positions[n0]
             x1, y1 = positions[n1]
             x2, y2 = positions[n2]
-            a = hypot(x1 - x0, y1 - y0)
-            b = hypot(x2 - x1, y2 - y1)
-            c = hypot(x0 - x2, y0 - y2)
-            area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-            area_abs = abs(area)
-            # max(a, b, c), inlined as in _frame_grad_hess
-            m = a if a > b else b
-            if c > m:
-                m = c
-            if area_abs <= DEGENERATE_AREA_FACTOR * m * m:
-                q2, big_r = 0.0, inf
-            else:
-                big_r = a * b * c / (4.0 * area_abs)
-                if big_r == 0.0:
-                    q2, big_r = 0.0, inf
-                elif area <= 0.0:
-                    # an inverted triangle is the worst there is
-                    q2 = 0.0
-                else:
-                    q2 = 2.0 * (area_abs / (0.5 * (a + b + c))) / big_r
+            area, q2, big_r = _score_triangle(x0, y0, x1, y1, x2, y2)
             q2s[tid] = q2
             radii[tid] = big_r
             inverted[tid] = area <= 0.0
@@ -316,26 +324,19 @@ def star_min_q2(positions: list[Point2],
     """The least radius ratio q2 over the (triangle id, n1, n2) triples of
     a node's star, with the node at (px, py) and n1, n2 at ``positions``.
 
-    Each triangle is evaluated in the order (node, n1, n2) with the float
-    operations of ``triangle_geometry`` and ``q2_shape``. A triangle whose
-    signed area is at or below its degeneracy threshold scores 0, so the
-    result is positive exactly when no triangle of the star is degenerate
-    or inverted.
+    Each triangle is scored by ``_score_triangle`` in the order (node, n1,
+    n2), so its q2 is the quality table's. A triangle that is degenerate,
+    inverted or whose circumradius underflows scores 0, so the result is
+    positive exactly when the table would score every triangle of the star
+    above 0.
     """
     least = inf
     for _tid, n1, n2 in star:
         x1, y1 = positions[n1]
         x2, y2 = positions[n2]
-        a = hypot(x1 - px, y1 - py)
-        b = hypot(x2 - x1, y2 - y1)
-        c = hypot(px - x2, py - y2)
-        area = 0.5 * ((x1 - px) * (y2 - py) - (x2 - px) * (y1 - py))
-        m = a if a > b else b
-        if c > m:
-            m = c
-        if area <= DEGENERATE_AREA_FACTOR * m * m:
+        q2 = _score_triangle(px, py, x1, y1, x2, y2)[1]
+        if q2 == 0.0:
             return 0.0
-        q2 = 2.0 * (area / (0.5 * (a + b + c))) / (a * b * c / (4.0 * area))
         if q2 < least:
             least = q2
     return least

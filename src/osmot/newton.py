@@ -10,9 +10,7 @@ and keep the step size, or keep the point and bisect the step size. A
 trial past the barrier, or one whose w overflows, is rejected like a
 trial whose value is +inf; at the start the same conditions raise (see
 ``optimize_ball``). The step size persists across iterations; it is
-never reset or enlarged. The direction depends only on the iterate, so
-it is chosen once per iterate and reused by the trials that follow a
-rejection.
+never reset or enlarged.
 
 The direction is d = -(H + tau I)^-1 grad, a Levenberg-style shift of
 the Hessian (Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
@@ -25,12 +23,13 @@ is kappa times its largest magnitude, so the shifted matrix is positive
 definite with a condition number of at most (2 + kappa)/kappa (about
 201). The step stays scaled to the ball wherever H is indefinite or ill
 conditioned, so neither a step that overshoots into the barrier nor an
-unscaled -grad has to be bisected many times. Where its largest
-eigenvalue magnitude is far from 1, the 2x2 solve scales the shifted
-matrix by a power of two near its inverse, which is exact, so no
-determinant overflows or underflows and the direction does not depend on
-the scale of w (a uniform r_ref multiplies w, grad and H alike). Only a Hessian that is zero or not finite, or whose shifted
-determinant is not positive, falls back to d = -grad.
+unscaled -grad has to be bisected many times. The 2x2 solve scales the
+shifted matrix by 2^-e, e the binary exponent of its largest eigenvalue
+magnitude, which is exact, so no determinant overflows or underflows
+and the direction does not depend on the scale of w (a uniform r_ref
+multiplies w, grad and H alike). Only a Hessian that is zero or not
+finite, whose shifted determinant is not positive, or whose solve does
+not give two finite floats falls back to d = -grad.
 ``IterationRecord.steepest`` marks a step whose direction is not the
 pure Newton one: tau > 0 or the fallback.
 
@@ -48,13 +47,13 @@ reads that frame. The solve runs on plain floats: the iterate is its two
 coordinates, and each kernel result is unpacked once into six locals,
 the value w, the gradient (gx, gy) and the Hessian entries (hxx, hxy,
 hyy). The gradient norm, the direction, grad.d, the stall threshold and
-every ``IterationRecord`` are taken from those locals; the direction
-and the stall threshold once per iterate. The kernel is looked up as
-this module's ``ball_grad_hess`` and called with four positional
-arguments, the third a ``Point2`` of the start or of the trial, so a
-caller can wrap it to count calls and elements. The trial's ``Point2``
-is kept for that caller; it is a tuple packed with ``tuple.__new__``, as
-each ``IterationRecord`` is, and becomes the iterate when accepted.
+every ``IterationRecord`` are taken from those locals, at the top of
+every iteration. The kernel is looked up as this module's
+``ball_grad_hess`` and called with four positional arguments, the third
+a ``Point2`` of the start or of the trial, so a caller can wrap it to
+count calls and elements. The trial's ``Point2`` is kept for that
+caller; it is a tuple packed with ``tuple.__new__``, as each
+``IterationRecord`` is, and becomes the iterate when accepted.
 
 Before a trial is evaluated, the solve ends as ``stalled`` once its
 predicted decrease 0.5 lambda |grad.d| is at most ``STALL_ULPS`` (4) ulps
@@ -150,10 +149,6 @@ STALL_ULPS = 4.0
 KAPPA = 1e-2
 # the Armijo factor c1 in w_new - w_old <= c1 lambda grad.d
 ARMIJO_C1 = 1e-4
-# within these bounds on its largest eigenvalue magnitude, the shifted
-# Hessian's determinant and Cramer products are normal floats unscaled
-_UNSCALED_MIN = 2.0 ** -400
-_UNSCALED_MAX = 2.0 ** 400
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,10 +181,11 @@ def descent_direction(gx: float, gy: float, hxx: float, hxy: float,
                       hyy: float) -> tuple[float, float, bool]:
     """The direction -(H + tau I)^-1 grad of the gradient (gx, gy) and the
     Hessian entries (hxx, hxy, hyy), with the shift tau of the module
-    docstring, or -grad when H is zero or not finite or the shifted
-    determinant is not positive; and whether it differs from the pure
-    Newton direction (tau > 0, or -grad). Always satisfies grad . d < 0
-    for a nonzero gradient."""
+    docstring, or -grad when H is zero or not finite, the shifted
+    determinant is not positive or the solve does not give finite floats;
+    and whether it differs from the pure Newton direction (tau > 0, or
+    -grad). Always satisfies grad . d < 0 for a nonzero gradient, and
+    raises for no finite input."""
     # the eigenvalues of the symmetric 2x2 Hessian are mid -+ half_gap, so
     # the larger magnitude is |mid| + half_gap
     mid = 0.5 * (hxx + hyy)
@@ -202,22 +198,25 @@ def descent_direction(gx: float, gy: float, hxx: float, hxy: float,
     if shifted:
         hxx += tau
         hyy += tau
-    scale = 1.0
-    if not _UNSCALED_MIN < big < _UNSCALED_MAX:
-        # scaled by the power of two nearest 1/big, the shifted matrix has
-        # entries of order one, so its determinant neither overflows nor
-        # underflows; the scaling is exact, so d has the bits of the
-        # unscaled solve wherever that one is finite
-        scale = math.ldexp(1.0, -math.frexp(big)[1])
-        hxx *= scale
-        hxy *= scale
-        hyy *= scale
+    # scaled by 2^-e, e the exponent of big, the shifted matrix has entries
+    # of order one, so its determinant neither overflows nor underflows;
+    # ldexp rounds only a subnormal result, so wherever the unscaled solve
+    # stays in normal floats d has its bits
+    e = math.frexp(big)[1]
+    hxx = math.ldexp(hxx, -e)
+    hxy = math.ldexp(hxy, -e)
+    hyy = math.ldexp(hyy, -e)
     det = hxx * hyy - hxy * hxy
     if not det > 0.0:
         return -gx, -gy, True
     # 2x2 solve (H + tau I) d = -grad by Cramer's rule
-    dx = -(hyy * gx - hxy * gy) / det * scale
-    dy = -(hxx * gy - hxy * gx) / det * scale
+    try:
+        dx = math.ldexp(-(hyy * gx - hxy * gy) / det, -e)
+        dy = math.ldexp(-(hxx * gy - hxy * gx) / det, -e)
+    except OverflowError:
+        return -gx, -gy, True
+    if not (abs(dx) < math.inf and abs(dy) < math.inf):
+        return -gx, -gy, True
     return dx, dy, shifted
 
 
@@ -247,24 +246,17 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams
 
     px, py = x
     grad_norm = math.hypot(gx, gy)
-    new_iterate = True
     lam = 1.0
-    trials = 0
     steps: list[IterationRecord] = []
     stop_reason: StopReason = "j_max"
 
-    while trials <= J_MAX:
-        # the gradient test, the direction and the stall threshold change
-        # only with the iterate
-        if new_iterate:
-            if grad_norm < EPS:
-                stop_reason = "converged"
-                break
-            dx, dy, steepest = descent_direction(gx, gy, hxx, hxy, hyy)
-            grad_dot_d = gx * dx + gy * dy
-            stall = STALL_ULPS * math.ulp(w)
-            new_iterate = False
-        if 0.5 * lam * -grad_dot_d <= stall:
+    while len(steps) <= J_MAX:
+        if grad_norm < EPS:
+            stop_reason = "converged"
+            break
+        dx, dy, steepest = descent_direction(gx, gy, hxx, hxy, hyy)
+        grad_dot_d = gx * dx + gy * dy
+        if 0.5 * lam * -grad_dot_d <= STALL_ULPS * math.ulp(w):
             stop_reason = "stalled"
             break
         tx = px + lam * dx
@@ -283,12 +275,10 @@ def optimize_ball(mesh: Mesh, ball: Ball, params: ObjectiveParams
         # constructor's Python-level call, as namedtuple's _make does
         steps.append(tuple.__new__(IterationRecord, (
             w, grad_norm, grad_dot_d, lam, accepted, steepest)))
-        trials += 1
         if accepted:
             x, px, py = trial, tx, ty
             w, gx, gy, hxx, hxy, hyy = trial_gh
             grad_norm = math.hypot(gx, gy)
-            new_iterate = True
         else:
             lam *= 0.5
             if lam < LAMBDA_MIN:

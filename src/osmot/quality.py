@@ -41,10 +41,10 @@ def q1_size(geom: TriangleGeometry, r_ref: float) -> float:
     """Size quality r_ref/R. Degenerate elements score 0 (worst)."""
     return r_ref / size_radius(geom)
 
+
 def q2_shape(geom: TriangleGeometry) -> float:
     """Normalized radius ratio 2r/R in [0, 1]; 0 for degenerate and for
     inverted (negative signed area) elements."""
     if geom.degenerate or geom.R == 0.0 or geom.area_signed <= 0.0:
         return 0.0
     return 2.0 * geom.r / geom.R
-

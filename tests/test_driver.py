@@ -1,3 +1,4 @@
+import dataclasses
 from typing import get_args
 
 import pytest
@@ -357,6 +358,28 @@ def test_newton_stop_does_not_depend_on_the_objective_scale():
             i_max=3, objective=ObjectiveParams(r_ref=r_ref)))
         final.append(result.reports[-1].min_q2)
     assert abs(final[0] - final[1]) <= 1e-3, final
+
+
+@pytest.mark.parametrize("exponent", [-50, -200, 100])
+def test_a_run_does_not_depend_on_the_mesh_scale(exponent):
+    # scaling by a power of two is exact, and at beta = 1 it leaves every
+    # gradient norm as it is, so a run on the scaled indented box makes the
+    # unit-scale moves, stops and reports (min q1 scaled by 1/k); the
+    # boundary pass's coincidence test is relative, so no movable node of
+    # a tiny mesh is skipped
+    k = 2.0 ** exponent
+    unit = generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.6)
+    mesh = build_topology([n.mobility for n in unit.nodes],
+                          [Point2(k * x, k * y) for x, y in positions(unit)],
+                          list(unit.triangles))
+    cfg = SmootherConfig(i_max=10)
+    expected, result = smooth(unit, cfg), smooth(mesh, cfg)
+    assert result.skipped == expected.skipped == []
+    assert result.relocations == expected.relocations
+    assert result.stop_reasons == expected.stop_reasons
+    assert [dataclasses.replace(r, min_q1=r.min_q1 * k)
+            for r in result.reports] == expected.reports
+    assert [(x / k, y / k) for x, y in positions(mesh)] == positions(unit)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -4,6 +4,7 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, strategies as st
 
 import osmot.driver
 import osmot.newton
@@ -60,12 +61,25 @@ def test_direction_tiny_determinant_steepest():
     assert descent_direction(0.0, 1.0, 0.0, 0.0, 0.0) == (-0.0, -1.0, True)
     for bad in (math.inf, -math.inf, math.nan):
         assert descent_direction(0.0, 1.0, bad, 0.0, 1.0) == (-0.0, -1.0, True)
-    # a determinant of the unscaled entries would overflow, or underflow
-    for scale in (1e300, 1e-300):
+    # a determinant of the unscaled entries would overflow, or underflow;
+    # at 1e-310 the entries are subnormal, and 2^-e with e the exponent of
+    # the largest eigenvalue magnitude is above the largest float
+    for scale in (1e300, 1e-300, 1e-310):
         dx, dy, steepest = descent_direction(
             3.0 * scale, 1.0 * scale, 2.0 * scale, 0.5 * scale, 1.0 * scale)
         assert not steepest
         assert (dx, dy) == pytest.approx((-2.5 / 1.75, -0.5 / 1.75), rel=1e-12)
+    # a Newton direction beyond the largest float falls back to -grad
+    assert descent_direction(1.0, 0.5, 2e-310, 1e-311, 1e-310) == (
+        -1.0, -0.5, True)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=5, max_size=5))
+def test_direction_of_finite_input_is_finite(args):
+    # no gradient and Hessian of finite floats raises, at any magnitude
+    dx, dy, _steepest = descent_direction(*args)
+    assert math.isfinite(dx) and math.isfinite(dy)
 
 
 def test_direction_always_descends():

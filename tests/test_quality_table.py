@@ -10,9 +10,10 @@ keeps by deltas must equal a recount of its own q2 list after every
 step, and a read must re-evaluate only the triangles around the nodes
 moved since the last one.
 
-The table's inlined evaluation gives the bits of ``triangle_geometry``
-with ``q2_shape`` and ``size_radius``, and the report's ``min_q1`` gives
-the bits of the per-element minimum it no longer forms.
+The table's evaluation, and the boundary guard's ``star_min_q2``, give
+the bits of ``triangle_geometry`` with ``q2_shape`` and ``size_radius``,
+and the report's ``min_q1`` gives the bits of the per-element minimum it
+no longer forms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.geometry import Point2, triangle_geometry
-from osmot.mesh import Mesh, Mobility, Node, QualityTable, Triangle, flag_nodes
+from osmot.mesh import (
+    Mesh,
+    Mobility,
+    Node,
+    QualityTable,
+    Triangle,
+    flag_nodes,
+    star_min_q2,
+)
 from osmot.meshio import ValidationError, mesh_to_text, parse_mesh_text, read_mesh, write_mesh
 from osmot.quality import QualityConfig, q2_shape, size_radius
 from osmot.report import quality_report
@@ -312,8 +321,19 @@ def table_row(table: QualityTable) -> tuple:
     return (table.q2[0].hex(), table.circumradius[0].hex(), table.inverted[0])
 
 
+def star_q2(points) -> str:
+    """``star_min_q2`` of the triangle as the star of its vertex 0."""
+    return star_min_q2(points, ((0, 1, 2),), *points[0]).hex()
+
+
+TINY = 2.0 ** -360
+
+
 @settings(max_examples=300, deadline=None)
 @given(first=triangle_points(), second=triangle_points())
+# a*b*c underflows to 0 in a triangle that is not degenerate
+@example(first=[Point2(0.0, 0.0), Point2(TINY, 0.0), Point2(0.0, TINY)],
+         second=[Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0)])
 def test_inlined_evaluation_matches_the_helpers(first, second):
     nodes = [Node(i, Mobility.FIXED) for i in range(3)]
     # the stars of the three nodes, which set_position's refresh reads
@@ -327,6 +347,9 @@ def test_inlined_evaluation_matches_the_helpers(first, second):
     mesh.quality_table()  # evaluated again by a refresh
     assert table_row(table) == expected_row(second)
     assert_below_set_matches_q2(table)
+    # the boundary guard scores a star with the same rule
+    assert star_q2(first) == expected_row(first)[0]
+    assert star_q2(second) == expected_row(second)[0]
 
 
 radius = st.one_of(st.just(math.inf),
