@@ -13,13 +13,17 @@ the smoother's promise that a move never leaves the mesh worse: it halves
 the natural coordinate, up to ``GUARD_HALVINGS`` (12) times, until every
 triangle of the node's star has a signed area above its degeneracy
 threshold and the star's minimum radius ratio q2 is not below its value
-at the old position (``star_min_q2``). If no coordinate passes, the node
-stays. The driver runs the guard after ``smooth_boundary_node``, and only
-for a node that moved.
+at the old position (``star_min_q2``, which scores each triangle in its
+own vertex order, as the quality table does). If no coordinate passes,
+the node stays. The driver runs the guard after ``smooth_boundary_node``,
+and only for a node that moved.
 
-``BoundaryTriple`` is a ``typing.NamedTuple`` of three ``Point2``, which
-the driver packs with ``tuple.__new__`` for every node of every loop;
-the functions here unpack it and its points once.
+Both functions read only the positions of the node and of its star, so
+the driver proposes a node again only after one of those has moved since
+a proposal that moved nothing. ``BoundaryTriple`` is a
+``typing.NamedTuple`` of three ``Point2``, which the driver packs with
+``tuple.__new__`` for every node it proposes; the functions here unpack
+it and its points once.
 """
 
 from __future__ import annotations
@@ -102,9 +106,10 @@ def guard_boundary_move(triple: BoundaryTriple, new_pos: Point2,
                         star: tuple[tuple[int, int, int], ...]) -> Point2:
     """The first of ``new_pos`` (the move ``smooth_boundary_node`` proposes
     for ``triple``) and the curve points at xi/2, xi/4, ..., xi/2^12 at
-    which no triangle of the node's ``star`` is at or below its degeneracy
-    area and the star's min q2 is not below its value at the old position
-    ``triple.p0``; ``triple.p0`` itself when none is.
+    which no triangle of the node's ``star`` (its ``mesh.ordered_star``)
+    is at or below its degeneracy area and the star's min q2 is not below
+    its value at the old position ``triple.p0``; ``triple.p0`` itself when
+    none is.
 
     ``positions`` holds the node's old position and its neighbors'. A
     triangle scores q2 = 0 when its signed area is at or below its

@@ -2,8 +2,8 @@
 
 One run records the initial quality, then repeats up to i_max loops.
 The first loop flags the nodes of sub-quality elements (every loop does
-with ``reflag_each_loop``). Each loop then relocates every movable
-boundary node (chains in ascending id, nodes in chain order, always
+with ``reflag_each_loop``). Each loop then relocates the movable
+boundary nodes (chains in ascending id, nodes in chain order, always
 using current neighbor positions), then optimizes the ball of every
 flagged internal node in ascending node id. Connectivity never
 changes; the run is deterministic. A loop that moves nothing makes every
@@ -20,13 +20,26 @@ compares coordinates.
 
 A boundary node that moved is guarded (``guard_boundary_move``): its
 move is shortened along the curve until no triangle of its star
-(``Mesh.stars``) is degenerate or inverted and the star's minimum q2 is
-not below its value before the move, or refused. So no boundary move
-lowers the least quality of the triangles it touches, as no Newton
-solve raises its ball's objective.
-The pass calls ``smooth_boundary_node`` once per node with one positional
-``BoundaryTriple``, and the guard after it reads the positions list and
-the node's star as they are.
+(``Mesh.stars``, scored in each triangle's own vertex order as the
+quality table scores it) is degenerate or inverted and the star's
+minimum q2 is not below its value before the move, or refused. So no
+boundary move lowers the least quality of the triangles it touches, as
+no Newton solve raises its ball's objective.
+
+A node's proposal and its guard read only the positions of the node and
+of its star, which holds its chain neighbours. So a node whose last
+proposal moved nothing (``smooth_boundary_node`` gave back its own
+point, or the guard refused the move) is settled, and the pass skips it
+until a node it reads moves: every move the driver makes unsettles the
+boundary nodes that read the moved node at once, so a later node of the
+same pass sees it. A skipped node would have computed the same floats
+and stayed, so the run is bit for bit the one that proposes every node
+in every loop. A node whose neighbours coincide is never settled, and is
+reported in ``skipped`` in every loop. ``on_loop`` may move nodes, so
+the loop after it proposes every node. The settled set lives only in
+one ``smooth`` call. Each call of ``smooth_boundary_node`` passes one
+positional ``BoundaryTriple``, and the guard after it reads the
+positions list and the node's star as they are.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ from .geometry import Point2
 # chain once, but stays a name of this module: the benchmark tracer wraps
 # osmot.driver.boundary_neighbors by name, and every traced run fails
 # without it
-from .mesh import Mesh, Mobility, boundary_neighbors, flag_nodes
+from .mesh import Mesh, Mobility, boundary_neighbors, flag_nodes, ordered_star
 from .newton import DegenerateStartError, StopReason, optimize_ball
 from .objective import ObjectiveParams
 from .quality import QualityConfig
@@ -121,11 +134,29 @@ def _boundary_triples(mesh: Mesh) -> list[tuple[int, int, int]]:
     return triples
 
 
+def _watchers(stars: dict[int, tuple[tuple[int, int, int], ...]]
+              ) -> dict[int, list[int]]:
+    """For each node, the movable boundary nodes whose proposal and guard
+    read its position, from their ``ordered_star``s: those whose star holds
+    it (a star holds the node's chain neighbours), the node itself
+    included."""
+    watchers: dict[int, list[int]] = {}
+    for nid, star in stars.items():
+        read = {nid}
+        for _k, n1, n2 in star:
+            read.add(n1)
+            read.add(n2)
+        for m in read:
+            watchers.setdefault(m, []).append(nid)
+    return watchers
+
+
 def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     """Run the full smoothing procedure in place on the mesh.
 
     ``on_loop(loop, mesh)`` is invoked after the initial state is recorded
     (loop 0) and after every completed loop; useful for periodic snapshots.
+    It may move nodes, so the next loop proposes every boundary node.
     """
     t0 = time.perf_counter()
     reports = [quality_report(mesh, cfg.quality, cfg.objective.r_ref, 0)]
@@ -138,8 +169,12 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     early_exit_loop: int | None = None
     stop_reasons = dict.fromkeys(get_args(StopReason), 0)
     chain_triples = _boundary_triples(mesh)
+    guard_stars = {nid: ordered_star(mesh, nid) for _p, nid, _n in chain_triples}
+    watchers = _watchers(guard_stars)
+    # movable boundary nodes whose last proposal moved nothing, and none of
+    # whose read positions has moved since
+    settled: set[int] = set()
     positions = mesh._positions
-    stars = mesh.stars
 
     for loop in range(1, cfg.i_max + 1):
         if loop == 1 or cfg.reflag_each_loop:
@@ -150,6 +185,8 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
         moved = False
 
         for prev_id, nid, next_id in chain_triples:
+            if nid in settled:
+                continue
             old = positions[nid]
             triple = tuple.__new__(BoundaryTriple, (
                 positions[prev_id], old, positions[next_id]))
@@ -159,13 +196,16 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
                 skipped.append((nid, "coincident-neighbors"))
                 continue
             # a node already at its place comes back as the same object
-            if new_pos is old or new_pos == old:
-                continue
-            new_pos = guard_boundary_move(triple, new_pos, positions, stars[nid])
-            if new_pos is not old:
-                mesh.set_position(nid, new_pos)
-                moved = True
-                relocations += 1
+            if new_pos is not old and new_pos != old:
+                new_pos = guard_boundary_move(
+                    triple, new_pos, positions, guard_stars[nid])
+                if new_pos is not old:
+                    mesh.set_position(nid, new_pos)
+                    settled.difference_update(watchers[nid])
+                    moved = True
+                    relocations += 1
+                    continue
+            settled.add(nid)
 
         for nid in targets:
             old = mesh.position(nid)
@@ -181,6 +221,8 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
                 new_pos = laplacian_baseline_step(mesh, nid)
             if new_pos != old:
                 mesh.set_position(nid, new_pos)
+                if nid in watchers:
+                    settled.difference_update(watchers[nid])
                 moved = True
                 relocations += 1
 
@@ -188,6 +230,7 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
         reports.append(quality_report(mesh, cfg.quality, cfg.objective.r_ref, loop))
         if on_loop is not None:
             on_loop(loop, mesh)
+            settled.clear()
         if not moved and early_exit_loop is None:
             early_exit_loop = loop
             if cfg.early_exit:

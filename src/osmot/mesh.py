@@ -15,9 +15,9 @@ and is checked for an orphan, against the node's mobility label and, off
 the boundary, for winding once around its node by ray crossings. The
 stars are kept as ``Mesh.stars``, the mesh's one node-to-triangle
 incidence, and the ball of an internal node wraps its star;
-``star_min_q2`` scores a star with its node at a trial position, for the
-guard on boundary moves. Each ``Node`` is built once, after the chains,
-with its chain id.
+``star_min_q2`` scores a star, as ``ordered_star`` lists it, with its
+node at a trial position, for the guard on boundary moves. Each ``Node``
+is built once, after the chains, with its chain id.
 
 ``Triangle`` and ``Ball``, like ``Point2``, are ``typing.NamedTuple``
 records: a load builds thousands of them, and packs each with
@@ -318,23 +318,42 @@ class Mesh:
         )
 
 
+def ordered_star(mesh: Mesh, nid: int) -> tuple[tuple[int, int, int], ...]:
+    """Node nid's star as ``star_min_q2`` reads it: for each triangle of
+    ``mesh.stars[nid]``, the node's place k (0, 1 or 2) in the triangle's
+    own vertex order and the triangle's other two vertices in that order."""
+    triangles = mesh.triangles
+    ordered = []
+    for tid, _n1, _n2 in mesh.stars[nid]:
+        a, b, c = triangles[tid].nodes
+        ordered.append((0, b, c) if a == nid else
+                       (1, a, c) if b == nid else (2, a, b))
+    return tuple(ordered)
+
+
 def star_min_q2(positions: list[Point2],
                 star: tuple[tuple[int, int, int], ...],
                 px: float, py: float) -> float:
-    """The least radius ratio q2 over the (triangle id, n1, n2) triples of
-    a node's star, with the node at (px, py) and n1, n2 at ``positions``.
+    """The least radius ratio q2 over the (k, n1, n2) triples of a node's
+    ``ordered_star``, with the node at (px, py) and n1, n2 at
+    ``positions``.
 
-    Each triangle is scored by ``_score_triangle`` in the order (node, n1,
-    n2), so its q2 is the quality table's. A triangle that is degenerate,
-    inverted or whose circumradius underflows scores 0, so the result is
-    positive exactly when the table would score every triangle of the star
-    above 0.
+    Each triangle is scored by ``_score_triangle`` in its own vertex
+    order, with the node at place k, so its q2 is the quality table's
+    bits. A triangle that is degenerate, inverted or whose circumradius
+    underflows scores 0, so the result is positive exactly when the table
+    would score every triangle of the star above 0.
     """
     least = inf
-    for _tid, n1, n2 in star:
+    for k, n1, n2 in star:
         x1, y1 = positions[n1]
         x2, y2 = positions[n2]
-        q2 = _score_triangle(px, py, x1, y1, x2, y2)[1]
+        if k == 0:
+            q2 = _score_triangle(px, py, x1, y1, x2, y2)[1]
+        elif k == 1:
+            q2 = _score_triangle(x1, y1, px, py, x2, y2)[1]
+        else:
+            q2 = _score_triangle(x1, y1, x2, y2, px, py)[1]
         if q2 == 0.0:
             return 0.0
         if q2 < least:

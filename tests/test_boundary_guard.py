@@ -15,24 +15,27 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import osmot.driver
+from conftest import hexagon_fan
 from osmot.boundary import GUARD_HALVINGS, curve_point, natural_coordinate
 from osmot.driver import SmootherConfig, smooth
 from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.geometry import Point2, degenerate_area_eps, signed_area, triangle_geometry
-from osmot.mesh import Mesh, Mobility, star_min_q2
+from osmot.mesh import Mesh, Mobility, build_topology, ordered_star, star_min_q2
 from osmot.quality import q2_shape
 
 
 def star_state(mesh: Mesh, nid: int, p: Point2) -> tuple[float, bool]:
     """The star's min q2 with node nid at p, from ``triangle_geometry`` and
-    ``q2_shape`` in the (node, n1, n2) order of the star; and whether every
-    star triangle has a signed area above its degeneracy threshold."""
+    ``q2_shape`` in each triangle's own vertex order, the quality table's;
+    and whether every star triangle has a signed area above its degeneracy
+    threshold."""
     q2s, valid = [], True
-    for _tid, n1, n2 in mesh.stars[nid]:
-        p1, p2 = mesh.position(n1), mesh.position(n2)
-        geom = triangle_geometry(p, p1, p2)
+    for tid, _n1, _n2 in mesh.stars[nid]:
+        points = [p if n == nid else mesh.position(n)
+                  for n in mesh.triangles[tid].nodes]
+        geom = triangle_geometry(*points)
         q2s.append(q2_shape(geom))
-        valid &= signed_area(p, p1, p2) > degenerate_area_eps(geom.a, geom.b, geom.c)
+        valid &= signed_area(*points) > degenerate_area_eps(geom.a, geom.b, geom.c)
     return min(q2s), valid
 
 
@@ -113,13 +116,28 @@ def test_the_guard_keeps_shortens_and_refuses_moves(monkeypatch):
 
 
 def test_star_min_q2_matches_the_quality_helpers():
+    # the guard scores each star triangle in its own vertex order, so it
+    # reads the quality table's bits, not those of a rotation of them
     mesh = generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.6)
+    table = mesh.quality_table()
     for nid in range(len(mesh.nodes)):
         p = mesh.position(nid)
         q2, valid = star_state(mesh, nid, p)
         assert valid
-        assert star_min_q2(mesh._positions, mesh.stars[nid], *p) == q2
+        assert star_min_q2(mesh._positions, ordered_star(mesh, nid), *p) == q2
+        assert q2 == min(table.q2[tid] for tid, _n1, _n2 in mesh.stars[nid])
     # a position that inverts a star triangle scores 0
     nid = mesh.chains[0].node_ids[1]
     p = mesh.position(nid)
-    assert star_min_q2(mesh._positions, mesh.stars[nid], p.x, p.y - 10.0) == 0.0
+    star = ordered_star(mesh, nid)
+    assert star_min_q2(mesh._positions, star, p.x, p.y - 10.0) == 0.0
+
+
+def test_the_hexagon_ring_ends_no_worse_as_the_table_scores_it():
+    # scored as (node, n1, n2), a rotation of each triangle's own order,
+    # the ring's guard let node 4 lower its star's minimum by one ulp as
+    # the table scores it, and the run ended below the q2 it started at
+    mesh = build_topology(*hexagon_fan(ring_mobility=Mobility.BOUNDARY))
+    result = smooth(mesh, SmootherConfig())
+    assert result.relocations > 0
+    assert result.reports[-1].min_q2 >= result.reports[0].min_q2

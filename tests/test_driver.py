@@ -167,37 +167,91 @@ def test_boundary_nodes_without_chain_id_smooth():
     assert positions(bare) == positions(built)
 
 
+def read_ids(mesh: Mesh, nid: int) -> list[int]:
+    """The nodes whose positions the proposal and the guard of boundary
+    node nid read: the node, its chain neighbours and its star."""
+    ids = {nid, *boundary_neighbors(mesh, nid)}
+    for _tid, n1, n2 in mesh.stars[nid]:
+        ids |= {n1, n2}
+    return sorted(ids)
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_topology(*hexagon_fan(ring_mobility=Mobility.BOUNDARY)),
     lambda: build_topology(*square_ring()),
     lambda: generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.6),
 ], ids=["hexagon", "square", "indentedbox"])
 def test_boundary_triples_are_the_chain_neighbors(monkeypatch, build):
-    # every relocation gets the positions of boundary_neighbors' two ids at
-    # call time, node by node in chain order, wrap ends included
+    # every proposal gets the positions of boundary_neighbors' two ids at
+    # call time, node by node in chain order, wrap ends included. Loop 1
+    # proposes every movable node; a later loop proposes a node exactly
+    # when a position it reads differs from that at its last proposal.
+    # The boundary pass of a loop ends at its first Newton solve or at its
+    # report, whichever comes first
     mesh = build()
     order = [nid for chain in mesh.chains for nid in chain.node_ids
              if mesh.nodes[nid].mobility is Mobility.BOUNDARY]
-    seen = []
-    relocate = osmot.driver.smooth_boundary_node
+    reads = {nid: read_ids(mesh, nid) for nid in order}
+    last = {}  # node -> the positions it read at its last proposal
+    per_loop = []  # the nodes proposed in each loop
+    state = {"loop": 0, "at": 0, "done": True}
 
-    def checked(triple):
-        nid = order[len(seen) % len(order)]
+    def read(nid):
+        return [mesh.position(n) for n in reads[nid]]
+
+    def reach(index):
+        # the pass went past order[at:index] without proposing them
+        for nid in order[state["at"]:index]:
+            assert state["loop"] > 1 and read(nid) == last[nid], nid
+        state["at"] = index
+
+    def end_pass():
+        if not state["done"]:
+            reach(len(order))
+            state["done"] = True
+
+    relocate = osmot.driver.smooth_boundary_node
+    solve = osmot.driver.optimize_ball
+    report = osmot.driver.quality_report
+
+    def proposed(triple):
+        assert not state["done"]
+        index = next(i for i in range(state["at"], len(order))
+                     if mesh.position(order[i]) is triple.p0)
+        reach(index)
+        nid = order[index]
         prev_id, next_id = boundary_neighbors(mesh, nid)
         assert triple == BoundaryTriple(mesh.position(prev_id), mesh.position(nid),
                                         mesh.position(next_id))
-        seen.append(nid)
+        assert state["loop"] == 1 or read(nid) != last[nid], nid
+        last[nid] = read(nid)
+        per_loop[-1].append(nid)
+        state["at"] = index + 1
         return relocate(triple)
 
-    monkeypatch.setattr(osmot.driver, "smooth_boundary_node", checked)
+    def solved(*args):
+        end_pass()
+        return solve(*args)
+
+    def reported(*args):
+        end_pass()
+        per_loop.append([])
+        state.update(loop=state["loop"] + 1, at=0, done=False)
+        return report(*args)
+
+    monkeypatch.setattr(osmot.driver, "smooth_boundary_node", proposed)
+    monkeypatch.setattr(osmot.driver, "optimize_ball", solved)
+    monkeypatch.setattr(osmot.driver, "quality_report", reported)
     result = smooth(mesh, SmootherConfig(i_max=3))
-    assert len(seen) == len(order) * result.loops_run > 0
+    assert per_loop[0] == order
+    assert len(per_loop) == result.loops_run + 1
 
 
 def test_boundary_pass_keeps_the_tracer_contract(monkeypatch):
     # perfbench/spans.py wraps these two names on the driver module; its
     # smooth_boundary_node hook reads args[0].p0, so each call passes one
-    # positional BoundaryTriple: one call per movable node per loop.
+    # positional BoundaryTriple. Loop 1 proposes every movable node, and a
+    # later loop only those that a move since reached.
     # boundary_neighbors is no longer called, but must stay wrappable
     assert osmot.driver.boundary_neighbors is osmot.mesh.boundary_neighbors
     mesh = generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.6)
@@ -213,7 +267,8 @@ def test_boundary_pass_keeps_the_tracer_contract(monkeypatch):
 
     monkeypatch.setattr(osmot.driver, "smooth_boundary_node", traced)
     result = smooth(mesh, SmootherConfig(i_max=3))
-    assert len(calls) == movable * result.loops_run > 0
+    assert result.loops_run == 3
+    assert movable < len(calls) < movable * result.loops_run
 
 
 def flat_box():

@@ -10,10 +10,12 @@ keeps by deltas must equal a recount of its own q2 list after every
 step, and a read must re-evaluate only the triangles around the nodes
 moved since the last one.
 
-The table's evaluation, and the boundary guard's ``star_min_q2``, give
-the bits of ``triangle_geometry`` with ``q2_shape`` and ``size_radius``,
-and the report's ``min_q1`` gives the bits of the per-element minimum it
-no longer forms.
+The table's evaluation gives the bits of ``triangle_geometry`` with
+``q2_shape`` and ``size_radius``, and so does the boundary guard's
+``star_min_q2`` for a triangle scored in its own vertex order, as
+``ordered_star`` lists it (a rotation of that order can round
+differently). The report's ``min_q1`` gives the bits of the per-element
+minimum it no longer forms.
 """
 
 from __future__ import annotations
@@ -321,9 +323,11 @@ def table_row(table: QualityTable) -> tuple:
     return (table.q2[0].hex(), table.circumradius[0].hex(), table.inverted[0])
 
 
-def star_q2(points) -> str:
-    """``star_min_q2`` of the triangle as the star of its vertex 0."""
-    return star_min_q2(points, ((0, 1, 2),), *points[0]).hex()
+def star_q2s(points) -> list[str]:
+    """``star_min_q2`` of the triangle as the ``ordered_star`` of each of
+    its vertices k: place k, then the other two in the triangle's order."""
+    return [star_min_q2(points, ((k, *others),), *points[k]).hex()
+            for k, others in enumerate([(1, 2), (0, 2), (0, 1)])]
 
 
 TINY = 2.0 ** -360
@@ -348,8 +352,8 @@ def test_inlined_evaluation_matches_the_helpers(first, second):
     assert table_row(table) == expected_row(second)
     assert_below_set_matches_q2(table)
     # the boundary guard scores a star with the same rule
-    assert star_q2(first) == expected_row(first)[0]
-    assert star_q2(second) == expected_row(second)[0]
+    assert star_q2s(first) == [expected_row(first)[0]] * 3
+    assert star_q2s(second) == [expected_row(second)[0]] * 3
 
 
 radius = st.one_of(st.just(math.inf),
