@@ -18,12 +18,13 @@ own vertex order, as the quality table does). If no coordinate passes,
 the node stays. The driver runs the guard after ``smooth_boundary_node``,
 and only for a node that moved.
 
-Both functions read only the positions of the node and of its star, so
-the driver proposes a node again only after one of those has moved since
-a proposal that moved nothing. ``BoundaryTriple`` is a
-``typing.NamedTuple`` of three ``Point2``, which the driver packs with
-``tuple.__new__`` for every node it proposes; the functions here unpack
-it and its points once.
+Both functions read only the positions of the node and of its star
+(``Mesh.stars``), so the driver skips a node while those positions equal
+the ones its last proposal read, if that proposal moved nothing. The
+guard takes the mesh and the node's id and reads both there.
+``BoundaryTriple`` is a ``typing.NamedTuple`` of three ``Point2``, which
+the driver packs with ``tuple.__new__`` for every node it proposes; the
+functions here unpack it and its points once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from typing import NamedTuple
 
 from .geometry import Point2
-from .mesh import star_min_q2
+from .mesh import Mesh, star_min_q2
 
 # the natural coordinate of a guarded boundary move is halved at most this
 # many times before the node stays where it is
@@ -101,26 +102,25 @@ def smooth_boundary_node(triple: BoundaryTriple) -> Point2:
     return curve_point(x1, y1, x0, y0, x2, y2, xi)
 
 
-def guard_boundary_move(triple: BoundaryTriple, new_pos: Point2,
-                        positions: list[Point2],
-                        star: tuple[tuple[int, int, int], ...]) -> Point2:
+def guard_boundary_move(triple: BoundaryTriple, new_pos: Point2, mesh: Mesh,
+                        nid: int) -> Point2:
     """The first of ``new_pos`` (the move ``smooth_boundary_node`` proposes
-    for ``triple``) and the curve points at xi/2, xi/4, ..., xi/2^12 at
-    which no triangle of the node's ``star`` (its ``mesh.ordered_star``)
-    is at or below its degeneracy area and the star's min q2 is not below
+    for node nid's ``triple``) and the curve points at xi/2, xi/4, ...,
+    xi/2^12 at which no triangle of the node's star is at or below its
+    degeneracy area and the star's min q2 (``star_min_q2``) is not below
     its value at the old position ``triple.p0``; ``triple.p0`` itself when
     none is.
 
-    ``positions`` holds the node's old position and its neighbors'. A
-    triangle scores q2 = 0 when its signed area is at or below its
+    The mesh holds node nid at ``triple.p0`` and its neighbors where they
+    are. A triangle scores q2 = 0 when its signed area is at or below its
     degeneracy threshold, so a point passes when its min q2 is positive
     and at least the old one.
     """
     (x1, y1), p0, (x2, y2) = triple
     x0, y0 = p0
-    q_old = star_min_q2(positions, star, x0, y0)
+    q_old = star_min_q2(mesh, nid, x0, y0)
     x, y = new_pos
-    q = star_min_q2(positions, star, x, y)
+    q = star_min_q2(mesh, nid, x, y)
     if q > 0.0 and q >= q_old:
         return new_pos
     xi = natural_coordinate(x1, y1, x0, y0, x2, y2)
@@ -131,7 +131,7 @@ def guard_boundary_move(triple: BoundaryTriple, new_pos: Point2,
             # the move is below the coordinates' rounding: the node stays
             break
         x, y = candidate
-        q = star_min_q2(positions, star, x, y)
+        q = star_min_q2(mesh, nid, x, y)
         if q > 0.0 and q >= q_old:
             return candidate
     return p0

@@ -26,20 +26,20 @@ minimum q2 is not below its value before the move, or refused. So no
 boundary move lowers the least quality of the triangles it touches, as
 no Newton solve raises its ball's objective.
 
-A node's proposal and its guard read only the positions of the node and
-of its star, which holds its chain neighbours. So a node whose last
-proposal moved nothing (``smooth_boundary_node`` gave back its own
-point, or the guard refused the move) is settled, and the pass skips it
-until a node it reads moves: every move the driver makes unsettles the
-boundary nodes that read the moved node at once, so a later node of the
-same pass sees it. A skipped node would have computed the same floats
-and stayed, so the run is bit for bit the one that proposes every node
-in every loop. A node whose neighbours coincide is never settled, and is
-reported in ``skipped`` in every loop. ``on_loop`` may move nodes, so
-the loop after it proposes every node. The settled set lives only in
-one ``smooth`` call. Each call of ``smooth_boundary_node`` passes one
-positional ``BoundaryTriple``, and the guard after it reads the
-positions list and the node's star as they are.
+A node's proposal and its guard are pure functions of the positions of
+the node and of its star, which holds its chain neighbours. So the pass
+keeps, for each movable node, the positions its last proposal read if
+that proposal moved nothing (``smooth_boundary_node`` gave back its own
+point, or the guard refused the move), and skips the node while the
+positions it reads equal those: a proposal from equal inputs would
+stay again. The run is bit for bit the one that proposes every node in every
+loop. Equal positions are what counts, not who wrote them, so a move by
+the interior pass, by an earlier node of the same pass or by ``on_loop``
+needs no bookkeeping. A node whose neighbours coincide is never
+settled, and is reported in ``skipped`` in every loop. The memo lives
+only in one ``smooth`` call. Each call of ``smooth_boundary_node``
+passes one positional ``BoundaryTriple``, and the guard after it reads
+the mesh's positions and the node's star as they are.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import get_args
 
 from .boundary import (
@@ -60,7 +61,7 @@ from .geometry import Point2
 # chain once, but stays a name of this module: the benchmark tracer wraps
 # osmot.driver.boundary_neighbors by name, and every traced run fails
 # without it
-from .mesh import Mesh, Mobility, boundary_neighbors, flag_nodes, ordered_star
+from .mesh import Mesh, Mobility, boundary_neighbors, flag_nodes
 from .newton import DegenerateStartError, StopReason, optimize_ball
 from .objective import ObjectiveParams
 from .quality import QualityConfig
@@ -134,29 +135,13 @@ def _boundary_triples(mesh: Mesh) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _watchers(stars: dict[int, tuple[tuple[int, int, int], ...]]
-              ) -> dict[int, list[int]]:
-    """For each node, the movable boundary nodes whose proposal and guard
-    read its position, from their ``ordered_star``s: those whose star holds
-    it (a star holds the node's chain neighbours), the node itself
-    included."""
-    watchers: dict[int, list[int]] = {}
-    for nid, star in stars.items():
-        read = {nid}
-        for _k, n1, n2 in star:
-            read.add(n1)
-            read.add(n2)
-        for m in read:
-            watchers.setdefault(m, []).append(nid)
-    return watchers
-
-
 def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     """Run the full smoothing procedure in place on the mesh.
 
     ``on_loop(loop, mesh)`` is invoked after the initial state is recorded
     (loop 0) and after every completed loop; useful for periodic snapshots.
-    It may move nodes, so the next loop proposes every boundary node.
+    It may move nodes; the next loop proposes each boundary node that reads
+    a moved position.
     """
     t0 = time.perf_counter()
     reports = [quality_report(mesh, cfg.quality, cfg.objective.r_ref, 0)]
@@ -168,12 +153,14 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
     loops_run = 0
     early_exit_loop: int | None = None
     stop_reasons = dict.fromkeys(get_args(StopReason), 0)
-    chain_triples = _boundary_triples(mesh)
-    guard_stars = {nid: ordered_star(mesh, nid) for _p, nid, _n in chain_triples}
-    watchers = _watchers(guard_stars)
-    # movable boundary nodes whose last proposal moved nothing, and none of
-    # whose read positions has moved since
-    settled: set[int] = set()
+    # each movable node's chain triple, and a getter of the positions its
+    # proposal and guard read: its own, then those of its star
+    chain_triples = [
+        (prev_id, nid, next_id,
+         itemgetter(nid, *{n for _t, n1, n2 in mesh.stars[nid] for n in (n1, n2)}))
+        for prev_id, nid, next_id in _boundary_triples(mesh)]
+    # node -> the positions read by its last proposal, if that moved nothing
+    settled: dict[int, tuple[Point2, ...]] = {}
     positions = mesh._positions
 
     for loop in range(1, cfg.i_max + 1):
@@ -184,10 +171,11 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
             )
         moved = False
 
-        for prev_id, nid, next_id in chain_triples:
-            if nid in settled:
+        for prev_id, nid, next_id, reads in chain_triples:
+            read = reads(positions)
+            if read == settled.get(nid):
                 continue
-            old = positions[nid]
+            old = read[0]
             triple = tuple.__new__(BoundaryTriple, (
                 positions[prev_id], old, positions[next_id]))
             try:
@@ -197,15 +185,14 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
                 continue
             # a node already at its place comes back as the same object
             if new_pos is not old and new_pos != old:
-                new_pos = guard_boundary_move(
-                    triple, new_pos, positions, guard_stars[nid])
+                new_pos = guard_boundary_move(triple, new_pos, mesh, nid)
                 if new_pos is not old:
                     mesh.set_position(nid, new_pos)
-                    settled.difference_update(watchers[nid])
+                    settled.pop(nid, None)
                     moved = True
                     relocations += 1
                     continue
-            settled.add(nid)
+            settled[nid] = read
 
         for nid in targets:
             old = mesh.position(nid)
@@ -221,8 +208,6 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
                 new_pos = laplacian_baseline_step(mesh, nid)
             if new_pos != old:
                 mesh.set_position(nid, new_pos)
-                if nid in watchers:
-                    settled.difference_update(watchers[nid])
                 moved = True
                 relocations += 1
 
@@ -230,7 +215,6 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
         reports.append(quality_report(mesh, cfg.quality, cfg.objective.r_ref, loop))
         if on_loop is not None:
             on_loop(loop, mesh)
-            settled.clear()
         if not moved and early_exit_loop is None:
             early_exit_loop = loop
             if cfg.early_exit:

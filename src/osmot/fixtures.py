@@ -108,14 +108,12 @@ def _patch32(seed: int, distortion: float) -> Mesh:
     triangles = [Triangle(t, nodes_) for t, nodes_ in enumerate(tris)]
 
     if distortion > 0.0:
-        interior = [nid(i, j) for j in range(1, n) for i in range(1, n)]
         rng = random.Random(seed)
-        lattice = {k: positions[k] for k in interior}
+        lattice = patch32_lattice_positions()
         area_floor = 1e-6 * h * h
         for _attempt in range(10_000):
-            for k in interior:
+            for k, base in lattice.items():
                 angle = rng.uniform(0.0, 2.0 * math.pi)
-                base = lattice[k]
                 positions[k] = Point2(
                     base.x + distortion * h * math.cos(angle),
                     base.y + distortion * h * math.sin(angle),

@@ -15,9 +15,10 @@ and is checked for an orphan, against the node's mobility label and, off
 the boundary, for winding once around its node by ray crossings. The
 stars are kept as ``Mesh.stars``, the mesh's one node-to-triangle
 incidence, and the ball of an internal node wraps its star;
-``star_min_q2`` scores a star, as ``ordered_star`` lists it, with its
-node at a trial position, for the guard on boundary moves. Each ``Node``
-is built once, after the chains, with its chain id.
+``star_min_q2`` scores a node's star with the node at a trial position,
+each triangle in its own vertex order from ``Mesh.triangles``, for the
+guard on boundary moves. Each ``Node`` is built once, after the chains,
+with its chain id.
 
 ``Triangle`` and ``Ball``, like ``Point2``, are ``typing.NamedTuple``
 records: a load builds thousands of them, and packs each with
@@ -262,8 +263,10 @@ class Mesh:
     ``set_position``; ``stars[nid]`` holds its (triangle id, n1, n2)
     triples, as in ``Ball.elements``, and is the one node-to-triangle
     incidence: the quality table and the SVG text find the triangles around
-    a moved node there. A mesh assembled without ``build_topology`` passes
-    the stars of the nodes it moves, as it passes ``balls`` and ``chains``.
+    a moved node there, and the boundary pass and its guard those around a
+    movable boundary node. A mesh assembled without ``build_topology``
+    passes the stars of the nodes it moves, as it passes ``balls`` and
+    ``chains``.
     """
 
     nodes: list[Node]
@@ -318,40 +321,27 @@ class Mesh:
         )
 
 
-def ordered_star(mesh: Mesh, nid: int) -> tuple[tuple[int, int, int], ...]:
-    """Node nid's star as ``star_min_q2`` reads it: for each triangle of
-    ``mesh.stars[nid]``, the node's place k (0, 1 or 2) in the triangle's
-    own vertex order and the triangle's other two vertices in that order."""
-    triangles = mesh.triangles
-    ordered = []
-    for tid, _n1, _n2 in mesh.stars[nid]:
-        a, b, c = triangles[tid].nodes
-        ordered.append((0, b, c) if a == nid else
-                       (1, a, c) if b == nid else (2, a, b))
-    return tuple(ordered)
+def star_min_q2(mesh: Mesh, nid: int, px: float, py: float) -> float:
+    """The least radius ratio q2 over the triangles of ``mesh.stars[nid]``,
+    with node nid at (px, py) and the other nodes where they are.
 
-
-def star_min_q2(positions: list[Point2],
-                star: tuple[tuple[int, int, int], ...],
-                px: float, py: float) -> float:
-    """The least radius ratio q2 over the (k, n1, n2) triples of a node's
-    ``ordered_star``, with the node at (px, py) and n1, n2 at
-    ``positions``.
-
-    Each triangle is scored by ``_score_triangle`` in its own vertex
-    order, with the node at place k, so its q2 is the quality table's
-    bits. A triangle that is degenerate, inverted or whose circumradius
-    underflows scores 0, so the result is positive exactly when the table
-    would score every triangle of the star above 0.
+    Each triangle is scored by ``_score_triangle`` in its own vertex order
+    from ``mesh.triangles``, so its q2 is the quality table's bits. A
+    triangle that is degenerate, inverted or whose circumradius underflows
+    scores 0, so the result is positive exactly when the table would score
+    every triangle of the star above 0.
     """
+    positions, triangles = mesh._positions, mesh.triangles
     least = inf
-    for k, n1, n2 in star:
+    for tid, n1, n2 in mesh.stars[nid]:
+        # (nid, n1, n2) is a rotation of the triangle's (a, b, c)
+        _tid, (a, b, _c) = triangles[tid]
         x1, y1 = positions[n1]
         x2, y2 = positions[n2]
-        if k == 0:
+        if a == nid:
             q2 = _score_triangle(px, py, x1, y1, x2, y2)[1]
-        elif k == 1:
-            q2 = _score_triangle(x1, y1, px, py, x2, y2)[1]
+        elif b == nid:
+            q2 = _score_triangle(x2, y2, px, py, x1, y1)[1]
         else:
             q2 = _score_triangle(x1, y1, x2, y2, px, py)[1]
         if q2 == 0.0:

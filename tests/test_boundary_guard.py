@@ -20,7 +20,7 @@ from osmot.boundary import GUARD_HALVINGS, curve_point, natural_coordinate
 from osmot.driver import SmootherConfig, smooth
 from osmot.fixtures import FixtureKind, generate_fixture
 from osmot.geometry import Point2, degenerate_area_eps, signed_area, triangle_geometry
-from osmot.mesh import Mesh, Mobility, build_topology, ordered_star, star_min_q2
+from osmot.mesh import Mesh, Mobility, build_topology, star_min_q2
 from osmot.quality import q2_shape
 
 
@@ -89,10 +89,10 @@ def test_the_guard_keeps_shortens_and_refuses_moves(monkeypatch):
     outcomes = {"kept": 0, "shortened": 0, "refused": 0}
     guard = osmot.driver.guard_boundary_move
 
-    def watched(triple, proposed, positions, star):
-        guarded = guard(triple, proposed, positions, star)
+    def watched(triple, proposed, mesh, nid):
+        guarded = guard(triple, proposed, mesh, nid)
         (x1, y1), (x0, y0), (x2, y2) = triple
-        before = star_min_q2(positions, star, x0, y0)
+        before = star_min_q2(mesh, nid, x0, y0)
         if guarded is proposed:
             outcomes["kept"] += 1
         elif guarded is triple.p0:
@@ -102,10 +102,10 @@ def test_the_guard_keeps_shortens_and_refuses_moves(monkeypatch):
             xi = natural_coordinate(x1, y1, x0, y0, x2, y2)
             halved = [curve_point(x1, y1, x0, y0, x2, y2, xi / 2.0 ** k)
                       for k in range(1, GUARD_HALVINGS + 1)]
-            scores = [star_min_q2(positions, star, *p) for p in halved]
+            scores = [star_min_q2(mesh, nid, *p) for p in halved]
             passes = [q > 0.0 and q >= before for q in scores]
             assert guarded == halved[passes.index(True)]
-        after = star_min_q2(positions, star, *guarded)
+        after = star_min_q2(mesh, nid, *guarded)
         assert after >= before
         return guarded
 
@@ -124,13 +124,12 @@ def test_star_min_q2_matches_the_quality_helpers():
         p = mesh.position(nid)
         q2, valid = star_state(mesh, nid, p)
         assert valid
-        assert star_min_q2(mesh._positions, ordered_star(mesh, nid), *p) == q2
+        assert star_min_q2(mesh, nid, *p) == q2
         assert q2 == min(table.q2[tid] for tid, _n1, _n2 in mesh.stars[nid])
     # a position that inverts a star triangle scores 0
     nid = mesh.chains[0].node_ids[1]
     p = mesh.position(nid)
-    star = ordered_star(mesh, nid)
-    assert star_min_q2(mesh._positions, star, p.x, p.y - 10.0) == 0.0
+    assert star_min_q2(mesh, nid, p.x, p.y - 10.0) == 0.0
 
 
 def test_the_hexagon_ring_ends_no_worse_as_the_table_scores_it():

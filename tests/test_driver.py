@@ -438,6 +438,27 @@ def test_a_run_does_not_depend_on_the_mesh_scale(exponent):
 
 
 @pytest.mark.xfail(strict=True, reason=(
+    "the gradient test |grad w| < EPS is absolute: scaling the lengths "
+    "by k scales every gradient by 1/k, so a large mesh stops early"))
+def test_newton_stop_does_not_depend_on_the_length_scale():
+    # with r_ref scaled alike, w is the same function of the scaled mesh,
+    # so the run should make the unit-scale moves; today the indented box
+    # scaled by 2^100 stops every solve as converged at once and ends at
+    # min q2 0.183 after 33 relocations, against 0.403 after 141
+    k = 2.0 ** 100
+    unit = generate_fixture(FixtureKind.INDENTED_BOX, distortion=0.6)
+    mesh = build_topology([n.mobility for n in unit.nodes],
+                          [Point2(k * x, k * y) for x, y in positions(unit)],
+                          list(unit.triangles))
+    expected = smooth(unit, SmootherConfig(i_max=10))
+    result = smooth(mesh, SmootherConfig(
+        i_max=10, objective=ObjectiveParams(r_ref=k)))
+    assert result.relocations == expected.relocations
+    assert result.reports[-1].min_q2 == pytest.approx(
+        expected.reports[-1].min_q2, abs=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason=(
     "the gradient test |grad w| < EPS is absolute: a larger w meets it "
     "sooner, and at beta = 400 every ball of this mesh starts below it"))
 def test_newton_work_does_not_depend_on_the_objective_scale(monkeypatch):

@@ -12,10 +12,10 @@ moved since the last one.
 
 The table's evaluation gives the bits of ``triangle_geometry`` with
 ``q2_shape`` and ``size_radius``, and so does the boundary guard's
-``star_min_q2`` for a triangle scored in its own vertex order, as
-``ordered_star`` lists it (a rotation of that order can round
-differently). The report's ``min_q1`` gives the bits of the per-element
-minimum it no longer forms.
+``star_min_q2``, which scores each triangle of a node's star in the
+triangle's own vertex order, with the node at any of its three places (a
+rotation of that order can round differently). The report's ``min_q1``
+gives the bits of the per-element minimum it no longer forms.
 """
 
 from __future__ import annotations
@@ -323,11 +323,12 @@ def table_row(table: QualityTable) -> tuple:
     return (table.q2[0].hex(), table.circumradius[0].hex(), table.inverted[0])
 
 
-def star_q2s(points) -> list[str]:
-    """``star_min_q2`` of the triangle as the ``ordered_star`` of each of
-    its vertices k: place k, then the other two in the triangle's order."""
-    return [star_min_q2(points, ((k, *others),), *points[k]).hex()
-            for k, others in enumerate([(1, 2), (0, 2), (0, 1)])]
+def star_q2s(mesh: Mesh) -> list[str]:
+    """``star_min_q2`` of a one-triangle mesh's star of each of its nodes,
+    at the node's own position: the node at place 0, 1 and 2 of the
+    triangle's vertex order."""
+    return [star_min_q2(mesh, nid, *mesh.position(nid)).hex()
+            for nid in range(3)]
 
 
 TINY = 2.0 ** -360
@@ -346,14 +347,14 @@ def test_inlined_evaluation_matches_the_helpers(first, second):
                 _positions=list(first), stars=stars)
     table = mesh.quality_table()  # evaluated as the table is built
     assert table_row(table) == expected_row(first)
+    # the boundary guard scores a star with the same rule
+    assert star_q2s(mesh) == [expected_row(first)[0]] * 3
     for nid, p in enumerate(second):
         mesh.set_position(nid, p)
     mesh.quality_table()  # evaluated again by a refresh
     assert table_row(table) == expected_row(second)
     assert_below_set_matches_q2(table)
-    # the boundary guard scores a star with the same rule
-    assert star_q2s(first) == [expected_row(first)[0]] * 3
-    assert star_q2s(second) == [expected_row(second)[0]] * 3
+    assert star_q2s(mesh) == [expected_row(second)[0]] * 3
 
 
 radius = st.one_of(st.just(math.inf),
