@@ -13,10 +13,7 @@ Since connectivity and mobility never change, a run walks each chain
 once, before the first loop, into the (previous, node, next) ids of its
 movable nodes (wrapping on a closed chain); every loop relocates from
 that list. The walk reads each node's mobility, not its chain id, so a
-hand-assembled mesh whose nodes carry no chain id smooths too. A boundary
-node whose neighbours are already equidistant gets its own ``Point2``
-back from ``smooth_boundary_node``, so the pass tests identity before it
-compares coordinates.
+hand-assembled mesh whose nodes carry no chain id smooths too.
 
 A boundary node that moved is guarded (``guard_boundary_move``): its
 move is shortened along the curve until no triangle of its star
@@ -183,8 +180,7 @@ def smooth(mesh: Mesh, cfg: SmootherConfig, on_loop=None) -> RunReport:
             except CoincidentNeighborsError:
                 skipped.append((nid, "coincident-neighbors"))
                 continue
-            # a node already at its place comes back as the same object
-            if new_pos is not old and new_pos != old:
+            if new_pos != old:
                 new_pos = guard_boundary_move(triple, new_pos, mesh, nid)
                 if new_pos is not old:
                     mesh.set_position(nid, new_pos)

@@ -160,42 +160,40 @@ def _score_triangle(x0: float, y0: float, x1: float, y1: float, x2: float,
 
     The float operations are those of ``triangle_geometry``, then
     ``q2_shape`` and ``size_radius``, in the same order, so the values are
-    the same bits without building a ``TriangleGeometry``. A degenerate
-    triangle, or one whose circumradius underflows to 0, has q2 = 0 and
-    radius +inf; an inverted one has q2 = 0 and its circumradius.
+    the same bits without building a ``TriangleGeometry``. A triangle
+    whose signed area is at or below its degeneracy threshold (degenerate
+    or inverted), or whose circumradius underflows to 0, has radius +inf,
+    so q2 = 0 and r_ref / R = 0.
     """
     a = hypot(x1 - x0, y1 - y0)
     b = hypot(x2 - x1, y2 - y1)
     c = hypot(x0 - x2, y0 - y2)
     area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-    area_abs = abs(area)
-    # max(a, b, c), inlined as in _frame_grad_hess
+    # max(a, b, c), and the barrier's signed test, inlined as in
+    # _frame_grad_hess
     m = a if a > b else b
     if c > m:
         m = c
-    if area_abs <= DEGENERATE_AREA_FACTOR * m * m:
+    if area <= DEGENERATE_AREA_FACTOR * m * m:
         return area, 0.0, inf
-    big_r = a * b * c / (4.0 * area_abs)
+    big_r = a * b * c / (4.0 * area)
     if big_r == 0.0:
         return area, 0.0, inf
-    if area <= 0.0:
-        # an inverted triangle is the worst there is
-        return area, 0.0, big_r
-    return area, 2.0 * (area_abs / (0.5 * (a + b + c))) / big_r, big_r
+    return area, 2.0 * (area / (0.5 * (a + b + c))) / big_r, big_r
 
 
 class QualityTable:
     """Flat per-triangle quality values, indexed by triangle id.
 
-    ``q2`` is the radius ratio (``q2_shape``), 0 for an inverted triangle;
-    ``circumradius`` is ``size_radius`` (R, or +inf where ``q1_size``
-    scores the triangle 0), so that r_ref / R is its size quality for any
-    positive r_ref;
-    ``inverted`` is 1 where the signed area is not positive. ``q2`` and
-    ``circumradius`` are lists of floats, which the report's min, mean and
-    max passes read without boxing; ``inverted`` is a ``bytearray``, which
-    it counts with ``bytearray.count``. ``moved`` holds the nodes moved
-    since the values were last evaluated.
+    ``circumradius`` is ``size_radius``: R, or +inf for a degenerate or
+    an inverted triangle, so that r_ref / R is its size quality
+    (``q1_size``) for any positive r_ref, 0 where the triangle is invalid;
+    ``q2`` is the radius ratio (``q2_shape``), 2r over that radius, so 0
+    where it is +inf; ``inverted`` is 1 where the signed area is not
+    positive. ``q2`` and ``circumradius`` are lists of floats, which the
+    report's min, mean and max passes read without boxing; ``inverted`` is
+    a ``bytearray``, which it counts with ``bytearray.count``. ``moved``
+    holds the nodes moved since the values were last evaluated.
 
     The triangles below the last q_min asked of ``below`` are kept by
     deltas: each re-evaluated triangle joins or leaves that set.
@@ -327,9 +325,10 @@ def star_min_q2(mesh: Mesh, nid: int, px: float, py: float) -> float:
 
     Each triangle is scored by ``_score_triangle`` in its own vertex order
     from ``mesh.triangles``, so its q2 is the quality table's bits. A
-    triangle that is degenerate, inverted or whose circumradius underflows
-    scores 0, so the result is positive exactly when the table would score
-    every triangle of the star above 0.
+    triangle at or below its degeneracy area (degenerate or inverted), or
+    whose circumradius underflows, has size radius +inf and scores 0, so
+    the result is positive exactly when the table would score every
+    triangle of the star above 0.
     """
     positions, triangles = mesh._positions, mesh.triangles
     least = inf

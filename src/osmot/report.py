@@ -16,7 +16,9 @@ rounded, so the same bits on every Python version), and for min q1,
 which is formed here so that an edited ``mesh.rref`` or another
 ``r_ref`` never reads a stale value: without rref overrides it is
 ``r_ref`` over the largest stored circumradius, otherwise the minimum of
-each element's rref over its circumradius. The table holds q2 and the
+each element's rref over its circumradius. The table's circumradius of a
+degenerate or an inverted triangle is +inf, so either way min q1 reads 0
+while any triangle is invalid, as min q2 does. The table holds q2 and the
 circumradii as lists of floats, so these passes box no value.
 
 ``q2_histogram`` counts the table's q2 values in ``HISTOGRAM_BUCKETS``

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from osmot.geometry import Point2, TriangleGeometry, signed_area, triangle_geometry
-from osmot.quality import QualityConfig, q1_size, q2_shape
+from osmot.quality import QualityConfig, q1_size, q2_shape, size_radius
 
 SQRT3 = math.sqrt(3.0)
 
@@ -89,9 +89,35 @@ def test_q2_orientation_invariant(t):
 
 @given(triangles)
 def test_q2_reversed_triangle_scores_zero(t):
-    # an inverted triangle is the worst there is, not its mirror image
+    # an inverted triangle is the worst there is, not its mirror image:
+    # its size radius is +inf, so it scores q1 = 0 as it scores q2 = 0
     p0, p1, p2 = positively_oriented(t)
-    assert q2_shape(triangle_geometry(p0, p2, p1)) == 0.0
+    geom = triangle_geometry(p0, p2, p1)
+    assert not geom.degenerate and geom.R < math.inf
+    assert q2_shape(geom) == 0.0
+    assert size_radius(geom) == math.inf
+    assert q1_size(geom, 1.0) == 0.0
+
+
+TINY = 2.0 ** -360
+NAMED_TRIANGLES = {
+    "valid": T345,
+    "degenerate": COLLINEAR,
+    "inverted": (T345[0], T345[2], T345[1]),
+    # a*b*c underflows to 0 in a triangle that is not degenerate
+    "underflowing": (Point2(0, 0), Point2(TINY, 0), Point2(0, TINY)),
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED_TRIANGLES))
+def test_q2_is_2r_over_the_size_radius(name):
+    # q1 and q2 divide by one radius, so they agree on which triangles
+    # score 0
+    geom = triangle_geometry(*NAMED_TRIANGLES[name])
+    q2 = q2_shape(geom)
+    assert q2.hex() == (2.0 * geom.r / size_radius(geom)).hex()
+    assert (q2 > 0.0) is (name == "valid")
+    assert (q1_size(geom, 1.0) > 0.0) is (name == "valid")
 
 
 @given(triangles, st.integers(min_value=-7, max_value=7))

@@ -271,21 +271,29 @@ def test_rref_edit_reaches_the_next_report():
 
 def test_inverted_triangle_scores_zero_and_is_flagged():
     # the horseshoe's node moved above the notch tip (0, 0.8) inverts the
-    # triangles on either side of the tip; each scores q2 = 0, so it is
-    # below every q_min, the report's min q2 is 0 and flag_nodes flags
-    # its nodes
+    # triangles on either side of the tip; each has size radius +inf, so
+    # it scores q2 = 0 and q1 = 0: it is below every q_min, the report's
+    # min q2 and min q1 are 0 and flag_nodes flags its nodes
     mesh = generate_fixture(FixtureKind.HORSESHOE)
     mesh.set_position(0, Point2(0.0, 1.5))
     table = mesh.quality_table()
     inverted = [tid for tid in range(len(mesh.triangles)) if table.inverted[tid]]
     assert inverted
     assert all(table.q2[tid] == 0.0 for tid in inverted)
+    assert all(table.circumradius[tid] == math.inf for tid in inverted)
     report = quality_report(mesh, QualityConfig(q_min=0.01), 1.0, 0)
     assert report.min_q2 == 0.0
+    assert report.min_q1 == 0.0  # r_ref over the largest radius
     assert report.inverted_elements == len(inverted)
     assert report.flagged_elements >= len(inverted)
     flagged = flag_nodes(mesh, QualityConfig(q_min=0.01))
     assert all(set(mesh.triangles[tid].nodes) <= flagged for tid in inverted)
+    # the report's other path: the minimum of each element's rref over its
+    # radius, with an override on a triangle that is not inverted
+    valid = next(tid for tid in range(len(mesh.triangles))
+                 if not table.inverted[tid])
+    mesh.rref[valid] = 2.0
+    assert quality_report(mesh, QualityConfig(q_min=0.01), 1.0, 0).min_q1 == 0.0
 
 
 # Coordinates of every sign and of very different sizes: tiny ones make
