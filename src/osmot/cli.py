@@ -8,7 +8,9 @@ Subcommands:
   per-loop quality CSV and periodic SVG snapshots.
 
 Exit codes: 0 on success, 1 on parse/validation failure, 2 on bad
-arguments.
+arguments. ``smooth`` exits 0 and writes its output also when the last
+loop leaves inverted elements; it then warns on stderr that the output
+will not load.
 """
 
 from __future__ import annotations
@@ -142,6 +144,10 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
           f"meanQ2 {final.mean_q2:.6g}{note}")
     for nid, reason in result.skipped:
         print(f"skipped node {nid}: {reason}", file=sys.stderr)
+    if final.inverted_elements:
+        # the output is written all the same, so that it can be inspected
+        print(f"warning: {args.output} has {final.inverted_elements} inverted "
+              f"elements; read_mesh and osmot check will refuse it", file=sys.stderr)
     return 0
 
 

@@ -130,6 +130,28 @@ def test_laplacian_smoother_runs(tmp_path):
     assert out.read_bytes() != mesh.read_bytes()
 
 
+def test_smooth_warns_when_its_output_will_not_load(tmp_path, capsys):
+    # one Laplacian loop on the horseshoe inverts two triangles: the run
+    # still exits 0 with its summary, and names the count on stderr
+    mesh = tmp_path / "horseshoe.mesh"
+    out = tmp_path / "laplacian.mesh"
+    run(["gen", "--kind", "horseshoe", "--output", str(mesh)])
+    capsys.readouterr()
+    assert run(["smooth", "--input", str(mesh), "--output", str(out),
+                "--smoother", "laplacian", "--max-loops", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("loops 1 relocations ")
+    assert captured.err.splitlines() == [
+        f"warning: {out} has 2 inverted elements; "
+        "read_mesh and osmot check will refuse it"]
+    assert run(["check", "--input", str(out)]) == 1
+    assert "non-positive signed area" in capsys.readouterr().err
+    # a run that leaves no inverted element prints no warning
+    assert run(["smooth", "--input", str(mesh), "--output", str(out),
+                "--max-loops", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_svg_snapshots(tmp_path):
     mesh = tmp_path / "patch.mesh"
     out = tmp_path / "out.mesh"

@@ -1,9 +1,12 @@
 """Loading a mesh: the topology against a reference derivation, and the
 error, message and file line of every load fault."""
 
+import math
 import random
 
 import pytest
+
+from osmot import meshio
 
 from osmot.fixtures import FixtureKind, freeze_boundary, generate_fixture
 from osmot.geometry import Point2, signed_area
@@ -200,16 +203,15 @@ def test_pinched_vertices_name_the_lowest(n_triangles):
 
 # Load faults under comments and blank lines. Each fault edits the lines of
 # a clean file and returns them with the index of the faulty line (EOF for
-# a truncated file), the exception class and its message.
+# a truncated file), the exception class and its message. Its base mesh
+# says where the fault goes: the indented box puts it on a line drawn at
+# random; the lattice, whose sections span more than one chunk of the
+# reader's bulk parse (meshio.CHUNK lines), on the last line of a chunk or
+# on the first line of the next.
 
 EOF = -1
 
 NOISE = ["", "   ", "\t", "#", "# comment", "   # indented comment", "#nodes 3"]
-
-
-def base_lines():
-    mesh = generate_fixture(FixtureKind.INDENTED_BOX, 1, 0.5)
-    return mesh, mesh_to_text(mesh).splitlines()
 
 
 def node_line(nid):
@@ -220,112 +222,254 @@ def triangle_line(lines, tid):
     return 3 + int(lines[1].split()[1]) + tid
 
 
-def fault_flipped(rng):
-    mesh, lines = base_lines()
-    tid = rng.randrange(len(mesh.triangles))
-    a, b, c = mesh.triangles[tid].nodes
+def lattice_columns():
+    """A square lattice of about meshio.CHUNK cells, interior nodes
+    jittered: its nodes and its triangles each fill more than one chunk.
+    The corners are fixed and each side is a chain of boundary nodes."""
+    cells = math.isqrt(meshio.CHUNK) + 1
+    rng = random.Random(cells)
+    mobility, positions = [], []
+    for j in range(cells + 1):
+        for i in range(cells + 1):
+            sides = (i in (0, cells)) + (j in (0, cells))
+            mobility.append([Mobility.INTERNAL, Mobility.BOUNDARY, Mobility.FIXED][sides])
+            dx = dy = 0.0
+            if not sides:
+                dx, dy = 0.3 * (rng.random() - 0.5), 0.3 * (rng.random() - 0.5)
+            positions.append(Point2(i + dx, j + dy))
+    triangles = []
+    for j in range(cells):
+        for i in range(cells):
+            a, b = j * (cells + 1) + i, j * (cells + 1) + i + 1
+            c, d = b + cells + 1, a + cells + 1
+            triangles += [Triangle(len(triangles), (a, b, c)),
+                          Triangle(len(triangles) + 1, (a, c, d))]
+    return mobility, positions, triangles
+
+
+def moved(columns, old, new):
+    """The columns with node ``old`` renumbered ``new``; the nodes between
+    shift by one to make room."""
+    mobility, positions, triangles = columns
+    order = list(range(len(positions)))
+    order.insert(new, order.pop(old))
+    rank = {nid: k for k, nid in enumerate(order)}
+    return ([mobility[nid] for nid in order], [positions[nid] for nid in order],
+            [Triangle(t.id, tuple(rank[nid] for nid in t.nodes)) for t in triangles])
+
+
+def with_node(lines, nid, fields):
+    """The lines with node line ``nid`` inserted; the nodes after it, and
+    every reference to them, grow by one."""
+    n = int(lines[1].split()[1])
+    head = triangle_line(lines, 0) - 1
+    m = int(lines[head].split()[1])
+    after = [f"{k + 1} {line.split(' ', 1)[1]}"
+             for k, line in enumerate(lines[2 + nid:2 + n], start=nid)]
+    tris = [" ".join([tid] + [str(int(v) + (int(v) >= nid)) for v in nodes])
+            for tid, *nodes in map(str.split, lines[head + 1:head + 1 + m])]
+    return [lines[0], f"nodes {n + 1}", *lines[2:2 + nid], f"{nid} {fields}", *after,
+            lines[head], *tris, *lines[head + 1 + m:]]
+
+
+def with_triangle(lines, tid, nodes):
+    """The lines with triangle line ``tid`` inserted; the ids of the
+    triangles after it grow by one."""
+    head = triangle_line(lines, 0) - 1
+    m = int(lines[head].split()[1])
+    after = [f"{k + 1} {line.split(' ', 1)[1]}"
+             for k, line in enumerate(lines[head + 1 + tid:head + 1 + m], start=tid)]
+    return [*lines[:head], f"triangles {m + 1}", *lines[head + 1:head + 1 + tid],
+            f"{tid} {nodes[0]} {nodes[1]} {nodes[2]}", *after, *lines[head + 1 + m:]]
+
+
+class Box:
+    """The indented box: a fault goes on a line drawn at random."""
+
+    def __init__(self):
+        self.mesh = generate_fixture(FixtureKind.INDENTED_BOX, 1, 0.5)
+        self.lines = mesh_to_text(self.mesh).splitlines()
+
+    def node(self, rng, ids):
+        return rng.choice(ids)
+
+    def triangle(self, rng):
+        return rng.randrange(len(self.mesh.triangles))
+
+    def slot(self, count):
+        """The id of an added node or triangle: after the last."""
+        return count
+
+    def cut(self, rng, first, end):
+        """Where a file is cut in the section of lines ``first`` to ``end``."""
+        return rng.randrange(first, end)
+
+    def foreign(self, columns, nid):
+        """The lines of another mesh, and the id of its node ``nid`` there."""
+        return hand_written_text(*columns).splitlines(), nid
+
+
+class Lattice:
+    """The lattice: a fault goes on node or triangle ``edge``, the last
+    line of a chunk (meshio.CHUNK - 1) or the first line of the next."""
+
+    def __init__(self, edge):
+        self.edge = edge
+        self.columns = lattice_columns()
+        self._build()
+
+    def _build(self):
+        self.mesh = build_topology(*self.columns)
+        self.lines = mesh_to_text(self.mesh).splitlines()
+
+    def node(self, rng, ids):
+        # the node drawn is renumbered to the edge
+        self.columns = moved(self.columns, rng.choice(ids), self.edge)
+        self._build()
+        return self.edge
+
+    def triangle(self, rng):
+        return self.edge
+
+    def slot(self, count):
+        return self.edge
+
+    def cut(self, rng, first, end):
+        return first + self.edge + 1
+
+    def foreign(self, columns, nid):
+        # the other mesh is added to the lattice, node nid renumbered to the edge
+        mobility, positions, triangles = self.columns
+        n, m = len(positions), len(triangles)
+        union = (mobility + columns[0], positions + columns[1],
+                 triangles + [Triangle(m + t.id, tuple(n + v for v in t.nodes))
+                              for t in columns[2]])
+        return hand_written_text(*moved(union, n + nid, self.edge)).splitlines(), self.edge
+
+
+BASES = {"box": Box,
+         "chunk_end": lambda: Lattice(meshio.CHUNK - 1),
+         "chunk_start": lambda: Lattice(meshio.CHUNK)}
+
+
+def fault_flipped(rng, base):
+    tid = base.triangle(rng)
+    lines = base.lines
+    a, b, c = base.mesh.triangles[tid].nodes
     at = triangle_line(lines, tid)
     lines[at] = f"{tid} {a} {c} {b}"
-    p = [mesh.position(n) for n in (a, c, b)]
+    p = [base.mesh.position(n) for n in (a, c, b)]
     return lines, at, ValidationError, f"triangle {tid} has non-positive signed area {signed_area(*p):g}"
 
 
-def fault_repeated_edge(rng):
-    mesh, lines = base_lines()
-    m = len(mesh.triangles)
-    a, b, c = mesh.triangles[rng.randrange(m)].nodes
-    lines[triangle_line(lines, 0) - 1] = f"triangles {m + 1}"
-    lines.append(f"{m} {b} {c} {a}")
-    return (lines, len(lines) - 1, ValidationError,
+def fault_repeated_edge(rng, base):
+    tid = base.slot(len(base.mesh.triangles))
+    a, b, c = base.mesh.triangles[rng.randrange(tid)].nodes
+    lines = with_triangle(base.lines, tid, (b, c, a))
+    return (lines, triangle_line(lines, tid), ValidationError,
             f"directed edge ({b}, {c}) belongs to more than one triangle")
 
 
-def fault_repeated_node(rng):
-    mesh, lines = base_lines()
-    tid = rng.randrange(len(mesh.triangles))
-    a, b, _c = mesh.triangles[tid].nodes
+def fault_repeated_node(rng, base):
+    tid = base.triangle(rng)
+    lines = base.lines
+    a, b, _c = base.mesh.triangles[tid].nodes
     nodes = rng.choice([(a, a, b), (a, b, b), (a, b, a)])
     at = triangle_line(lines, tid)
     lines[at] = f"{tid} {nodes[0]} {nodes[1]} {nodes[2]}"
     return lines, at, ValidationError, f"triangle {tid} has repeated nodes {nodes}"
 
 
-def fault_unknown_node(rng):
-    mesh, lines = base_lines()
-    tid = rng.randrange(len(mesh.triangles))
-    a, b, _c = mesh.triangles[tid].nodes
-    unknown = rng.choice([len(mesh.nodes), len(mesh.nodes) + 7, -1])
+def fault_unknown_node(rng, base):
+    tid = base.triangle(rng)
+    lines = base.lines
+    a, b, _c = base.mesh.triangles[tid].nodes
+    unknown = rng.choice([len(base.mesh.nodes), len(base.mesh.nodes) + 7, -1])
     at = triangle_line(lines, tid)
     lines[at] = f"{tid} {a} {b} {unknown}"
     return lines, at, ValidationError, f"triangle {tid} references unknown node {unknown}"
 
 
-def fault_orphan(rng):
-    mesh, lines = base_lines()
-    n = len(mesh.nodes)
-    lines[1] = f"nodes {n + 1}"
-    lines.insert(node_line(n), f"{n} 9 9 F")
-    return lines, node_line(n), ValidationError, f"node {n} belongs to no triangle"
+def fault_orphan(rng, base):
+    nid = base.slot(len(base.mesh.nodes))
+    lines = with_node(base.lines, nid, "9 9 F")
+    return lines, node_line(nid), ValidationError, f"node {nid} belongs to no triangle"
 
 
-def fault_internal_on_boundary(rng):
-    mesh, lines = base_lines()
-    # every node of the indented box that is not internal lies on its boundary
-    nid = rng.choice([n.id for n in mesh.nodes if n.mobility is not Mobility.INTERNAL])
+def fault_internal_on_boundary(rng, base):
+    # every node of either base that is not internal lies on its boundary
+    nid = base.node(rng, [n.id for n in base.mesh.nodes if n.mobility is not Mobility.INTERNAL])
+    lines = base.lines
     at = node_line(nid)
     lines[at] = lines[at].rsplit(" ", 1)[0] + " I"
     return lines, at, ValidationError, f"node {nid} is marked internal but lies on a boundary edge"
 
 
-def fault_boundary_off_boundary(rng):
-    mesh, lines = base_lines()
-    nid = rng.choice(sorted(mesh.balls))
+def fault_boundary_off_boundary(rng, base):
+    nid = base.node(rng, sorted(base.mesh.balls))
+    lines = base.lines
     at = node_line(nid)
     lines[at] = lines[at].rsplit(" ", 1)[0] + " B7"
     return (lines, at, ValidationError,
             f"node {nid} is marked movable-boundary but lies on no boundary edge")
 
 
-def fault_tangled(rng):
+def fault_tangled(rng, base):
     fan = wound_fan(rng.choice([Mobility.INTERNAL, Mobility.FIXED]))
-    lines = hand_written_text(*fan).splitlines()
-    return (lines, node_line(0), ValidationError,
-            "triangles around interior node 0 wind 2 times around it")
+    lines, nid = base.foreign(fan, 0)
+    return (lines, node_line(nid), ValidationError,
+            f"triangles around interior node {nid} wind 2 times around it")
 
 
-def fault_pinched(rng):
+def fault_pinched(rng, base):
     mobility, positions, triangles, pinched = pinched_strip(rng.choice([3, 4]))
-    lines = hand_written_text(mobility, positions, triangles).splitlines()
-    lowest = min(pinched)
+    lines, lowest = base.foreign((mobility, positions, triangles), min(pinched))
     return (lines, node_line(lowest), ValidationError,
             f"node {lowest} has more than one outgoing boundary edge")
 
 
-def fault_bad_token(rng):
-    mesh, lines = base_lines()
+def fault_bad_token(rng, base):
     if rng.random() < 0.5:
-        nid = rng.randrange(len(mesh.nodes))
+        nid = base.node(rng, range(len(base.mesh.nodes)))
+        lines = base.lines
         at = node_line(nid)
         lines[at] = lines[at].replace(" ", " x", 1)
         return lines, at, ParseError, f"bad node fields in {lines[at]!r}"
-    tid = rng.randrange(len(mesh.triangles))
+    tid = base.triangle(rng)
+    lines = base.lines
     at = triangle_line(lines, tid)
     lines[at] = lines[at] + ".0"
     return lines, at, ParseError, f"bad triangle fields in {lines[at]!r}"
 
 
-def fault_truncated(rng):
-    _mesh, lines = base_lines()
+def fault_id_gap(rng, base):
+    # from one line to the end of its section, every id is one too high
+    if rng.random() < 0.5:
+        kind, first = "node", base.node(rng, range(len(base.mesh.nodes)))
+        lines = base.lines
+        at, end = node_line(first), node_line(len(base.mesh.nodes))
+    else:
+        kind, first = "triangle", base.triangle(rng)
+        lines = base.lines
+        at, end = triangle_line(lines, first), triangle_line(lines, len(base.mesh.triangles))
+    for k in range(at, end):
+        rid, rest = lines[k].split(" ", 1)
+        lines[k] = f"{int(rid) + 1} {rest}"
+    return lines, at, ParseError, f"{kind} ids must be dense, expected {first}"
+
+
+def fault_truncated(rng, base):
+    lines = base.lines
     header = triangle_line(lines, 0) - 1
-    cut, expect = rng.choice([(rng.randrange(2, header), "a node line"),
+    cut, expect = rng.choice([(base.cut(rng, 2, header), "a node line"),
                               (header, "'triangles <count>'"),
-                              (rng.randrange(header + 1, len(lines)), "a triangle line")])
+                              (base.cut(rng, header + 1, len(lines)), "a triangle line")])
     return lines[:cut], EOF, ParseError, f"unexpected end of file, expected {expect}"
 
 
 FAULTS = [fault_flipped, fault_repeated_edge, fault_repeated_node, fault_unknown_node,
           fault_orphan, fault_internal_on_boundary, fault_boundary_off_boundary,
-          fault_tangled, fault_pinched, fault_bad_token, fault_truncated]
+          fault_tangled, fault_pinched, fault_bad_token, fault_id_gap, fault_truncated]
 
 
 def with_noise(lines, rng, faulty=None):
@@ -344,10 +488,14 @@ def with_noise(lines, rng, faulty=None):
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__[len("fault_"):])
-@pytest.mark.parametrize("seed", range(6))
-def test_load_fault_under_comments(fault, seed):
+@pytest.mark.parametrize("base, seed", [
+    *(pytest.param("box", seed, id=str(seed)) for seed in range(6)),
+    *(pytest.param(edge, seed, id=f"{edge}-{seed}")
+      for edge in ("chunk_end", "chunk_start") for seed in range(3)),
+])
+def test_load_fault_under_comments(fault, base, seed):
     rng = random.Random(seed)
-    lines, faulty, error, message = fault(rng)
+    lines, faulty, error, message = fault(rng, BASES[base]())
     text, line_no = with_noise(lines, rng, faulty)
     if faulty == EOF:
         # a file that ends early names the line after its last line
@@ -359,13 +507,77 @@ def test_load_fault_under_comments(fault, seed):
     assert str(err.value) == f"line {line_no}: {message}"
 
 
+def test_lattice_sections_span_chunks():
+    mobility, positions, triangles = lattice_columns()
+    assert len(positions) > meshio.CHUNK + 1 and len(triangles) > meshio.CHUNK + 1
+    # the bulk parse learns each chain's boundary token as it meets one
+    lines = mesh_to_text(build_topology(mobility, positions, triangles)).splitlines()
+    assert {line.split()[3] for line in lines[2:2 + len(positions)]} == {
+        "F", "I", "B0", "B1", "B2", "B3"}
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_comments_and_blank_lines_load_the_same_mesh(seed):
     rng = random.Random(seed)
-    for kind in FixtureKind:
-        mesh = generate_fixture(kind, seed, 0.3)
+    meshes = [generate_fixture(kind, seed, 0.3) for kind in FixtureKind]
+    # every lattice triangle has an rref entry, so that section spans
+    # chunks too
+    lattice = lattice_columns()
+    meshes.append(build_topology(*lattice, {tid: 0.5 + (tid % 7) / 8 for tid in
+                                            range(len(lattice[2]))}))
+    for mesh in meshes:
         mesh.rref[0] = 0.5
         text = mesh_to_text(mesh)
         noisy, _ = with_noise(text.splitlines(), rng)
         assert noisy != text
         assert parse_mesh_text(noisy) == mesh
+
+
+TOKENS = ["x", "0", "1", "-1", "7", "+3", "007", "2.5", "1e400", "nan", "-inf",
+          "F", "I", "B", "B0", "B9", "Bx", "B-2", "1_000", "0x10"]
+
+
+def load_outcome(text):
+    try:
+        return parse_mesh_text(text)
+    except (ParseError, ValidationError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bulk_parse_agrees_with_the_line_parse(monkeypatch, seed):
+    # a chunk passes the bulk tests exactly when the line parse accepts
+    # it: files with one token replaced, dropped or repeated load to the
+    # same mesh, or fail with the same error, when every chunk is parsed
+    # line by line
+    rng = random.Random(seed)
+    mesh = generate_fixture(FixtureKind.INDENTED_BOX, seed, 0.5)
+    mesh.rref.update((tid, 0.5 + tid / 64) for tid in range(0, len(mesh.triangles), 3))
+    lines = mesh_to_text(mesh).splitlines()
+    rows = [at for at, line in enumerate(lines) if line[0].isdigit()]
+    monkeypatch.setattr(meshio, "CHUNK", 7)
+
+    def line_by_line(lines, start, end, fields):
+        return ((lo, min(lo + meshio.CHUNK, end), None)
+                for lo in range(start, end, meshio.CHUNK))
+
+    for _ in range(120):
+        edited = list(lines)
+        at = rng.choice(rows)
+        parts = edited[at].split()
+        k = rng.randrange(len(parts))
+        edit = rng.randrange(4)
+        if edit == 0:
+            parts[k] = rng.choice(TOKENS)
+        elif edit == 1:
+            del parts[k]
+        elif edit == 2:
+            parts.insert(k, parts[k])
+        else:
+            parts[0] = str(int(parts[0]) + rng.choice([-1, 1]))
+        edited[at] = " ".join(parts)
+        text = "\n".join(edited) + "\n"
+        bulk = load_outcome(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(meshio, "_chunks", line_by_line)
+            assert load_outcome(text) == bulk, edited[at]
