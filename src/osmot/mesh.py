@@ -10,15 +10,16 @@ immutable during smoothing; node positions are the only mutable state.
 coordinates into two lists, then the triangles once: each is checked for
 orientation, and its three directed edges (u, v), keyed as the int
 u * n_nodes + v, against those of the earlier triangles; it joins the
-star of each of its nodes. Then the nodes once: each star becomes a tuple
-and is checked for an orphan, against the node's mobility label and, off
-the boundary, for winding once around its node by ray crossings. The
-stars are kept as ``Mesh.stars``, the mesh's one node-to-triangle
-incidence, and the ball of an internal node wraps its star;
-``star_min_q2`` scores a node's star with the node at a trial position,
-each triangle in its own vertex order from ``Mesh.triangles``, for the
-guard on boundary moves. Each ``Node`` is built once, after the chains,
-with its chain id.
+star of each of its nodes, and adds to each node's winding count when
+its opposite edge crosses the node's height upwards. Then the nodes once:
+each star becomes a tuple and is checked for an orphan, against the
+node's mobility label and, off the boundary, for a winding count of
+exactly one. The stars are kept as ``Mesh.stars``, the mesh's one
+node-to-triangle incidence, and the ball of an internal node wraps its
+star; ``star_min_q2`` scores a node's star with the node at a trial
+position, each triangle in its own vertex order from ``Mesh.triangles``,
+for the guard on boundary moves. Each ``Node`` is built once, after the
+chains, with its chain id.
 
 ``Triangle`` and ``Ball``, like ``Point2``, are ``typing.NamedTuple``
 records: a load builds thousands of them, and packs each with
@@ -365,6 +366,14 @@ def build_topology(
     node actually sits, or an interior node (internal, or fixed off the
     boundary) whose triangles do not wind around it exactly once. Of
     several faulty nodes, the lowest id is named.
+
+    The winding is counted from the one orientation test: once (a, b, c)
+    is positive, its edge b -> c passes a on the right when it climbs
+    past a's height and on the left when it descends, so the number of
+    edges that climb past a node's height, half-open (Hormann & Agathos,
+    2001), is how often its ring winds around it. No coordinate product
+    is formed. A ring of exactly positive triangles winds at least once,
+    so a tangled star of them reports a winding of 2 or more.
     """
     n_nodes = len(positions)
     if len(mobility) != n_nodes:
@@ -378,10 +387,12 @@ def build_topology(
     # occurs twice, and a directed edge whose reverse is absent is a
     # boundary edge. The same pass builds the star of every node; the
     # triangles are visited in id order, so every star comes out sorted.
+    # It also counts each node's winding, as the docstring says.
     edges: set[int] = set()
     reverse: list[int] = []
     add_edge = edges.add
     stars: list[list[tuple[int, int, int]]] = [[] for _ in range(n_nodes)]
+    winding = [0] * n_nodes
     for i, (tid, tri_nodes) in enumerate(triangles):
         if tid != i:
             raise MeshError(f"triangle ids must be dense 0..M-1, found {tid} at {i}")
@@ -394,10 +405,14 @@ def build_topology(
             raise MeshError(f"triangle {tid} references unknown node {nid}",
                             triangle_id=tid)
         xa, ya = xs[a], ys[a]
+        yb, yc = ys[b], ys[c]
         # signed_area's expression, so InvertedElementError prints its float
-        area = 0.5 * ((xs[b] - xa) * (ys[c] - ya) - (xs[c] - xa) * (ys[b] - ya))
+        area = 0.5 * ((xs[b] - xa) * (yc - ya) - (xs[c] - xa) * (yb - ya))
         if area <= 0.0:
             raise InvertedElementError(tid, area)
+        winding[a] += yb <= ya < yc
+        winding[b] += yc <= yb < ya
+        winding[c] += ya <= yc < yb
         an, bn, cn = a * n_nodes, b * n_nodes, c * n_nodes
         ab, bc, ca = an + b, bn + c, cn + a
         if ab in edges or bc in edges or ca in edges:
@@ -427,9 +442,8 @@ def build_topology(
         boundary_next[u] = v
 
     # A node that starts no boundary edge is interior, and its star must
-    # wind around it once whether it moves or not: its ring edges n1 -> n2
-    # cross the ray from it towards +x upwards with it on their left (+1)
-    # or downwards with it on their right (-1), by signed_area(n1, n2, it).
+    # wind around it once whether it moves or not: its ring edges close,
+    # so the count of the triangle pass is the ring's winding around it.
     # Each star list is replaced by its tuple, so no two copies are held;
     # an INTERNAL node's ball wraps that tuple.
     balls: dict[int, Ball] = {}
@@ -450,19 +464,8 @@ def build_topology(
             )
         if on_boundary:
             continue
-        px, py = xs[nid], ys[nid]
-        winding = 0
-        for _tid, n1, n2 in star:
-            x1, y1, y2 = xs[n1], ys[n1], ys[n2]
-            starts_below = y1 <= py
-            if starts_below != (y2 <= py):
-                side = 0.5 * ((xs[n2] - x1) * (py - y1) - (px - x1) * (y2 - y1))
-                if starts_below:
-                    winding += side > 0.0
-                else:
-                    winding -= side < 0.0
-        if winding != 1:
-            raise TangledBallError(nid, winding)
+        if winding[nid] != 1:
+            raise TangledBallError(nid, winding[nid])
         if mob is Mobility.INTERNAL:
             balls[nid] = tuple.__new__(Ball, (nid, star))
 

@@ -104,6 +104,23 @@ def wound_fan(centre_mobility, turns=2, centre=Point2(0.0, 0.0)):
     return mobility, positions, triangles
 
 
+# Three sliver triangles around internal node 1, each of positive exact
+# signed area, whose ring winds once around node 1. A winding test that
+# derives each triangle's sign a second time, with a product that rounds
+# differently from the orientation test, counts 0 windings here.
+SLIVER_FAN_TEXT = """osmot-mesh v1
+nodes 4
+0 -2.3209962019287573 -3.010773972951345 F
+1 -2.3217743734505376 -3.012595133162882 I
+2 -2.3266478510499975 -3.0240005666020915 F
+3 -2.335000967101284 -3.006943484041642 F
+triangles 3
+0 0 1 2
+1 1 0 3
+2 1 3 2
+"""
+
+
 def hand_written_text(mobility, positions, triangles):
     """The mesh file of the node columns and triangles, written without
     building a mesh, so that a file of an invalid mesh can be read.

@@ -9,6 +9,8 @@ from osmot.geometry import triangle_geometry
 from osmot.meshio import read_mesh
 from osmot.quality import q2_shape
 
+from conftest import SLIVER_FAN_TEXT
+
 
 def run(args):
     return main(args)
@@ -68,6 +70,17 @@ def test_check_invalid_mesh_exit_1(tmp_path, capsys):
     assert run(["check", "--input", str(bad)]) == 1
     captured = capsys.readouterr()
     assert "triangle 0" in captured.err
+
+
+def test_check_accepts_sliver_fan(tmp_path, capsys):
+    # three sliver triangles of positive exact area around an internal node
+    # whose ring winds once: a valid mesh
+    path = tmp_path / "sliver.mesh"
+    path.write_text(SLIVER_FAN_TEXT)
+    assert run(["check", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("nodes 4 triangles 3 chains 0\n")
 
 
 def test_truncated_file_names_the_line_after_the_last(tmp_path, capsys):

@@ -3,8 +3,10 @@ error, message and file line of every load fault."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from osmot import meshio
 
@@ -22,21 +24,28 @@ from osmot.mesh import (
 )
 from osmot.meshio import ParseError, ValidationError, mesh_to_text, parse_mesh_text
 
-from conftest import hand_written_text, hexagon_fan, wound_fan
+from conftest import SLIVER_FAN_TEXT, hand_written_text, hexagon_fan, wound_fan
+
+
+def exact_area2(p0, p1, p2):
+    """Twice the signed area of the triangle p0, p1, p2, in exact rational
+    arithmetic."""
+    x0, y0, x1, y1, x2, y2 = map(Fraction, (*p0, *p1, *p2))
+    return (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
 
 
 def reference_winding(positions, vertex, star):
     """Signed crossings of the ray from the vertex towards +x by the ring
-    edges n1 -> n2: upward with the vertex on the left adds one, downward
-    with it on the right subtracts one."""
+    edges n1 -> n2, with exact side tests: upward with the vertex on the
+    left adds one, downward with it on the right subtracts one."""
     p = positions[vertex]
     winding = 0
     for _tid, n1, n2 in star:
         q1, q2 = positions[n1], positions[n2]
         if q1.y <= p.y:
-            if q2.y > p.y and signed_area(q1, q2, p) > 0.0:
+            if q2.y > p.y and exact_area2(q1, q2, p) > 0:
                 winding += 1
-        elif q2.y <= p.y and signed_area(q1, q2, p) < 0.0:
+        elif q2.y <= p.y and exact_area2(q1, q2, p) < 0:
             winding -= 1
     return winding
 
@@ -169,6 +178,81 @@ def test_tangled_winding_matches_reference(turns, mobility, centre):
         build_topology(*fan)
     assert err.value.node_id == 0
     assert err.value.winding == windings[0] == turns
+
+
+def test_sliver_fan_loads():
+    # every triangle is positive in exact arithmetic and node 1's ring
+    # winds once around it
+    mesh = parse_mesh_text(SLIVER_FAN_TEXT)
+    positions = [mesh.position(n.id) for n in mesh.nodes]
+    assert all(exact_area2(*(positions[n] for n in tri.nodes)) > 0
+               for tri in mesh.triangles)
+    assert reference_winding(positions, 1, mesh.stars[1]) == 1
+    assert mesh.balls[1] == Ball(1, mesh.stars[1])
+
+
+@st.composite
+def fan_pair(draw):
+    """Two fans, each of fixed ring nodes around one interior node, with
+    node ids shuffled. A fan's ring winds 1-3 times around its centre, and
+    each ring node's height is the centre's plus a multiple of a step from
+    -2 to 2, so ring nodes share heights with the centre and with each
+    other. Every triangle is positive in exact arithmetic and by
+    ``signed_area``."""
+    fans = []
+    for _ in range(2):
+        cx, cy = (draw(st.floats(-4.0, 4.0)) for _ in range(2))
+        scale = draw(st.sampled_from([1.0, 1e-3, 1e-6]))
+        step = scale * draw(st.floats(0.2, 1.0))
+        ring = []
+        for _lap in range(draw(st.integers(1, 3))):
+            m = draw(st.integers(4, 7))
+            for j in range(m):
+                t = 2.0 * math.pi * (j + draw(st.floats(0.0, 0.9))) / m
+                k = max(-2, min(2, round(scale * math.sin(t) / step)))
+                ring.append(Point2(cx + scale * math.cos(t), cy + k * step))
+        centre = Point2(cx, cy)
+        for q1, q2 in zip(ring, ring[1:] + ring[:1]):
+            assume(exact_area2(centre, q1, q2) > 0 and signed_area(centre, q1, q2) > 0.0)
+        fans.append((draw(st.sampled_from([Mobility.INTERNAL, Mobility.FIXED])),
+                     centre, ring))
+    positions, mobility, triangles, centres = [], [], [], []
+    for mob, centre, ring in fans:
+        c, n = len(positions), len(ring)
+        centres.append(c)
+        positions += [centre, *ring]
+        mobility += [mob] + [Mobility.FIXED] * n
+        triangles += [(c, c + 1 + i, c + 1 + (i + 1) % n) for i in range(n)]
+    perm = draw(st.permutations(range(len(positions))))
+    new_positions, new_mobility = [None] * len(positions), [None] * len(positions)
+    for nid, (mob, p) in enumerate(zip(mobility, positions)):
+        new_positions[perm[nid]] = p
+        new_mobility[perm[nid]] = mob
+    new_triangles = [Triangle(tid, tuple(perm[n] for n in nodes))
+                     for tid, nodes in enumerate(triangles)]
+    return new_mobility, new_positions, new_triangles, [perm[c] for c in centres]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fan_pair())
+def test_interior_winding_is_exact(case):
+    # a mesh loads exactly when each interior node's ring winds once around
+    # it in exact arithmetic; otherwise the lowest node whose ring does not
+    # is named, with its exact winding
+    mobility, positions, triangles, centres = case
+    stars = {c: [(t.id, *t.nodes[1:]) for t in triangles if t.nodes[0] == c]
+             for c in centres}
+    windings = {c: reference_winding(positions, c, stars[c]) for c in centres}
+    tangled = sorted(c for c in centres if windings[c] != 1)
+    if not tangled:
+        mesh = build_topology(mobility, positions, triangles)
+        assert sorted(mesh.balls) == sorted(c for c in centres
+                                            if mobility[c] is Mobility.INTERNAL)
+        return
+    with pytest.raises(TangledBallError) as err:
+        build_topology(mobility, positions, triangles)
+    assert err.value.node_id == tangled[0]
+    assert err.value.winding == windings[tangled[0]]
 
 
 def pinched_strip(n_triangles):
